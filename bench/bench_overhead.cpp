@@ -22,6 +22,8 @@
 #include "core/oracle.h"
 #include "core/rl_controller.h"
 #include "core/runner.h"
+#include "soc/thermal_platform.h"
+#include "thermal/power_budget.h"
 #include "workloads/cpu_benchmarks.h"
 #include "workloads/gpu_benchmarks.h"
 
@@ -205,15 +207,15 @@ namespace {
 /// touched the heap.  The warmup is generous (not two calls) because some
 /// controllers have rng-dependent branches — e.g. the DQN's epsilon-greedy
 /// explore/greedy split — and every branch must size its buffers before the
-/// probe starts.
+/// probe starts.  `iters` stays below DecisionTimer::kCapacity, so the
+/// percentiles are exact.
 template <typename Step>
-void decide_row(common::Table& table, const char* name, Step&& step) {
+void decide_row(common::Table& table, const char* name, Step&& step, std::size_t iters = 2000) {
   constexpr std::size_t kWarmup = 64;
-  constexpr std::size_t kIters = 2000;  // < DecisionTimer::kCapacity: exact percentiles
   for (std::size_t i = 0; i < kWarmup; ++i) step();
   DecisionTimer timer;
   oal::alloc_guard::AllocationProbe probe;
-  for (std::size_t i = 0; i < kIters; ++i) {
+  for (std::size_t i = 0; i < iters; ++i) {
     const auto t0 = timer.start();
     step();
     timer.stop(t0);
@@ -222,7 +224,7 @@ void decide_row(common::Table& table, const char* name, Step&& step) {
     std::fprintf(stderr,
                  "bench_overhead: '%s' made %zu heap allocations over %zu "
                  "steady-state decisions (expected 0)\n",
-                 name, probe.delta(), kIters);
+                 name, probe.delta(), iters);
     std::exit(1);
   }
   const DecisionLatencyStats s = timer.stats();
@@ -295,6 +297,31 @@ void run_decide_section() {
   const auto gresult = gsim.render(gframe, {9, 4}, 1.0 / 30.0);
   decide_row(table, "NMPC full step (refit + trim)",
              [&] { benchmark::DoNotOptimize(nmpc_full.step(gresult, {9, 4}, 1)); });
+
+  // Thermal budget refresh: the work a thermal adapter does when its refresh
+  // cadence fires, on the preheated fig5_transient device (GPU-heavy shape).
+  // Steady state is the closed-form bisection over the factored fixed point;
+  // the transient rows bisect on in-place RC simulations of the horizon.
+  auto hot_net = thermal::RcThermalNetwork::mobile_soc(35.0);
+  hot_net.set_temperatures({48.0, 46.0, 58.0, 45.0, 39.5});
+  soc::ThermalGpuConstraintParams tp;
+  tp.limits.t_max_skin_c = 40.0;
+  tp.limits.t_max_junction_c = 75.0;
+  thermal::PowerBudgeter budgeter(hot_net, tp.leakage, tp.limits);
+  const common::Vec shape{0.0, 0.0, 2.4, 1.1, 0.0};
+  decide_row(table, "thermal budget refresh (steady)",
+             [&] { benchmark::DoNotOptimize(budgeter.max_sustainable_power(shape)); });
+  decide_row(table, "thermal budget refresh (transient h10)", [&] {
+    benchmark::DoNotOptimize(
+        budgeter.transient_power_headroom(hot_net.temperatures(), shape, 10.0));
+  });
+  decide_row(
+      table, "thermal budget refresh (transient h240)",
+      [&] {
+        benchmark::DoNotOptimize(
+            budgeter.transient_power_headroom(hot_net.temperatures(), shape, 240.0));
+      },
+      200);
 
   std::puts("=== Steady-state decide(): per-controller latency, zero-alloc asserted ===");
   table.print(std::cout);

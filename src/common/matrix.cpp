@@ -100,13 +100,8 @@ Mat Mat::operator*(const Mat& o) const {
 }
 
 Vec Mat::operator*(const Vec& v) const {
-  if (cols_ != v.size()) throw std::invalid_argument("Mat*Vec size mismatch");
   Vec r(rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) s += (*this)(i, j) * v[j];
-    r[i] = s;
-  }
+  matvec_into(*this, v, r);
   return r;
 }
 
@@ -182,6 +177,16 @@ Vec scale(const Vec& a, double s) {
 }
 
 double norm2(const Vec& a) { return std::sqrt(dot(a, a)); }
+
+void matvec_into(const Mat& a, const Vec& v, Vec& out) {
+  if (a.cols() != v.size() || out.size() != a.rows() || &v == &out)
+    throw std::invalid_argument("Mat*Vec size mismatch");
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double s = 0.0;
+    for (std::size_t j = 0; j < a.cols(); ++j) s += a(i, j) * v[j];
+    out[i] = s;
+  }
+}
 
 // ---- GEMM kernels ----------------------------------------------------------
 //
@@ -263,19 +268,10 @@ Mat outer(const Vec& a, const Vec& b) {
   return m;
 }
 
-namespace {
-
-// LU with partial pivoting, in place.  Returns pivot permutation and sign.
-struct LuResult {
-  Mat lu;
-  std::vector<std::size_t> piv;
-  double sign = 1.0;
-};
-
-LuResult lu_factor(Mat a) {
+LuFactors lu_factor(Mat a) {
   const std::size_t n = a.rows();
   if (a.cols() != n) throw std::invalid_argument("lu_factor: matrix not square");
-  LuResult res{std::move(a), {}, 1.0};
+  LuFactors res{std::move(a), {}, 1.0};
   res.piv.resize(n);
   for (std::size_t i = 0; i < n; ++i) res.piv[i] = i;
   Mat& m = res.lu;
@@ -304,9 +300,10 @@ LuResult lu_factor(Mat a) {
   return res;
 }
 
-Vec lu_apply(const LuResult& f, const Vec& b) {
+void lu_apply(const LuFactors& f, const Vec& b, Vec& x) {
   const std::size_t n = f.lu.rows();
-  Vec x(n);
+  if (b.size() != n || x.size() != n || &b == &x)
+    throw std::invalid_argument("lu_apply: size mismatch or aliased rhs");
   for (std::size_t i = 0; i < n; ++i) x[i] = b[f.piv[i]];
   // Forward substitution (L has unit diagonal).
   for (std::size_t i = 1; i < n; ++i)
@@ -316,23 +313,23 @@ Vec lu_apply(const LuResult& f, const Vec& b) {
     for (std::size_t j = ii + 1; j < n; ++j) x[ii] -= f.lu(ii, j) * x[j];
     x[ii] /= f.lu(ii, ii);
   }
-  return x;
 }
-
-}  // namespace
 
 Vec lu_solve(Mat a, Vec b) {
   if (a.rows() != b.size()) throw std::invalid_argument("lu_solve size mismatch");
-  const LuResult f = lu_factor(std::move(a));
-  return lu_apply(f, b);
+  const LuFactors f = lu_factor(std::move(a));
+  Vec x(b.size());
+  lu_apply(f, b, x);
+  return x;
 }
 
 Mat lu_solve(Mat a, const Mat& b) {
   if (a.rows() != b.rows()) throw std::invalid_argument("lu_solve size mismatch");
-  const LuResult f = lu_factor(std::move(a));
+  const LuFactors f = lu_factor(std::move(a));
   Mat x(b.rows(), b.cols());
+  Vec xc(b.rows());
   for (std::size_t c = 0; c < b.cols(); ++c) {
-    const Vec xc = lu_apply(f, b.col(c));
+    lu_apply(f, b.col(c), xc);
     for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = xc[r];
   }
   return x;
@@ -341,7 +338,7 @@ Mat lu_solve(Mat a, const Mat& b) {
 Mat inverse(const Mat& a) { return lu_solve(a, Mat::identity(a.rows())); }
 
 double determinant(Mat a) {
-  LuResult f = lu_factor(std::move(a));
+  LuFactors f = lu_factor(std::move(a));
   double d = f.sign;
   for (std::size_t i = 0; i < f.lu.rows(); ++i) d *= f.lu(i, i);
   return d;

@@ -85,6 +85,9 @@ Vec scale(const Vec& a, double s);
 double norm2(const Vec& a);
 /// Outer product a b^T.
 Mat outer(const Vec& a, const Vec& b);
+/// out = A v into a caller-sized buffer (out.size() == A.rows(), not aliasing
+/// v); the same summation order as Mat::operator*(Vec), which wraps it.
+void matvec_into(const Mat& a, const Vec& v, Vec& out);
 
 // ---- GEMM kernels ----------------------------------------------------------
 // Minibatch training kernels (rows = samples).  Every output element reduces
@@ -103,6 +106,23 @@ void add_row_broadcast(Mat& m, const Vec& v);
 Vec col_sums(const Mat& m);
 
 // ---- Factorizations & solvers ---------------------------------------------
+
+/// LU factors with partial pivoting: P A = L U packed in `lu` (unit-diagonal
+/// L below the diagonal), row permutation `piv`, permutation sign `sign`.
+struct LuFactors {
+  Mat lu;
+  std::vector<std::size_t> piv;
+  double sign = 1.0;
+};
+
+/// Factors a square A.  Throws std::runtime_error if A is (numerically)
+/// singular.
+LuFactors lu_factor(Mat a);
+
+/// Solves A x = b from A's factors into a caller-sized x (x.size() == n, not
+/// aliasing b).  Allocation-free, so a factorization reused across many
+/// right-hand sides costs only the two triangular sweeps per solve.
+void lu_apply(const LuFactors& f, const Vec& b, Vec& x);
 
 /// Solves A x = b by LU decomposition with partial pivoting.
 /// Throws std::runtime_error if A is (numerically) singular.

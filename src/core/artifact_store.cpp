@@ -215,6 +215,11 @@ void write_file_atomic(const std::string& path, std::uint32_t kind, std::uint64_
   if (ec) throw std::runtime_error("ArtifactStore: rename to " + path + ": " + ec.message());
 }
 
+/// Whether `name` is a write_file_atomic temp file (`<file>.bin.tmp.<pid>.<n>`).
+/// A temp file can be complete and checksum-valid before its rename lands,
+/// so readers must never count it as a store file.
+bool is_temp_name(const std::string& name) { return name.find(".bin.tmp") != std::string::npos; }
+
 }  // namespace
 
 ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {
@@ -238,7 +243,7 @@ std::vector<OracleStoreEntry> ArtifactStore::load_oracle_entries() const {
   std::vector<OracleStoreEntry> out;
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(dir_, ec)) {
-    if (!de.is_regular_file()) continue;
+    if (!de.is_regular_file() || is_temp_name(de.path().filename().string())) continue;
     const ParsedFile f = parse_file(de.path().string());
     if (!f.valid || f.kind != kKindOracle) continue;
     Reader r{f.payload.data(), f.payload.size()};
@@ -307,6 +312,11 @@ std::vector<ArtifactStore::FileInfo> ArtifactStore::inspect() const {
     info.name = de.path().filename().string();
     std::error_code sec;
     info.bytes = static_cast<std::uint64_t>(fs::file_size(de.path(), sec));
+    if (is_temp_name(info.name)) {
+      info.detail = "temp file (rename pending, or left by a crashed writer)";
+      out.push_back(std::move(info));
+      continue;
+    }
     const ParsedFile f = parse_file(de.path().string());
     info.kind = f.kind;
     info.valid = f.valid;

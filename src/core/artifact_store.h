@@ -56,8 +56,9 @@ class ArtifactStore {
 
   const std::string& dir() const { return dir_; }
 
-  /// Reads every valid Oracle bucket in the store.  Invalid files are
-  /// silently skipped (they are someone's job to gc, not a read error).
+  /// Reads every valid Oracle bucket in the store.  Invalid files and
+  /// in-flight temp files (`*.bin.tmp.*`, complete or not) are silently
+  /// skipped (they are someone's job to gc, not a read error).
   std::vector<OracleStoreEntry> load_oracle_entries() const;
 
   /// Merges entries into their per-(fingerprint, objective) bucket files,
@@ -73,7 +74,8 @@ class ArtifactStore {
   /// Fetches a blob; nullopt when absent or invalid.
   std::optional<std::vector<double>> get_blob(const std::string& name, std::uint64_t key) const;
 
-  /// Per-file inventory for the inspect CLI and tests.
+  /// Per-file inventory for the inspect CLI and tests.  Temp files are
+  /// listed as invalid with a "temp file" detail, whatever their contents.
   struct FileInfo {
     std::string name;                  ///< basename within the store
     std::uint32_t kind = 0;            ///< kKindOracle / kKindBlob; 0 if unreadable

@@ -23,9 +23,11 @@ double sum(const common::Vec& v) {
 /// Both adapter constructors accept user-supplied per-node vectors; any size
 /// mismatch against the RC network would silently index out of range deep in
 /// the hot loop, so validate everything up front with sizes in the message.
-void validate_node_vectors(const char* who, const thermal::RcThermalNetwork& net,
-                           const common::Vec& initial_temperature_c,
-                           const thermal::LeakageModel& leak) {
+/// Returns the adapter's mobile-SoC network at its starting temperatures.
+thermal::RcThermalNetwork validated_network(const char* who, double ambient_c,
+                                            const common::Vec& initial_temperature_c,
+                                            const thermal::LeakageModel& leak) {
+  thermal::RcThermalNetwork net = thermal::RcThermalNetwork::mobile_soc(ambient_c);
   const std::size_t n = net.num_nodes();
   const auto fail = [who, n](const char* field, std::size_t got) {
     throw std::invalid_argument(std::string(who) + ": " + field + " has " + std::to_string(got) +
@@ -36,6 +38,8 @@ void validate_node_vectors(const char* who, const thermal::RcThermalNetwork& net
     fail("initial_temperature_c", initial_temperature_c.size());
   if (leak.p0_w.size() != n) fail("leakage.p0_w", leak.p0_w.size());
   if (leak.k_per_c.size() != n) fail("leakage.k_per_c", leak.k_per_c.size());
+  if (!initial_temperature_c.empty()) net.set_temperatures(initial_temperature_c);
+  return net;
 }
 
 }  // namespace
@@ -43,10 +47,12 @@ void validate_node_vectors(const char* who, const thermal::RcThermalNetwork& net
 ThermalSocAdapter::ThermalSocAdapter(BigLittlePlatform& platform, ThermalConstraintParams params)
     : platform_(&platform),
       params_(std::move(params)),
-      net_(thermal::RcThermalNetwork::mobile_soc(params_.ambient_c)),
-      shape_w_(net_.num_nodes(), 0.0) {
-  validate_node_vectors("ThermalSocAdapter", net_, params_.initial_temperature_c, params_.leakage);
-  if (!params_.initial_temperature_c.empty()) net_.set_temperatures(params_.initial_temperature_c);
+      net_(validated_network("ThermalSocAdapter", params_.ambient_c,
+                             params_.initial_temperature_c, params_.leakage)),
+      budgeter_(net_, params_.leakage, params_.limits),
+      shape_w_(net_.num_nodes(), 0.0),
+      leak_w_(net_.num_nodes(), 0.0),
+      power_w_(net_.num_nodes(), 0.0) {
   // Nominal big-heavy shape until the first snippet is observed.
   shape_w_[kBigNode] = 0.55;
   shape_w_[kLittleNode] = 0.10;
@@ -57,13 +63,11 @@ ThermalSocAdapter::ThermalSocAdapter(BigLittlePlatform& platform, ThermalConstra
 
 void ThermalSocAdapter::refresh_budget() {
   if (params_.horizon_s > 0.0) {
-    const double scale = thermal::transient_power_headroom(net_, params_.leakage, shape_w_,
-                                                           params_.horizon_s, params_.limits);
+    const double scale =
+        budgeter_.transient_power_headroom(net_.temperatures(), shape_w_, params_.horizon_s);
     budget_w_ = scale * sum(shape_w_);
   } else {
-    budget_w_ =
-        thermal::max_sustainable_power(net_, params_.leakage, shape_w_, params_.limits)
-            .total_power_w;
+    budget_w_ = budgeter_.max_sustainable_power(shape_w_).total_power_w;
   }
 }
 
@@ -103,19 +107,18 @@ SocConfig ThermalSocAdapter::arbitrate(const SnippetDescriptor& s, const SocConf
   return c;
 }
 
+// oal-lint: hot-path
 void ThermalSocAdapter::observe(const SnippetDescriptor& s, const SocConfig& applied,
                                const SnippetResult& r) {
   const PowerBreakdown bd = platform_->power_breakdown(s, applied);
-  common::Vec inject(net_.num_nodes(), 0.0);
-  inject[kBigNode] = bd.big_w;
-  inject[kLittleNode] = bd.little_w;
-  inject[kPcbNode] = bd.dram_w + bd.base_w;
-  shape_w_ = inject;
+  std::fill(shape_w_.begin(), shape_w_.end(), 0.0);
+  shape_w_[kBigNode] = bd.big_w;
+  shape_w_[kLittleNode] = bd.little_w;
+  shape_w_[kPcbNode] = bd.dram_w + bd.base_w;
 
-  const common::Vec leak = params_.leakage.leakage(net_.temperatures());
-  common::Vec power(net_.num_nodes(), 0.0);
-  for (std::size_t i = 0; i < power.size(); ++i) power[i] = inject[i] + leak[i];
-  net_.step(power, r.exec_time_s);
+  params_.leakage.leakage_into(net_.temperatures(), leak_w_);
+  for (std::size_t i = 0; i < power_w_.size(); ++i) power_w_[i] = shape_w_[i] + leak_w_[i];
+  net_.step(power_w_, r.exec_time_s);
   track_peaks();
 
   since_budget_s_ += r.exec_time_s;
@@ -124,6 +127,7 @@ void ThermalSocAdapter::observe(const SnippetDescriptor& s, const SocConfig& app
     since_budget_s_ = 0.0;
   }
 }
+// oal-lint: hot-path-end
 
 void ThermalSocAdapter::track_peaks() {
   const common::Vec& t = net_.temperatures();
@@ -164,11 +168,13 @@ ThermalGpuAdapter::ThermalGpuAdapter(gpu::GpuPlatform& platform, double period_s
     : platform_(&platform),
       period_s_(period_s),
       params_(std::move(params)),
-      net_(thermal::RcThermalNetwork::mobile_soc(params_.ambient_c)),
-      shape_w_(net_.num_nodes(), 0.0) {
+      net_(validated_network("ThermalGpuAdapter", params_.ambient_c,
+                             params_.initial_temperature_c, params_.leakage)),
+      budgeter_(net_, params_.leakage, params_.limits),
+      shape_w_(net_.num_nodes(), 0.0),
+      leak_w_(net_.num_nodes(), 0.0),
+      power_w_(net_.num_nodes(), 0.0) {
   if (period_s_ <= 0.0) throw std::invalid_argument("ThermalGpuAdapter: period_s must be > 0");
-  validate_node_vectors("ThermalGpuAdapter", net_, params_.initial_temperature_c, params_.leakage);
-  if (!params_.initial_temperature_c.empty()) net_.set_temperatures(params_.initial_temperature_c);
   // Nominal render-heavy shape until the first frame is observed.
   shape_w_[kGpuNode] = 0.60;
   shape_w_[kPcbNode] = 0.40;
@@ -178,13 +184,11 @@ ThermalGpuAdapter::ThermalGpuAdapter(gpu::GpuPlatform& platform, double period_s
 
 void ThermalGpuAdapter::refresh_budget() {
   if (params_.horizon_s > 0.0) {
-    const double scale = thermal::transient_power_headroom(net_, params_.leakage, shape_w_,
-                                                           params_.horizon_s, params_.limits);
+    const double scale =
+        budgeter_.transient_power_headroom(net_.temperatures(), shape_w_, params_.horizon_s);
     budget_w_ = scale * sum(shape_w_);
   } else {
-    budget_w_ =
-        thermal::max_sustainable_power(net_, params_.leakage, shape_w_, params_.limits)
-            .total_power_w;
+    budget_w_ = budgeter_.max_sustainable_power(shape_w_).total_power_w;
   }
 }
 
@@ -217,17 +221,16 @@ gpu::GpuConfig ThermalGpuAdapter::arbitrate(const gpu::FrameDescriptor& f,
   return c;
 }
 
+// oal-lint: hot-path
 void ThermalGpuAdapter::observe(const gpu::FrameDescriptor& /*f*/,
                                 const gpu::GpuConfig& /*applied*/, const gpu::FrameResult& r) {
-  common::Vec inject(net_.num_nodes(), 0.0);
-  inject[kGpuNode] = r.gpu_energy_j / period_s_;
-  inject[kPcbNode] = (r.pkg_dram_energy_j - r.gpu_energy_j) / period_s_;
-  shape_w_ = inject;
+  std::fill(shape_w_.begin(), shape_w_.end(), 0.0);
+  shape_w_[kGpuNode] = r.gpu_energy_j / period_s_;
+  shape_w_[kPcbNode] = (r.pkg_dram_energy_j - r.gpu_energy_j) / period_s_;
 
-  const common::Vec leak = params_.leakage.leakage(net_.temperatures());
-  common::Vec power(net_.num_nodes(), 0.0);
-  for (std::size_t i = 0; i < power.size(); ++i) power[i] = inject[i] + leak[i];
-  net_.step(power, period_s_);
+  params_.leakage.leakage_into(net_.temperatures(), leak_w_);
+  for (std::size_t i = 0; i < power_w_.size(); ++i) power_w_[i] = shape_w_[i] + leak_w_[i];
+  net_.step(power_w_, period_s_);
   track_peaks();
 
   since_budget_s_ += period_s_;
@@ -236,6 +239,7 @@ void ThermalGpuAdapter::observe(const gpu::FrameDescriptor& /*f*/,
     since_budget_s_ = 0.0;
   }
 }
+// oal-lint: hot-path-end
 
 void ThermalGpuAdapter::track_peaks() {
   const common::Vec& t = net_.temperatures();

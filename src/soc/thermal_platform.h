@@ -6,9 +6,10 @@
 // advances a compact RC network from the platform's per-snippet power
 // breakdown (big cluster, little cluster, DRAM+uncore on the PCB node) with
 // temperature-dependent leakage feedback, periodically recomputes the power
-// budget (transient_power_headroom over a configurable horizon, or
-// max_sustainable_power for a steady-state budget), and clamps proposed
-// SocConfigs that the platform's power model predicts would exceed it.
+// budget through a thermal::PowerBudgeter built once per adapter (transient
+// headroom over a configurable horizon, or the steady-state sustainable
+// power), and clamps proposed SocConfigs that the platform's power model
+// predicts would exceed it.
 // Throttling order mirrors a firmware budgeter: big frequency first, then
 // big cores, then little frequency, then little cores (floor: 1 LITTLE core
 // at minimum frequency).
@@ -89,7 +90,11 @@ class ThermalSocAdapter {
   BigLittlePlatform* platform_;
   ThermalConstraintParams params_;
   thermal::RcThermalNetwork net_;
+  /// Factored once at construction; budget refreshes are arithmetic only.
+  thermal::PowerBudgeter budgeter_;
   common::Vec shape_w_;  ///< last observed per-node power shape
+  common::Vec leak_w_;   ///< observe() scratch: leakage at the current temperatures
+  common::Vec power_w_;  ///< observe() scratch: shape + leakage fed to the network
   double budget_w_ = 0.0;
   double since_budget_s_ = 0.0;
   std::size_t clamped_ = 0;
@@ -167,7 +172,11 @@ class ThermalGpuAdapter {
   double period_s_;
   ThermalGpuConstraintParams params_;
   thermal::RcThermalNetwork net_;
+  /// Factored once at construction; budget refreshes are arithmetic only.
+  thermal::PowerBudgeter budgeter_;
   common::Vec shape_w_;  ///< last observed per-node power shape
+  common::Vec leak_w_;   ///< observe() scratch: leakage at the current temperatures
+  common::Vec power_w_;  ///< observe() scratch: shape + leakage fed to the network
   double budget_w_ = 0.0;
   double since_budget_s_ = 0.0;
   std::size_t clamped_ = 0;

@@ -24,6 +24,36 @@ struct LeakageModel {
   double t0_c = 25.0;
 
   common::Vec leakage(const common::Vec& temp_c) const;
+  /// Same values into a caller-sized buffer (out.size() == p0_w.size()).
+  void leakage_into(const common::Vec& temp_c, common::Vec& out) const;
+};
+
+/// The closed-form fixed point with everything that does not depend on the
+/// dynamic power factored once: R = G^-1, the loop gain (spectral radius of
+/// R diag(p0 k)), the LU factors of (I - R diag(p0 k)) and the constant
+/// leakage term p0 (1 + k (T_amb - t0)).  Each solve is then one R*rhs and
+/// two triangular sweeps on member scratch (allocation-free).
+class FixedPointSolver {
+ public:
+  /// Throws std::invalid_argument if the leakage vectors do not match the
+  /// network, std::runtime_error if G is singular.
+  FixedPointSolver(const RcThermalNetwork& net, const LeakageModel& leak);
+
+  double loop_gain() const { return loop_gain_; }
+  /// A unique stable fixed point exists iff the loop gain is < 1.
+  bool exists() const { return loop_gain_ < 1.0; }
+
+  /// Fixed-point temperatures under `dynamic_power_w` into a caller-sized
+  /// `temperature_c`.  Throws std::logic_error under thermal runaway.
+  void temperatures_into(const common::Vec& dynamic_power_w, common::Vec& temperature_c);
+
+ private:
+  double ambient_c_;
+  double loop_gain_ = 0.0;
+  common::Mat r_;           // R = G^-1
+  common::LuFactors lhs_;   // LU of (I - R diag(p0 k)); empty under runaway
+  common::Vec leak_const_;  // p0 (1 + k (T_amb - t0))
+  common::Vec rhs_p_, rhs_, rise_;
 };
 
 struct FixedPointResult {
@@ -34,6 +64,7 @@ struct FixedPointResult {
 };
 
 /// Closed-form fixed point: solve (G - diag(p0 k)) dT = P_dyn + P_leak(T_amb).
+/// One-shot form of FixedPointSolver.
 FixedPointResult thermal_fixed_point(const RcThermalNetwork& net, const LeakageModel& leak,
                                      const common::Vec& dynamic_power_w);
 

@@ -4,6 +4,9 @@
 // metric to throttle the frequency and number of operating cores."
 #pragma once
 
+#include <cstddef>
+#include <optional>
+
 #include "common/matrix.h"
 #include "thermal/fixed_point.h"
 #include "thermal/rc_network.h"
@@ -27,13 +30,62 @@ struct PowerBudgetResult {
   bool skin_bound = false;  ///< true if the skin limit binds before junction
 };
 
+/// Budget solver bound to one RC network, leakage model and limit set.
+///
+/// Both budgets bisect on the power scale; only the cost of a probe differs
+/// from solving each probe from scratch.  A steady-state probe reuses one
+/// FixedPointSolver (R, loop gain and LU factored on the first steady-state
+/// call), so it is one R*rhs and two triangular sweeps.  A transient probe
+/// restarts a private scratch network in place.
+///
+/// Bitwise contract: every budget equals the from-scratch computation bit
+/// for bit — the probes perform the same FP operations in the same order
+/// (rhs = s*shape_i + c_i; T = T_amb + dT, then T - limit; the Mat*Vec,
+/// LU and RC-step summation orders unchanged).  After the first call of
+/// each kind, budget calls are allocation-free.
+class PowerBudgeter {
+ public:
+  /// Copies the network (its G, capacities and ambient; the temperatures
+  /// are supplied per transient call).  Throws std::invalid_argument if the
+  /// leakage vectors do not match the network's node count.
+  PowerBudgeter(const RcThermalNetwork& net, LeakageModel leak, PowerBudgetConfig cfg = {});
+
+  /// Steady-state budget (see max_sustainable_power).  Throws
+  /// std::invalid_argument on a shape size mismatch or a non-positive shape.
+  PowerBudgetResult max_sustainable_power(const common::Vec& shape_w);
+
+  /// Transient headroom scale from the temperatures `start_temp_c` (see
+  /// transient_power_headroom).  Throws std::invalid_argument on a
+  /// non-positive horizon or a size mismatch.
+  double transient_power_headroom(const common::Vec& start_temp_c, const common::Vec& shape_w,
+                                  double horizon_s);
+
+ private:
+  double node_limit(std::size_t node) const;
+  double steady_violation(const common::Vec& shape_w, double s, std::size_t* worst_node);
+  bool transient_violates(const common::Vec& start_temp_c, const common::Vec& shape_w, double s,
+                          double horizon_s);
+
+  LeakageModel leak_;
+  PowerBudgetConfig cfg_;
+  RcThermalNetwork sim_;  ///< transient probes step this copy
+  /// Built on the first steady-state call, so a transient-only budgeter
+  /// never needs G to be invertible.
+  std::optional<FixedPointSolver> steady_;
+  // Per-probe scratch.
+  common::Vec dyn_, fp_temp_, p_leak_, total_;
+};
+
+/// One-shot steady-state budget: PowerBudgeter(net, leak, cfg)
+/// .max_sustainable_power(shape_w).
 PowerBudgetResult max_sustainable_power(const RcThermalNetwork& net, const LeakageModel& leak,
                                         const common::Vec& shape_w,
                                         const PowerBudgetConfig& cfg = {});
 
 /// Transient headroom: largest constant power scale that keeps all nodes
 /// below their limits for the next `horizon_s` seconds starting from the
-/// network's current state (bisection on the scale).
+/// network's current state (bisection on the scale).  One-shot form of
+/// PowerBudgeter::transient_power_headroom.
 double transient_power_headroom(const RcThermalNetwork& net, const LeakageModel& leak,
                                 const common::Vec& shape_w, double horizon_s,
                                 const PowerBudgetConfig& cfg = {});

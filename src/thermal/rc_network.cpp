@@ -28,6 +28,9 @@ RcThermalNetwork::RcThermalNetwork(std::vector<ThermalNodeSpec> nodes,
     g_(c.b, c.a) -= c.conductance_w_per_k;
   }
   temp_.assign(n, ambient_c_);
+  dtemp_.assign(n, 0.0);
+  // Stability bound for forward Euler: dt < 2 * min(C_i / G_ii).
+  for (std::size_t i = 0; i < n; ++i) min_tau_ = std::min(min_tau_, cap_[i] / g_(i, i));
 }
 
 RcThermalNetwork RcThermalNetwork::mobile_soc(double ambient_c) {
@@ -54,34 +57,33 @@ RcThermalNetwork RcThermalNetwork::mobile_soc(double ambient_c) {
   return RcThermalNetwork(std::move(nodes), std::move(couplings), ambient_c);
 }
 
-void RcThermalNetwork::set_temperatures(common::Vec t) {
+void RcThermalNetwork::set_temperatures(const common::Vec& t) {
   if (t.size() != temp_.size()) throw std::invalid_argument("set_temperatures: size mismatch");
-  temp_ = std::move(t);
+  std::copy(t.begin(), t.end(), temp_.begin());
 }
 
 void RcThermalNetwork::reset_to_ambient() { std::fill(temp_.begin(), temp_.end(), ambient_c_); }
 
+// oal-lint: hot-path
 void RcThermalNetwork::step(const common::Vec& power_w, double dt_s) {
   if (power_w.size() != temp_.size()) throw std::invalid_argument("step: power size mismatch");
   if (dt_s <= 0.0) throw std::invalid_argument("step: dt must be > 0");
-  // Stability bound for forward Euler: dt < 2 * min(C_i / G_ii); use 0.2x.
-  double min_tau = 1e300;
-  for (std::size_t i = 0; i < temp_.size(); ++i) min_tau = std::min(min_tau, cap_[i] / g_(i, i));
-  const double h_max = 0.2 * min_tau;
+  // Sub-step at 0.2x the cached stability bound.
+  const double h_max = 0.2 * min_tau_;
   const int substeps = std::max(1, static_cast<int>(std::ceil(dt_s / h_max)));
   const double h = dt_s / substeps;
   // C dT/dt = P - G (T - T_amb): G's diagonal carries ambient legs plus
   // coupling sums, off-diagonals are negated couplings (Laplacian form).
   for (int s = 0; s < substeps; ++s) {
-    common::Vec dtemp(temp_.size(), 0.0);
     for (std::size_t i = 0; i < temp_.size(); ++i) {
       double flow = power_w[i];
       for (std::size_t j = 0; j < temp_.size(); ++j) flow -= g_(i, j) * (temp_[j] - ambient_c_);
-      dtemp[i] = flow / cap_[i];
+      dtemp_[i] = flow / cap_[i];
     }
-    for (std::size_t i = 0; i < temp_.size(); ++i) temp_[i] += h * dtemp[i];
+    for (std::size_t i = 0; i < temp_.size(); ++i) temp_[i] += h * dtemp_[i];
   }
 }
+// oal-lint: hot-path-end
 
 common::Vec RcThermalNetwork::steady_state(const common::Vec& power_w) const {
   if (power_w.size() != temp_.size()) throw std::invalid_argument("steady_state: size mismatch");

@@ -43,11 +43,13 @@ class RcThermalNetwork {
 
   /// Current temperatures (deg C).
   const common::Vec& temperatures() const { return temp_; }
-  void set_temperatures(common::Vec t);
+  /// Copies `t` into the state in place (no allocation).
+  void set_temperatures(const common::Vec& t);
   void reset_to_ambient();
 
   /// Advance by dt seconds under constant node powers (W).  Internally uses
-  /// sub-stepped forward Euler with a stability-bounded step.
+  /// sub-stepped forward Euler with a stability-bounded step.  Steps on
+  /// member scratch: allocation-free.
   void step(const common::Vec& power_w, double dt_s);
 
   /// Steady-state temperatures for constant power: T = T_amb + G^{-1} P.
@@ -67,7 +69,10 @@ class RcThermalNetwork {
   common::Mat g_;        // conductance (including ambient legs on diagonal)
   common::Vec cap_;      // heat capacities
   common::Vec temp_;     // state (deg C)
+  common::Vec dtemp_;    // step() scratch: dT/dt per node
   double ambient_c_;
+  // min_i C_i / G_ii, the forward-Euler stability bound (G and C are fixed).
+  double min_tau_ = 1e300;
 };
 
 }  // namespace oal::thermal

@@ -165,6 +165,41 @@ TEST(OracleStore, CorruptBucketRecomputesWithoutCrash) {
   EXPECT_EQ(healed.store_loaded(), trace.size());
 }
 
+TEST(OracleStore, CompleteTempFileIsIgnoredAndCollected) {
+  // A writer's temp file can be complete and checksum-valid in the window
+  // before its rename lands.  Readers must not count it next to the bucket
+  // it is about to replace, and gc() must treat it as garbage.
+  const fs::path dir = fresh_dir("temp-bucket");
+  soc::BigLittlePlatform plat;
+  const auto trace = test_trace("FFT", 3, 13);
+  {
+    OracleCache cache(std::make_shared<ArtifactStore>(dir.string()));
+    for (const auto& s : trace) (void)cache.config(plat, s, Objective::kEnergy);
+    EXPECT_EQ(cache.flush(), trace.size());
+  }
+  const fs::path bucket = only_file(dir);
+  const fs::path temp = bucket.string() + ".tmp.4242.7";
+  fs::copy_file(bucket, temp);
+
+  ArtifactStore store(dir.string());
+  EXPECT_EQ(store.load_oracle_entries().size(), trace.size());
+  const auto files = store.inspect();
+  ASSERT_EQ(files.size(), 2u);
+  for (const auto& f : files) {
+    const bool is_temp = f.name == temp.filename().string();
+    EXPECT_EQ(f.valid, !is_temp) << f.name;
+    if (is_temp) {
+      EXPECT_NE(f.detail.find("temp file"), std::string::npos);
+      EXPECT_EQ(f.payload_entries, 0u);
+    }
+  }
+  EXPECT_EQ(store.gc(), 1u);
+  EXPECT_FALSE(fs::exists(temp));
+  EXPECT_TRUE(fs::exists(bucket));
+  EXPECT_EQ(OracleCache(std::make_shared<ArtifactStore>(dir.string())).store_loaded(),
+            trace.size());
+}
+
 TEST(OracleSearch, PooledMatchesSerialBitwise) {
   soc::BigLittlePlatform plat;
   common::ThreadPool pool(4);

@@ -1,6 +1,6 @@
-// The decision hot path is allocation-free in steady state, and the
-// allocation-free overloads decide bitwise-identically to the by-value
-// paths they replaced.
+// The decision hot path, and the thermal budgeter it runs under, is
+// allocation-free in steady state, and the allocation-free overloads decide
+// bitwise-identically to the by-value paths they replaced.
 //
 // "Steady state" means: scratch/feature buffers have grown to their final
 // sizes (first decide), the DQN replay ring is preallocated, and the
@@ -24,6 +24,7 @@
 #include "ml/qlearn.h"
 #include "ml/rls.h"
 #include "soc/platform.h"
+#include "soc/thermal_platform.h"
 #include "workloads/cpu_benchmarks.h"
 #include "workloads/gpu_benchmarks.h"
 
@@ -290,6 +291,80 @@ TEST(HotPathAlloc, NmpcFullStepIsAllocFreeIncludingRefit) {
   for (std::size_t i = 31; i < 151; ++i) c = nmpc.step(result, c, i);
   EXPECT_EQ(probe.delta(), 0u);
   EXPECT_TRUE(plat.valid(c));
+}
+
+// ---- Thermal budgeter: every refresh is arithmetic only ------------------
+//
+// The adapters build their PowerBudgeter, network scratch and observe()
+// vectors at construction (which also computes the first budget), so every
+// later frame/snippet — including the ones that refresh the budget — stays
+// off the heap.
+
+soc::ThermalGpuConstraintParams refreshing_gpu_params(double horizon_s) {
+  soc::ThermalGpuConstraintParams p;
+  p.ambient_c = 35.0;
+  p.limits.t_max_skin_c = 40.0;
+  p.limits.t_max_junction_c = 75.0;
+  p.horizon_s = horizon_s;
+  p.budget_interval_s = 1.0 / 30.0;  // refresh on every frame
+  p.initial_temperature_c = {48.0, 46.0, 58.0, 45.0, 39.5};
+  return p;
+}
+
+TEST(HotPathAlloc, ThermalGpuAdapterObserveIsAllocFreeIncludingRefresh) {
+  gpu::GpuPlatform plat;
+  const double period_s = 1.0 / 30.0;
+  common::Rng rng(9);
+  const auto frames = workloads::GpuBenchmarks::trace(
+      workloads::GpuBenchmarks::by_name("AngryBirds"), 24, rng);
+  std::vector<gpu::FrameResult> results;
+  results.reserve(frames.size());
+  for (const auto& f : frames) results.push_back(plat.render_ideal(f, {9, 4}, period_s));
+
+  for (double horizon : {0.0, 10.0, 240.0}) {  // steady-state, short and long transient
+    soc::ThermalGpuAdapter adapter(plat, period_s, refreshing_gpu_params(horizon));
+    std::size_t budget_changes = 0;
+    double last_budget = adapter.budget_w();
+    AllocationProbe probe;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      adapter.observe(frames[i], {9, 4}, results[i]);
+      if (adapter.budget_w() != last_budget) ++budget_changes;
+      last_budget = adapter.budget_w();
+    }
+    EXPECT_EQ(probe.delta(), 0u) << "horizon " << horizon;
+    EXPECT_GT(budget_changes, 0u) << "horizon " << horizon << ": refresh never ran";
+  }
+}
+
+TEST(HotPathAlloc, ThermalSocAdapterObserveIsAllocFreeIncludingRefresh) {
+  soc::BigLittlePlatform plat;
+  common::Rng rng(4);
+  const auto trace =
+      workloads::CpuBenchmarks::trace(workloads::CpuBenchmarks::by_name("FFT"), 24, rng);
+  const soc::SocConfig c{4, 4, 12, 18};
+  std::vector<soc::SnippetResult> results;
+  results.reserve(trace.size());
+  for (const auto& s : trace) results.push_back(plat.execute_ideal(s, c));
+
+  for (double horizon : {0.0, 10.0}) {
+    soc::ThermalConstraintParams p;
+    p.ambient_c = 40.0;
+    p.limits.t_max_junction_c = 55.0;
+    p.limits.t_max_skin_c = 43.0;
+    p.horizon_s = horizon;
+    p.budget_interval_s = 0.0;  // refresh after every snippet
+    soc::ThermalSocAdapter adapter(plat, p);
+    std::size_t budget_changes = 0;
+    double last_budget = adapter.budget_w();
+    AllocationProbe probe;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      adapter.observe(trace[i], c, results[i]);
+      if (adapter.budget_w() != last_budget) ++budget_changes;
+      last_budget = adapter.budget_w();
+    }
+    EXPECT_EQ(probe.delta(), 0u) << "horizon " << horizon;
+    EXPECT_GT(budget_changes, 0u) << "horizon " << horizon << ": refresh never ran";
+  }
 }
 
 TEST(HotPathAlloc, HashStateOverloadsAgree) {

@@ -2,9 +2,13 @@
 // skin estimation, sensor selection and power budgeting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "common/rng.h"
 #include "common/stats.h"
 #include "gpu/gpu_model.h"
 #include "soc/platform.h"
@@ -213,6 +217,322 @@ TEST(PowerBudget, TransientHeadroomExceedsSustainable) {
   const auto sustained = max_sustainable_power(net, default_leak(), shape);
   const double burst_scale = transient_power_headroom(net, default_leak(), shape, 5.0);
   EXPECT_GT(burst_scale, sustained.scale);
+}
+
+// ---- PowerBudgeter == the from-scratch bisection, bit for bit -------------
+//
+// The reference below is a verbatim copy of the budget code the budgeter
+// replaced: every steady-state probe re-solves the fixed point from scratch
+// (R, loop gain, LU), every transient probe copies the whole network and
+// allocates per tick.  The budgeter must return the same bits.
+
+namespace reference {
+
+FixedPointResult thermal_fixed_point(const RcThermalNetwork& net, const LeakageModel& leak,
+                                     const common::Vec& dynamic_power_w) {
+  const std::size_t n = net.num_nodes();
+  if (dynamic_power_w.size() != n || leak.p0_w.size() != n)
+    throw std::invalid_argument("thermal_fixed_point: size mismatch");
+
+  FixedPointResult res;
+  const common::Mat r = net.resistance_matrix();
+  // Loop gain matrix: R * diag(p0 * k) — how strongly a temperature rise
+  // feeds back into itself through leakage.
+  common::Mat gain(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) gain(i, j) = r(i, j) * leak.p0_w[j] * leak.k_per_c[j];
+  res.loop_gain = common::spectral_radius(gain);
+  res.exists = res.loop_gain < 1.0;
+  if (!res.exists) return res;
+
+  // dT = R (P_dyn + p0 (1 + k (T_amb + dT - t0)))
+  //  => (I - R diag(p0 k)) dT = R (P_dyn + p0 (1 + k (T_amb - t0)))
+  common::Mat lhs = common::Mat::identity(n) - gain;
+  common::Vec rhs_p(n);
+  for (std::size_t i = 0; i < n; ++i)
+    rhs_p[i] = dynamic_power_w[i] +
+               leak.p0_w[i] * (1.0 + leak.k_per_c[i] * (net.ambient_c() - leak.t0_c));
+  const common::Vec rhs = r * rhs_p;
+  const common::Vec dt = common::lu_solve(lhs, rhs);
+  res.temperature_c.resize(n);
+  for (std::size_t i = 0; i < n; ++i) res.temperature_c[i] = net.ambient_c() + dt[i];
+  const common::Vec p_leak = leak.leakage(res.temperature_c);
+  res.total_power_w.resize(n);
+  for (std::size_t i = 0; i < n; ++i) res.total_power_w[i] = dynamic_power_w[i] + p_leak[i];
+  return res;
+}
+
+double node_limit(const PowerBudgetConfig& cfg, std::size_t node) {
+  return node == cfg.skin_node ? cfg.t_max_skin_c : cfg.t_max_junction_c;
+}
+
+double violation_at_scale(const RcThermalNetwork& net, const LeakageModel& leak,
+                          const common::Vec& shape_w, double s, const PowerBudgetConfig& cfg,
+                          std::size_t* worst_node) {
+  common::Vec dyn(shape_w.size());
+  for (std::size_t i = 0; i < dyn.size(); ++i) dyn[i] = s * shape_w[i];
+  const FixedPointResult fp = reference::thermal_fixed_point(net, leak, dyn);
+  if (!fp.exists) return 1e9;  // runaway: treat as infinite violation
+  double worst = -1e9;
+  for (std::size_t i = 0; i < fp.temperature_c.size(); ++i) {
+    const double v = fp.temperature_c[i] - node_limit(cfg, i);
+    if (v > worst) {
+      worst = v;
+      if (worst_node != nullptr) *worst_node = i;
+    }
+  }
+  return worst;
+}
+
+PowerBudgetResult max_sustainable_power(const RcThermalNetwork& net, const LeakageModel& leak,
+                                        const common::Vec& shape_w, const PowerBudgetConfig& cfg) {
+  if (shape_w.size() != net.num_nodes())
+    throw std::invalid_argument("max_sustainable_power: shape size mismatch");
+  double total_shape = 0.0;
+  for (double v : shape_w) total_shape += v;
+  if (total_shape <= 0.0) throw std::invalid_argument("max_sustainable_power: zero shape");
+
+  // Bisection on the scale.
+  double lo = 0.0, hi = 1.0;
+  std::size_t worst = 0;
+  while (violation_at_scale(net, leak, shape_w, hi, cfg, &worst) < 0.0 && hi < 1e4) hi *= 2.0;
+  for (int it = 0; it < 60; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (violation_at_scale(net, leak, shape_w, mid, cfg, &worst) < 0.0)
+      lo = mid;
+    else
+      hi = mid;
+  }
+  PowerBudgetResult res;
+  res.scale = lo;
+  res.total_power_w = lo * total_shape;
+  (void)violation_at_scale(net, leak, shape_w, hi, cfg, &res.binding_node);
+  res.skin_bound = res.binding_node == cfg.skin_node;
+  return res;
+}
+
+double transient_power_headroom(const RcThermalNetwork& net, const LeakageModel& leak,
+                                const common::Vec& shape_w, double horizon_s,
+                                const PowerBudgetConfig& cfg) {
+  if (horizon_s <= 0.0) throw std::invalid_argument("transient_power_headroom: bad horizon");
+  auto violates = [&](double s) {
+    RcThermalNetwork sim = net;  // do not disturb the caller's state
+    // Simulate in 1 s ticks with leakage refreshed from the evolving temps.
+    double t = 0.0;
+    while (t < horizon_s) {
+      const double dt = std::min(1.0, horizon_s - t);
+      const common::Vec p_leak = leak.leakage(sim.temperatures());
+      common::Vec total(shape_w.size());
+      for (std::size_t i = 0; i < total.size(); ++i) total[i] = s * shape_w[i] + p_leak[i];
+      sim.step(total, dt);
+      for (std::size_t i = 0; i < sim.temperatures().size(); ++i)
+        if (sim.temperatures()[i] > node_limit(cfg, i)) return true;
+      t += dt;
+    }
+    return false;
+  };
+  double lo = 0.0, hi = 1.0;
+  while (!violates(hi) && hi < 1e4) hi *= 2.0;
+  for (int it = 0; it < 40; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (violates(mid) ? hi : lo) = mid;
+  }
+  return lo;
+}
+
+}  // namespace reference
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void expect_same_budget(const PowerBudgetResult& got, const PowerBudgetResult& want) {
+  EXPECT_TRUE(same_bits(got.scale, want.scale)) << got.scale << " vs " << want.scale;
+  EXPECT_TRUE(same_bits(got.total_power_w, want.total_power_w))
+      << got.total_power_w << " vs " << want.total_power_w;
+  EXPECT_EQ(got.binding_node, want.binding_node);
+  EXPECT_EQ(got.skin_bound, want.skin_bound);
+}
+
+/// Random non-negative power shape with a positive total.
+common::Vec random_shape(common::Rng& rng) {
+  common::Vec shape(5);
+  for (double& v : shape) v = rng.uniform(0.0, 2.0);
+  shape[static_cast<std::size_t>(rng.uniform_int(0, 4))] += 0.1;
+  return shape;
+}
+
+/// Random preheated state strictly inside the limits: die and PCB nodes up
+/// to 60% of the way to the junction limit, skin up to 90% of the way to its
+/// limit (so probes run long instead of failing on the first tick).
+common::Vec random_preheat(common::Rng& rng, double ambient_c, const PowerBudgetConfig& cfg) {
+  const double die = cfg.t_max_junction_c - ambient_c;
+  const double skin = cfg.t_max_skin_c - ambient_c;
+  return {ambient_c + rng.uniform(0.0, 0.6 * die), ambient_c + rng.uniform(0.0, 0.6 * die),
+          ambient_c + rng.uniform(0.0, 0.6 * die), ambient_c + rng.uniform(0.0, 0.6 * die),
+          ambient_c + rng.uniform(0.0, 0.9 * skin)};
+}
+
+PowerBudgetConfig tight_limits() {
+  PowerBudgetConfig cfg;
+  cfg.t_max_junction_c = 75.0;
+  cfg.t_max_skin_c = 40.0;
+  return cfg;
+}
+
+TEST(FixedPoint, SolverMatchesFromScratchSolveBitwise) {
+  common::Rng rng(39);
+  const auto net = RcThermalNetwork::mobile_soc(30.0);
+  FixedPointSolver solver(net, default_leak());
+  common::Vec temp(5);
+  for (int k = 0; k < 50; ++k) {
+    const common::Vec dyn = random_shape(rng);
+    const FixedPointResult want = reference::thermal_fixed_point(net, default_leak(), dyn);
+    ASSERT_TRUE(want.exists);
+    solver.temperatures_into(dyn, temp);
+    const FixedPointResult got = thermal_fixed_point(net, default_leak(), dyn);
+    EXPECT_TRUE(same_bits(got.loop_gain, want.loop_gain));
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_TRUE(same_bits(temp[i], want.temperature_c[i]));
+      EXPECT_TRUE(same_bits(got.temperature_c[i], want.temperature_c[i]));
+      EXPECT_TRUE(same_bits(got.total_power_w[i], want.total_power_w[i]));
+    }
+  }
+  LeakageModel hot = default_leak();
+  hot.p0_w = {3.5, 0.8, 2.5, 0.0, 0.0};
+  hot.k_per_c = {0.12, 0.1, 0.12, 0.0, 0.0};
+  FixedPointSolver runaway(net, hot);
+  EXPECT_FALSE(runaway.exists());
+  EXPECT_THROW(runaway.temperatures_into(common::Vec(5, 1.0), temp), std::logic_error);
+}
+
+TEST(PowerBudgeter, SteadyBudgetsMatchReferenceBitwise) {
+  common::Rng rng(41);
+  for (double ambient : {25.0, 35.0}) {
+    const auto net = RcThermalNetwork::mobile_soc(ambient);
+    for (const PowerBudgetConfig& cfg : {PowerBudgetConfig{}, tight_limits()}) {
+      // One budgeter serves every shape, as in an adapter.
+      PowerBudgeter budgeter(net, default_leak(), cfg);
+      for (int k = 0; k < 25; ++k) {
+        const common::Vec shape = random_shape(rng);
+        expect_same_budget(budgeter.max_sustainable_power(shape),
+                           reference::max_sustainable_power(net, default_leak(), shape, cfg));
+      }
+    }
+  }
+}
+
+TEST(PowerBudgeter, TransientBudgetsMatchReferenceBitwise) {
+  // 37.3 s ends on a partial 0.3 s tick; 0.5 s is a single partial tick.
+  common::Rng rng(43);
+  const double ambient = 35.0;
+  auto net = RcThermalNetwork::mobile_soc(ambient);
+  const PowerBudgetConfig cfg = tight_limits();
+  PowerBudgeter budgeter(net, default_leak(), cfg);
+  for (double horizon : {0.5, 10.0, 37.3, 240.0}) {
+    const int cases = horizon > 100.0 ? 4 : 8;
+    int positive = 0;
+    for (int k = 0; k < cases; ++k) {
+      const common::Vec shape = random_shape(rng);
+      net.set_temperatures(random_preheat(rng, ambient, cfg));
+      const double got = budgeter.transient_power_headroom(net.temperatures(), shape, horizon);
+      const double want =
+          reference::transient_power_headroom(net, default_leak(), shape, horizon, cfg);
+      EXPECT_TRUE(same_bits(got, want)) << "h" << horizon << ": " << got << " vs " << want;
+      if (got > 0.0) ++positive;
+      // The one-shot wrapper is the same computation.
+      EXPECT_TRUE(
+          same_bits(transient_power_headroom(net, default_leak(), shape, horizon, cfg), want));
+    }
+    EXPECT_EQ(positive, cases) << "h" << horizon << ": degenerate (zero-headroom) cases";
+  }
+}
+
+TEST(PowerBudgeter, RunawayLeakageGivesZeroScaleLikeReference) {
+  const auto net = RcThermalNetwork::mobile_soc();
+  LeakageModel hot = default_leak();
+  hot.p0_w = {3.5, 0.8, 2.5, 0.0, 0.0};
+  hot.k_per_c = {0.12, 0.1, 0.12, 0.0, 0.0};
+  const common::Vec shape{0.55, 0.1, 0.35, 0.0, 0.0};
+  PowerBudgeter budgeter(net, hot);
+  const PowerBudgetResult got = budgeter.max_sustainable_power(shape);
+  EXPECT_EQ(got.scale, 0.0);
+  expect_same_budget(got, reference::max_sustainable_power(net, hot, shape, {}));
+}
+
+TEST(PowerBudgeter, ScaleCapMatchesReference) {
+  // A shape too small to ever violate: the doubling stops at the hi < 1e4
+  // cap and the bisection converges just under it.
+  auto net = RcThermalNetwork::mobile_soc();
+  const common::Vec tiny{1e-7, 0.0, 1e-7, 0.0, 0.0};
+  PowerBudgeter budgeter(net, default_leak());
+  const PowerBudgetResult steady = budgeter.max_sustainable_power(tiny);
+  EXPECT_GT(steady.scale, 1e4);
+  expect_same_budget(steady, reference::max_sustainable_power(net, default_leak(), tiny, {}));
+  const double burst = budgeter.transient_power_headroom(net.temperatures(), tiny, 10.0);
+  EXPECT_GT(burst, 1e4);
+  EXPECT_TRUE(
+      same_bits(burst, reference::transient_power_headroom(net, default_leak(), tiny, 10.0, {})));
+}
+
+TEST(PowerBudgeter, RejectsBadInputs) {
+  const auto net = RcThermalNetwork::mobile_soc();
+  LeakageModel short_leak = default_leak();
+  short_leak.k_per_c = {0.1};
+  EXPECT_THROW(PowerBudgeter(net, short_leak), std::invalid_argument);
+  PowerBudgeter budgeter(net, default_leak());
+  EXPECT_THROW(budgeter.max_sustainable_power({1.0}), std::invalid_argument);
+  EXPECT_THROW(budgeter.max_sustainable_power(common::Vec(5, 0.0)), std::invalid_argument);
+  const common::Vec shape{0.55, 0.1, 0.35, 0.0, 0.0};
+  EXPECT_THROW(budgeter.transient_power_headroom(net.temperatures(), shape, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(budgeter.transient_power_headroom({30.0}, shape, 10.0), std::invalid_argument);
+}
+
+TEST(RcNetwork, InPlaceStepMatchesFromScratchEulerBitwise) {
+  // Verbatim per-call stepping the network replaced (min_tau recomputed and a
+  // fresh dT/dt vector per substep), on a G assembled here from the same
+  // specs as the network under test.
+  const std::vector<ThermalNodeSpec> nodes{
+      {"a", 6.0, 0.010}, {"b", 4.0, 0.010}, {"c", 120.0, 0.15}};
+  const std::vector<ThermalCoupling> couplings{{0, 1, 0.80}, {0, 2, 0.45}, {1, 2, 0.40}};
+  const double ambient = 30.0;
+  RcThermalNetwork net(nodes, couplings, ambient);
+  common::Mat g(3, 3);
+  common::Vec cap(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    cap[i] = nodes[i].capacitance_j_per_k;
+    g(i, i) = nodes[i].conductance_to_ambient_w_per_k;
+  }
+  for (const auto& c : couplings) {
+    g(c.a, c.a) += c.conductance_w_per_k;
+    g(c.b, c.b) += c.conductance_w_per_k;
+    g(c.a, c.b) -= c.conductance_w_per_k;
+    g(c.b, c.a) -= c.conductance_w_per_k;
+  }
+  common::Vec temp(3, ambient);
+  const auto reference_step = [&](const common::Vec& power_w, double dt_s) {
+    double min_tau = 1e300;
+    for (std::size_t i = 0; i < temp.size(); ++i) min_tau = std::min(min_tau, cap[i] / g(i, i));
+    const double h_max = 0.2 * min_tau;
+    const int substeps = std::max(1, static_cast<int>(std::ceil(dt_s / h_max)));
+    const double h = dt_s / substeps;
+    for (int s = 0; s < substeps; ++s) {
+      common::Vec dtemp(temp.size(), 0.0);
+      for (std::size_t i = 0; i < temp.size(); ++i) {
+        double flow = power_w[i];
+        for (std::size_t j = 0; j < temp.size(); ++j) flow -= g(i, j) * (temp[j] - ambient);
+        dtemp[i] = flow / cap[i];
+      }
+      for (std::size_t i = 0; i < temp.size(); ++i) temp[i] += h * dtemp[i];
+    }
+  };
+  common::Rng rng(47);
+  for (int k = 0; k < 200; ++k) {
+    const common::Vec p{rng.uniform(0.0, 4.0), rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.5)};
+    const double dt = k % 3 == 0 ? 1.0 / 30.0 : rng.uniform(0.05, 3.0);
+    net.step(p, dt);
+    reference_step(p, dt);
+    for (std::size_t i = 0; i < 3; ++i) ASSERT_TRUE(same_bits(net.temperatures()[i], temp[i]));
+  }
 }
 
 // ---- Thermal budget adapters (soc layer) ----------------------------------
