@@ -147,6 +147,28 @@ static void BM_OnlineIlFullStep(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlineIlFullStep)->Unit(benchmark::kMicrosecond);
 
+// One online-IL policy update as OnlineIlController runs it at the default
+// settings: 15 epochs of 16-row minibatches over a full 1600-sample
+// aggregate, on the IL policy network (12 -> 24 -> 24 -> heads {4, 5, 13,
+// 19}).  This is the amortized cost behind each retrain in the fig3 loop.
+static void BM_IlRetrain1600x15(benchmark::State& state) {
+  auto& f = cpu_fixture();
+  IlPolicy policy = *f.policy;  // private copy: each iteration keeps training it
+  common::Rng rng(13);
+  PolicyDataset ds;
+  for (std::size_t i = 0; i < 1600; ++i) {
+    const std::size_t j = i % f.data.policy.states.size();
+    common::Vec s = f.data.policy.states[j];
+    for (double& v : s) v *= rng.uniform(0.9, 1.1);
+    ds.states.push_back(std::move(s));
+    ds.labels.push_back(f.data.policy.labels[j]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.train_incremental(ds, 15, rng));
+  }
+}
+BENCHMARK(BM_IlRetrain1600x15)->Unit(benchmark::kMillisecond);
+
 static void BM_ModelCandidateEval(benchmark::State& state) {
   auto& f = cpu_fixture();
   const WorkloadFeatures w = workload_features(f.result.counters, f.config);

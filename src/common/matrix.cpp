@@ -7,6 +7,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "common/kernels.h"
+
 namespace oal::common {
 
 Mat::Mat(std::size_t rows, std::size_t cols, double fill)
@@ -191,41 +193,25 @@ void matvec_into(const Mat& a, const Vec& v, Vec& out) {
 // ---- GEMM kernels ----------------------------------------------------------
 //
 // Each element accumulates its reduction strictly in ascending index order
-// starting from 0.0 (no zero-skip shortcuts, unlike operator*), so batch
-// training built on these kernels is bitwise reproducible and a 1-row batch
-// reproduces the per-sample loops it replaced.
+// starting from 0.0 (no zero-skip shortcuts, unlike operator*), so results are
+// bitwise reproducible and a 1-row batch reproduces the per-sample loops.
+// matmul, matmul_tn and col_sums are by-value wrappers over the
+// runtime-dispatched raw-pointer kernels (common/kernels.h) that the trainers
+// call directly.
 
 Mat matmul(const Mat& a, const Mat& b) {
   if (a.cols() != b.rows()) throw std::invalid_argument("matmul: inner dim mismatch");
-  const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
-  Mat r(m, n);
-  const double* __restrict__ ap = a.raw();
-  const double* __restrict__ bp = b.raw();
-  double* __restrict__ rp = r.raw();
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double aik = ap[i * kk + k];
-      const double* brow = bp + k * n;
-      double* rrow = rp + i * n;
-      for (std::size_t j = 0; j < n; ++j) rrow[j] += aik * brow[j];
-    }
+  Mat r(a.rows(), b.cols());
+  kernels::active().gemm_nn(
+      {a.rows(), b.cols(), a.cols(), a.raw(), a.cols(), b.raw(), b.cols(), r.raw(), r.cols()});
   return r;
 }
 
 Mat matmul_tn(const Mat& a, const Mat& b) {
   if (a.rows() != b.rows()) throw std::invalid_argument("matmul_tn: leading dim mismatch");
-  const std::size_t m = a.cols(), kk = a.rows(), n = b.cols();
-  Mat r(m, n);
-  const double* __restrict__ ap = a.raw();
-  const double* __restrict__ bp = b.raw();
-  double* __restrict__ rp = r.raw();
-  for (std::size_t k = 0; k < kk; ++k)
-    for (std::size_t i = 0; i < m; ++i) {
-      const double aki = ap[k * m + i];
-      const double* brow = bp + k * n;
-      double* rrow = rp + i * n;
-      for (std::size_t j = 0; j < n; ++j) rrow[j] += aki * brow[j];
-    }
+  Mat r(a.cols(), b.cols());
+  kernels::active().gemm_tn(
+      {a.cols(), b.cols(), a.rows(), a.raw(), a.cols(), b.raw(), b.cols(), r.raw(), r.cols()});
   return r;
 }
 
@@ -256,8 +242,7 @@ void add_row_broadcast(Mat& m, const Vec& v) {
 
 Vec col_sums(const Mat& m) {
   Vec s(m.cols(), 0.0);
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    for (std::size_t c = 0; c < m.cols(); ++c) s[c] += m(r, c);
+  kernels::active().col_sums(m.rows(), m.cols(), m.raw(), m.cols(), s.data());
   return s;
 }
 

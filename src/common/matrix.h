@@ -90,9 +90,10 @@ Mat outer(const Vec& a, const Vec& b);
 void matvec_into(const Mat& a, const Vec& v, Vec& out);
 
 // ---- GEMM kernels ----------------------------------------------------------
-// Minibatch training kernels (rows = samples).  Every output element reduces
-// in ascending index order from 0.0 with no zero-skip, so results are bitwise
-// deterministic and a 1-row batch matches the per-sample scalar loops.
+// By-value batch kernels (rows = samples).  Every output element reduces in
+// ascending index order from 0.0 with no zero-skip, so results are bitwise
+// deterministic and a 1-row batch matches the per-sample scalar loops.  The
+// trainers call the raw-pointer forms in common/kernels.h instead.
 
 /// C = A * B.
 Mat matmul(const Mat& a, const Mat& b);

@@ -1,6 +1,7 @@
 #include "core/il_policy.h"
 
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 
 namespace oal::core {
@@ -86,6 +87,10 @@ std::vector<double> IlPolicy::export_artifact() const {
 
 bool IlPolicy::import_artifact(const std::vector<double>& in) {
   if (in.size() < 3) return false;
+  // Header: trained flag, train_time_s, last_train_loss.
+  if ((in[0] != 0.0 && in[0] != 1.0) || !std::isfinite(in[1]) || in[1] < 0.0 ||
+      !std::isfinite(in[2]))
+    return false;
   // Stage into copies so a truncated/mismatched artifact leaves *this intact.
   ml::StandardScaler scaler = scaler_;
   ml::MultiHeadClassifier net = net_;
@@ -93,6 +98,8 @@ bool IlPolicy::import_artifact(const std::vector<double>& in) {
   if (!scaler.import_state(in, pos)) return false;
   if (!net.import_params(in, pos)) return false;
   if (pos != in.size()) return false;  // trailing garbage: not our artifact
+  // A trained policy scales exactly the network's input features.
+  if (in[0] != 0.0 && scaler.dim() != net.input_dim()) return false;
   trained_ = in[0] != 0.0;
   train_time_s_ = in[1];
   last_train_loss_ = in[2];

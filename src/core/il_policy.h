@@ -90,7 +90,8 @@ class IlPolicy {
   /// policy bitwise-match the cold run that stored it).
   std::vector<double> export_artifact() const;
   /// Restores what export_artifact produced into an identically-configured
-  /// policy; false (policy unchanged) on shape mismatch or truncation.
+  /// policy; false (policy unchanged) on shape mismatch, truncation, trailing
+  /// data, a malformed header, or any non-finite parameter.
   bool import_artifact(const std::vector<double>& in);
 
  private:

@@ -5,24 +5,12 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/kernels.h"
 #include "common/thread_pool.h"
 
 namespace oal::ml {
 
 namespace {
-
-// Minibatch rows per gradient shard.  The shard geometry is a property of the
-// batch, not of the executor: shard s always covers rows
-// [s*kGradShardRows, ...), and shard results are reduced in ascending shard
-// order, so training is bitwise identical serial vs. any thread count.
-constexpr std::size_t kGradShardRows = 8;
-
-common::Mat slice_rows(const common::Mat& m, std::size_t r0, std::size_t r1) {
-  common::Mat s(r1 - r0, m.cols());
-  for (std::size_t r = r0; r < r1; ++r)
-    for (std::size_t c = 0; c < m.cols(); ++c) s(r - r0, c) = m(r, c);
-  return s;
-}
 
 common::Vec activate_vec(Activation act, const common::Vec& z) {
   common::Vec a(z.size());
@@ -54,28 +42,248 @@ void activate_inplace(Activation act, common::Mat& z) {
   }
 }
 
-/// g .*= activation'(z), recomputed from the *post*-activation a = act(z):
-/// tanh'(z) = 1 - a^2 (bitwise equal to 1 - tanh(z)^2) and relu'(z) =
-/// [a > 0], so the pre-activations never need caching.
-void scale_by_activation_grad(Activation act, const common::Mat& post, common::Mat& g) {
-  if (act == Activation::kTanh) {
-    for (std::size_t r = 0; r < post.rows(); ++r)
-      for (std::size_t c = 0; c < post.cols(); ++c) {
-        const double t = post(r, c);
-        g(r, c) *= 1.0 - t * t;
-      }
-  } else {
-    for (std::size_t r = 0; r < post.rows(); ++r)
-      for (std::size_t c = 0; c < post.cols(); ++c) g(r, c) *= post(r, c) > 0.0 ? 1.0 : 0.0;
-  }
-}
-
 /// Fisher-Yates shuffle with the caller's deterministic RNG (the only source
 /// of randomness in a training pass — no hidden engine-global state).
 void shuffle_order(std::vector<std::size_t>& order, common::Rng& rng) {
   for (std::size_t i = order.size(); i-- > 1;)
     std::swap(order[i], order[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(i)))]);
 }
+
+// ---- Shared training step ---------------------------------------------------
+//
+// Both networks train through the functions below.  The trainer sees a
+// network as `nhidden` activated layers followed by an output block of
+// `nparts` layers that all read the last hidden activation and whose outputs
+// sit side by side in one B x out_dim buffer: one part for the Mlp's linear
+// output, one per softmax head for the classifier (the heads are fused into
+// one GEMM for the forward pass and one for the weight gradients).
+//
+// Bitwise contract with the original per-shard by-value implementation
+// (tests/test_train_reference.cpp): every row's forward values and input
+// gradients are computed exactly as before, since rows are independent; each
+// GEMM output element accumulates from 0.0 in ascending k; the output block's
+// input gradient is the sum of per-part partial products added in part
+// order; and the weight/bias gradients are still reduced per 8-row shard,
+// summed in ascending shard order and then scaled by 1/B.
+
+// Minibatch rows per gradient shard.  The shard geometry is a property of the
+// batch, not of the executor: shard s always covers rows
+// [s*kGradShardRows, ...), and shard results are reduced in ascending shard
+// order, so training is bitwise identical serial vs. any thread count.
+constexpr std::size_t kGradShardRows = 8;
+
+struct NetView {
+  NetView(DenseLayer* hidden_layers, std::size_t num_hidden, DenseLayer* output_parts,
+          std::size_t num_parts, Activation activation)
+      : hidden(hidden_layers),
+        nhidden(num_hidden),
+        parts(output_parts),
+        nparts(num_parts),
+        act(activation),
+        in_dim(num_hidden > 0 ? hidden_layers[0].in_dim() : output_parts[0].in_dim()) {
+    for (std::size_t l = 0; l < nhidden; ++l) num_params += hidden[l].num_params();
+    for (std::size_t p = 0; p < nparts; ++p) {
+      out_dim += parts[p].out_dim();
+      num_params += parts[p].num_params();
+    }
+  }
+
+  DenseLayer* hidden;
+  std::size_t nhidden;
+  DenseLayer* parts;
+  std::size_t nparts;
+  Activation act;
+  std::size_t in_dim;       ///< network input width
+  std::size_t out_dim = 0;  ///< summed output width of the parts
+  std::size_t num_params = 0;
+};
+
+std::size_t feature_dim(const NetView& net) {
+  return net.nhidden == 0 ? net.in_dim : net.hidden[net.nhidden - 1].out_dim();
+}
+
+/// Summed output width of the hidden layers (their column count in ws.acts).
+std::size_t hidden_cols(const NetView& net) {
+  std::size_t cols = 0;
+  for (std::size_t l = 0; l < net.nhidden; ++l) cols += net.hidden[l].out_dim();
+  return cols;
+}
+
+std::size_t num_shards(std::size_t bsz) { return (bsz + kGradShardRows - 1) / kGradShardRows; }
+
+void grow(std::vector<double>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+}
+
+/// Grows the workspace to a bsz-row batch.  Sizes depend only on the network
+/// shape and bsz, so repeated batches of the same size never reallocate.
+void reserve_workspace(const NetView& net, std::size_t bsz, TrainWorkspace& ws) {
+  std::size_t wt = 0, in = net.in_dim;
+  for (std::size_t l = 0; l < net.nhidden; ++l) {
+    wt += in * net.hidden[l].out_dim();
+    in = net.hidden[l].out_dim();
+  }
+  const std::size_t cols = hidden_cols(net);
+  grow(ws.wt, wt + in * net.out_dim);
+  grow(ws.acts, bsz * (cols + net.out_dim));
+  grow(ws.deltas, bsz * cols);
+  grow(ws.partial, net.nparts > 1 && net.nhidden > 0 ? bsz * in : 0);
+  grow(ws.grads, num_shards(bsz) * net.num_params);
+}
+
+// oal-lint: hot-path
+/// wt(c, r) = w(r, c), written at row stride ld (wt may be a column slice of
+/// a wider block).
+void transpose_into(const common::Mat& w, double* wt, std::size_t ld) {
+  for (std::size_t r = 0; r < w.rows(); ++r)
+    for (std::size_t c = 0; c < w.cols(); ++c) wt[c * ld + r] = w(r, c);
+}
+
+/// Forward pass over the whole batch.  Hidden layer l's activations land in
+/// ws.acts (B x out_l, one layer after another); the output block's raw
+/// outputs follow them, and that buffer is returned for the loss to turn
+/// into dL/dY in place.
+double* forward_batch_into(const NetView& net, const common::Mat& x, TrainWorkspace& ws,
+                           const common::kernels::KernelTable& k) {
+  const std::size_t bsz = x.rows();
+  const double* in = x.raw();
+  std::size_t in_dim = net.in_dim;
+  double* wt = ws.wt.data();
+  double* a = ws.acts.data();
+  for (std::size_t l = 0; l < net.nhidden; ++l) {
+    const DenseLayer& layer = net.hidden[l];
+    const std::size_t out = layer.out_dim();
+    transpose_into(layer.weights(), wt, out);
+    k.gemm_nn({bsz, out, in_dim, in, in_dim, wt, out, a, out});
+    const double* b = layer.bias().data();
+    for (std::size_t r = 0; r < bsz; ++r) {
+      double* row = a + r * out;
+      if (net.act == Activation::kTanh) {
+        for (std::size_t c = 0; c < out; ++c) row[c] = std::tanh(row[c] + b[c]);
+      } else {
+        for (std::size_t c = 0; c < out; ++c) {
+          const double z = row[c] + b[c];
+          row[c] = z < 0.0 ? 0.0 : z;
+        }
+      }
+    }
+    wt += in_dim * out;
+    in = a;
+    in_dim = out;
+    a += bsz * out;
+  }
+  // The output parts' transposed weights sit side by side in one
+  // in_dim x out_dim block, so one GEMM serves every part.
+  for (std::size_t p = 0, col = 0; p < net.nparts; col += net.parts[p++].out_dim())
+    transpose_into(net.parts[p].weights(), wt + col, net.out_dim);
+  k.gemm_nn({bsz, net.out_dim, in_dim, in, in_dim, wt, net.out_dim, a, net.out_dim});
+  for (std::size_t p = 0, col = 0; p < net.nparts; col += net.parts[p++].out_dim()) {
+    const common::Vec& b = net.parts[p].bias();
+    for (std::size_t r = 0; r < bsz; ++r) {
+      double* row = a + r * net.out_dim + col;
+      for (std::size_t c = 0; c < b.size(); ++c) row[c] += b[c];
+    }
+  }
+  return a;
+}
+
+/// Backward pass from dL/dY (in place in the output buffer `dy`), then the
+/// per-shard gradient reductions, the ascending-shard sum scaled by inv_b,
+/// and one optimizer step per layer.
+void backward_and_apply(const NetView& net, const common::Mat& x, const double* dy,
+                        TrainWorkspace& ws, const common::kernels::KernelTable& k,
+                        common::ThreadPool* pool) {
+  const std::size_t bsz = x.rows();
+  const std::size_t feat = feature_dim(net);
+
+  // Input gradients over the whole batch.  Hidden layer l's delta sits at
+  // the same offset in ws.deltas as its activations in ws.acts.
+  if (net.nhidden > 0) {
+    const std::size_t last_off = bsz * (hidden_cols(net) - feat);
+    double* d = ws.deltas.data() + last_off;
+    // Part 0's product is written directly, later parts are added in part
+    // order: the same values as summing every part from 0.0, because a sum
+    // that starts from +0.0 is never -0.0.
+    for (std::size_t p = 0, col = 0; p < net.nparts; col += net.parts[p++].out_dim()) {
+      const common::Mat& w = net.parts[p].weights();
+      double* dst = p == 0 ? d : ws.partial.data();
+      k.gemm_nn({bsz, feat, w.rows(), dy + col, net.out_dim, w.raw(), feat, dst, feat});
+      if (p > 0)
+        for (std::size_t i = 0; i < bsz * feat; ++i) d[i] += dst[i];
+    }
+    std::size_t off = last_off;
+    for (std::size_t l = net.nhidden; l-- > 0;) {
+      const std::size_t out = net.hidden[l].out_dim();
+      const double* a = ws.acts.data() + off;
+      double* dl = ws.deltas.data() + off;
+      // dL/dz = dL/da * act'(z), with act' recomputed from the post-activation
+      // a: tanh'(z) = 1 - a^2 (bitwise 1 - tanh(z)^2), relu'(z) = [a > 0].
+      if (net.act == Activation::kTanh) {
+        for (std::size_t i = 0; i < bsz * out; ++i) dl[i] *= 1.0 - a[i] * a[i];
+      } else {
+        for (std::size_t i = 0; i < bsz * out; ++i) dl[i] *= a[i] > 0.0 ? 1.0 : 0.0;
+      }
+      if (l == 0) break;
+      const common::Mat& w = net.hidden[l].weights();
+      const std::size_t in = w.cols();
+      off -= bsz * in;
+      k.gemm_nn({bsz, in, out, dl, out, w.raw(), in, ws.deltas.data() + off, in});
+    }
+  }
+
+  // Weight and bias gradients, one fixed 8-row shard at a time.  Shard s
+  // writes only its own num_params slice of ws.grads, laid out as
+  // [gw, gb] per hidden layer, then [gw, gb] of the fused output block.
+  const std::size_t nshards = num_shards(bsz);
+  const auto shard = [&](std::size_t s) {
+    const std::size_t r0 = s * kGradShardRows;
+    const std::size_t n = std::min(bsz, r0 + kGradShardRows) - r0;
+    double* g = ws.grads.data() + s * net.num_params;
+    const double* in = x.raw() + r0 * net.in_dim;
+    std::size_t in_dim = net.in_dim, off = 0;
+    for (std::size_t l = 0; l < net.nhidden; ++l) {
+      const std::size_t out = net.hidden[l].out_dim();
+      const double* d = ws.deltas.data() + off + r0 * out;
+      k.gemm_tn({out, in_dim, n, d, out, in, in_dim, g, in_dim});
+      g += out * in_dim;
+      k.col_sums(n, out, d, out, g);
+      g += out;
+      in = ws.acts.data() + off + r0 * out;
+      in_dim = out;
+      off += bsz * out;
+    }
+    const double* d = dy + r0 * net.out_dim;
+    k.gemm_tn({net.out_dim, in_dim, n, d, net.out_dim, in, in_dim, g, in_dim});
+    k.col_sums(n, net.out_dim, d, net.out_dim, g + net.out_dim * in_dim);
+  };
+  if (pool != nullptr && nshards > 1) {
+    pool->run_indexed(nshards, shard);
+  } else {
+    for (std::size_t s = 0; s < nshards; ++s) shard(s);
+  }
+
+  // Fixed-order reduction into shard 0's slice: ascending shard index,
+  // independent of the executor, then the 1/B scale.
+  double* total = ws.grads.data();
+  for (std::size_t s = 1; s < nshards; ++s) {
+    const double* gs = ws.grads.data() + s * net.num_params;
+    for (std::size_t i = 0; i < net.num_params; ++i) total[i] += gs[i];
+  }
+  const double inv_b = 1.0 / static_cast<double>(bsz);
+  for (std::size_t i = 0; i < net.num_params; ++i) total[i] *= inv_b;
+
+  const double* g = total;
+  for (std::size_t l = 0; l < net.nhidden; ++l) {
+    DenseLayer& layer = net.hidden[l];
+    const std::size_t nw = layer.out_dim() * layer.in_dim();
+    layer.apply(g, g + nw);
+    g += nw + layer.out_dim();
+  }
+  const double* gb = g + net.out_dim * feat;
+  for (std::size_t p = 0, col = 0; p < net.nparts; col += net.parts[p++].out_dim())
+    net.parts[p].apply(g + col * feat, gb + col);
+}
+// oal-lint: hot-path-end
 
 }  // namespace
 
@@ -141,19 +349,7 @@ common::Mat DenseLayer::forward_batch(const common::Mat& x) const {
   return y;
 }
 
-void DenseLayer::grads(const common::Mat& x, const common::Mat& dy, common::Mat& gw,
-                       common::Vec& gb) const {
-  gw = common::matmul_tn(dy, x);
-  gb = common::col_sums(dy);
-}
-
-common::Mat DenseLayer::backprop_input(const common::Mat& dy) const {
-  return common::matmul(dy, w_);
-}
-
-void DenseLayer::apply(const common::Mat& gw, const common::Vec& gb) {
-  opt_->apply(w_, b_, gw, gb);
-}
+void DenseLayer::apply(const double* gw, const double* gb) { opt_->apply(w_, b_, gw, gb); }
 
 void DenseLayer::append_params(std::vector<double>& out) const {
   out.insert(out.end(), w_.data().begin(), w_.data().end());
@@ -162,7 +358,11 @@ void DenseLayer::append_params(std::vector<double>& out) const {
 
 bool DenseLayer::read_params(const std::vector<double>& in, std::size_t& pos) {
   const std::size_t nw = w_.rows() * w_.cols();
-  if (pos + nw + b_.size() > in.size()) return false;
+  if (pos > in.size() || nw + b_.size() > in.size() - pos) return false;
+  const auto first = in.begin() + static_cast<std::ptrdiff_t>(pos);
+  if (!std::all_of(first, first + static_cast<std::ptrdiff_t>(nw + b_.size()),
+                   [](double v) { return std::isfinite(v); }))
+    return false;
   std::copy(in.begin() + static_cast<std::ptrdiff_t>(pos),
             in.begin() + static_cast<std::ptrdiff_t>(pos + nw), w_.raw());
   pos += nw;
@@ -222,56 +422,7 @@ common::Mat Mlp::forward_batch(const common::Mat& x) const {
   return layers_.back().forward_batch(a);
 }
 
-Mlp::ShardGrads Mlp::backward_shard(const common::Mat& x, const common::Mat& targets,
-                                    const common::Mat* mask, std::size_t row0,
-                                    std::size_t row1) const {
-  const std::size_t n = row1 - row0;
-  common::Mat sliced;
-  const common::Mat* input = &x;
-  if (row0 != 0 || row1 != x.rows()) {
-    sliced = slice_rows(x, row0, row1);
-    input = &sliced;
-  }
-
-  // Forward; acts[l] = activated output of hidden layer l (inputs to layer
-  // l+1).  Pre-activations are not cached — see scale_by_activation_grad.
-  const std::size_t nlayers = layers_.size();
-  std::vector<common::Mat> acts;
-  acts.reserve(nlayers - 1);
-  for (std::size_t l = 0; l + 1 < nlayers; ++l) {
-    common::Mat z = layers_[l].forward_batch(l == 0 ? *input : acts.back());
-    activate_inplace(cfg_.activation, z);
-    acts.push_back(std::move(z));
-  }
-  const common::Mat y = layers_.back().forward_batch(nlayers == 1 ? *input : acts.back());
-
-  common::Mat dy(n, output_dim_);
-  double loss = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < output_dim_; ++j) {
-      const double m = mask != nullptr ? (*mask)(row0 + i, j) : 1.0;
-      const double e = (y(i, j) - targets(row0 + i, j)) * m;
-      dy(i, j) = e;
-      loss += 0.5 * e * e;
-    }
-  }
-
-  ShardGrads sg;
-  sg.gw.resize(nlayers);
-  sg.gb.resize(nlayers);
-  sg.loss = loss;
-  common::Mat cur = std::move(dy);
-  for (std::size_t l = nlayers; l-- > 0;) {
-    const common::Mat& in = l == 0 ? *input : acts[l - 1];
-    layers_[l].grads(in, cur, sg.gw[l], sg.gb[l]);
-    if (l > 0) {
-      cur = layers_[l].backprop_input(cur);
-      scale_by_activation_grad(cfg_.activation, acts[l - 1], cur);
-    }
-  }
-  return sg;
-}
-
+// oal-lint: hot-path
 double Mlp::train_batch(const common::Mat& x, const common::Mat& targets,
                         const common::Mat* mask) {
   if (x.rows() == 0 || x.rows() != targets.rows())
@@ -281,37 +432,32 @@ double Mlp::train_batch(const common::Mat& x, const common::Mat& targets,
   if (mask != nullptr && (mask->rows() != x.rows() || mask->cols() != output_dim_))
     throw std::invalid_argument("Mlp::train_batch: mask shape");
 
+  const NetView net(layers_.data(), layers_.size() - 1, &layers_.back(), 1, cfg_.activation);
   const std::size_t bsz = x.rows();
-  const std::size_t nshards = (bsz + kGradShardRows - 1) / kGradShardRows;
-  std::vector<ShardGrads> shards(nshards);
-  const auto run = [&](std::size_t s) {
-    const std::size_t r0 = s * kGradShardRows;
-    shards[s] = backward_shard(x, targets, mask, r0, std::min(bsz, r0 + kGradShardRows));
-  };
-  if (cfg_.pool != nullptr && nshards > 1) {
-    cfg_.pool->run_indexed(nshards, run);
-  } else {
-    for (std::size_t s = 0; s < nshards; ++s) run(s);
-  }
+  reserve_workspace(net, bsz, ws_);
+  const auto& k = common::kernels::active();
+  double* y = forward_batch_into(net, x, ws_, k);
 
-  // Fixed-order reduction: ascending shard index, independent of executor.
-  ShardGrads total = std::move(shards.front());
-  for (std::size_t s = 1; s < nshards; ++s) {
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      total.gw[l] += shards[s].gw[l];
-      for (std::size_t i = 0; i < total.gb[l].size(); ++i) total.gb[l][i] += shards[s].gb[l][i];
+  // Masked squared error, turned into dL/dY in place; the loss sums each
+  // shard's rows, then the shards in ascending order.
+  double loss = 0.0;
+  for (std::size_t r0 = 0; r0 < bsz; r0 += kGradShardRows) {
+    double shard_loss = 0.0;
+    for (std::size_t i = r0; i < std::min(bsz, r0 + kGradShardRows); ++i) {
+      for (std::size_t j = 0; j < output_dim_; ++j) {
+        const double m = mask != nullptr ? (*mask)(i, j) : 1.0;
+        const double e = (y[i * output_dim_ + j] - targets(i, j)) * m;
+        y[i * output_dim_ + j] = e;
+        shard_loss += 0.5 * e * e;
+      }
     }
-    total.loss += shards[s].loss;
+    loss += shard_loss;
   }
 
-  const double inv_b = 1.0 / static_cast<double>(bsz);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    total.gw[l] *= inv_b;
-    for (double& v : total.gb[l]) v *= inv_b;
-    layers_[l].apply(total.gw[l], total.gb[l]);
-  }
-  return total.loss * inv_b;
+  backward_and_apply(net, x, y, ws_, k, cfg_.pool);
+  return loss * (1.0 / static_cast<double>(bsz));
 }
+// oal-lint: hot-path-end
 
 double Mlp::train_step(const common::Vec& x, const common::Vec& target, const common::Vec* mask) {
   if (x.size() != input_dim_) throw std::invalid_argument("Mlp::train_step: input dim");
@@ -446,64 +592,7 @@ void MultiHeadClassifier::predict_into(const common::Vec& x, std::vector<std::si
 }
 // oal-lint: hot-path-end
 
-MultiHeadClassifier::ShardGrads MultiHeadClassifier::backward_shard(
-    const common::Mat& x, const std::vector<std::vector<std::size_t>>& labels, std::size_t row0,
-    std::size_t row1) const {
-  const std::size_t n = row1 - row0;
-  common::Mat sliced;
-  const common::Mat* input = &x;
-  if (row0 != 0 || row1 != x.rows()) {
-    sliced = slice_rows(x, row0, row1);
-    input = &sliced;
-  }
-
-  // Trunk forward; acts[l] = activated output of trunk layer l.
-  std::vector<common::Mat> acts;
-  acts.reserve(trunk_.size());
-  for (std::size_t l = 0; l < trunk_.size(); ++l) {
-    common::Mat z = trunk_[l].forward_batch(l == 0 ? *input : acts.back());
-    activate_inplace(cfg_.activation, z);
-    acts.push_back(std::move(z));
-  }
-  const common::Mat& feat = trunk_.empty() ? *input : acts.back();
-
-  ShardGrads sg;
-  sg.gw.resize(trunk_.size() + heads_.size());
-  sg.gb.resize(trunk_.size() + heads_.size());
-
-  common::Mat dtrunk(n, feat.cols());
-  for (std::size_t h = 0; h < heads_.size(); ++h) {
-    // Head logits become dL/dz in place: softmax each row (same arithmetic
-    // as ml::softmax), then subtract the one-hot label.
-    common::Mat dz = heads_[h].forward_batch(feat);
-    const std::size_t classes = head_sizes_[h];
-    for (std::size_t i = 0; i < n; ++i) {
-      double mx = dz(i, 0);
-      for (std::size_t j = 0; j < classes; ++j) mx = std::max(mx, dz(i, j));
-      double sum = 0.0;
-      for (std::size_t j = 0; j < classes; ++j) {
-        dz(i, j) = std::exp(dz(i, j) - mx);
-        sum += dz(i, j);
-      }
-      for (std::size_t j = 0; j < classes; ++j) dz(i, j) /= sum;
-      const std::size_t label = labels[row0 + i][h];
-      sg.loss += -std::log(std::max(dz(i, label), 1e-12));
-      dz(i, label) -= 1.0;
-    }
-    heads_[h].grads(feat, dz, sg.gw[trunk_.size() + h], sg.gb[trunk_.size() + h]);
-    dtrunk += heads_[h].backprop_input(dz);
-  }
-
-  common::Mat cur = std::move(dtrunk);
-  for (std::size_t l = trunk_.size(); l-- > 0;) {
-    scale_by_activation_grad(cfg_.activation, acts[l], cur);
-    const common::Mat& in = l == 0 ? *input : acts[l - 1];
-    trunk_[l].grads(in, cur, sg.gw[l], sg.gb[l]);
-    if (l > 0) cur = trunk_[l].backprop_input(cur);
-  }
-  return sg;
-}
-
+// oal-lint: hot-path
 double MultiHeadClassifier::train_batch(const common::Mat& x,
                                         const std::vector<std::vector<std::size_t>>& labels) {
   if (x.rows() == 0 || x.rows() != labels.size())
@@ -518,39 +607,42 @@ double MultiHeadClassifier::train_batch(const common::Mat& x,
         throw std::invalid_argument("MultiHeadClassifier::train_batch: label out of range");
   }
 
+  const NetView net(trunk_.data(), trunk_.size(), heads_.data(), heads_.size(), cfg_.activation);
   const std::size_t bsz = x.rows();
-  const std::size_t nshards = (bsz + kGradShardRows - 1) / kGradShardRows;
-  std::vector<ShardGrads> shards(nshards);
-  const auto run = [&](std::size_t s) {
-    const std::size_t r0 = s * kGradShardRows;
-    shards[s] = backward_shard(x, labels, r0, std::min(bsz, r0 + kGradShardRows));
-  };
-  if (cfg_.pool != nullptr && nshards > 1) {
-    cfg_.pool->run_indexed(nshards, run);
-  } else {
-    for (std::size_t s = 0; s < nshards; ++s) run(s);
-  }
+  reserve_workspace(net, bsz, ws_);
+  const auto& k = common::kernels::active();
+  double* z = forward_batch_into(net, x, ws_, k);
 
-  ShardGrads total = std::move(shards.front());
-  const std::size_t nlayers = trunk_.size() + heads_.size();
-  for (std::size_t s = 1; s < nshards; ++s) {
-    for (std::size_t l = 0; l < nlayers; ++l) {
-      total.gw[l] += shards[s].gw[l];
-      for (std::size_t i = 0; i < total.gb[l].size(); ++i) total.gb[l][i] += shards[s].gb[l][i];
+  // Each head's logits become dL/dz in place: softmax each row (same
+  // arithmetic as ml::softmax), then subtract the one-hot label.  The loss
+  // keeps the shard, head, row summation order.
+  double loss = 0.0;
+  for (std::size_t r0 = 0; r0 < bsz; r0 += kGradShardRows) {
+    double shard_loss = 0.0;
+    for (std::size_t h = 0, col = 0; h < heads_.size(); col += head_sizes_[h++]) {
+      const std::size_t classes = head_sizes_[h];
+      for (std::size_t i = r0; i < std::min(bsz, r0 + kGradShardRows); ++i) {
+        double* dz = z + i * net.out_dim + col;
+        double mx = dz[0];
+        for (std::size_t j = 0; j < classes; ++j) mx = std::max(mx, dz[j]);
+        double sum = 0.0;
+        for (std::size_t j = 0; j < classes; ++j) {
+          dz[j] = std::exp(dz[j] - mx);
+          sum += dz[j];
+        }
+        for (std::size_t j = 0; j < classes; ++j) dz[j] /= sum;
+        const std::size_t label = labels[i][h];
+        shard_loss += -std::log(std::max(dz[label], 1e-12));
+        dz[label] -= 1.0;
+      }
     }
-    total.loss += shards[s].loss;
+    loss += shard_loss;
   }
 
-  const double inv_b = 1.0 / static_cast<double>(bsz);
-  for (std::size_t l = 0; l < nlayers; ++l) {
-    total.gw[l] *= inv_b;
-    for (double& v : total.gb[l]) v *= inv_b;
-  }
-  for (std::size_t l = 0; l < trunk_.size(); ++l) trunk_[l].apply(total.gw[l], total.gb[l]);
-  for (std::size_t h = 0; h < heads_.size(); ++h)
-    heads_[h].apply(total.gw[trunk_.size() + h], total.gb[trunk_.size() + h]);
-  return total.loss * inv_b;
+  backward_and_apply(net, x, z, ws_, k, cfg_.pool);
+  return loss * (1.0 / static_cast<double>(bsz));
 }
+// oal-lint: hot-path-end
 
 double MultiHeadClassifier::train_step(const common::Vec& x,
                                        const std::vector<std::size_t>& labels) {

@@ -2,16 +2,19 @@
 // "the policy is represented as a neural network and it is updated using the
 // back-propagation algorithm").
 //
-// Training is batch-first: minibatches travel as matrices (rows = samples)
-// through GEMM kernels (common/matrix.h), gradients are reduced over
-// fixed-size row shards in ascending shard order, and the reduced gradient is
+// Training is batch-first and runs in a per-network TrainWorkspace that is
+// reused across calls.  The forward pass and the input-gradient products run
+// once over the whole minibatch (rows are independent), through the
+// runtime-dispatched raw-pointer kernels of common/kernels.h.  Only the
+// weight- and bias-gradient reductions are split into fixed 8-row shards,
+// summed in ascending shard order and scaled by 1/B; the reduced gradient is
 // handed to a pluggable ml::Optimizer (ml/optimizer.h) for the parameter
 // step.  The fixed shard geometry makes training bitwise reproducible at any
 // thread count: an optional common::ThreadPool only decides *who* computes a
-// shard, never how the reduction is ordered (the engine's parallel == serial
-// contract, extended to training).  The scalar train_step routes through the
-// batch path as a 1-row batch, so there is exactly one backprop
-// implementation.
+// shard's gradients, never how the reduction is ordered (the engine's
+// parallel == serial contract, extended to training).  Both networks share
+// that one backprop implementation, and the scalar train_step routes through
+// it as a 1-row batch.
 //
 // Two variants are provided:
 //  * Mlp — generic regression network with linear outputs (used by the DQN
@@ -39,8 +42,7 @@ namespace oal::ml {
 enum class Activation { kTanh, kRelu };
 
 /// One dense layer.  Parameters plus the layer's optimizer; gradients live in
-/// caller-owned buffers so shards can backprop concurrently through a const
-/// layer.
+/// the owning network's TrainWorkspace.
 class DenseLayer {
  public:
   DenseLayer(std::size_t in, std::size_t out, common::Rng& rng,
@@ -59,33 +61,44 @@ class DenseLayer {
   /// Batch forward: Y = X * W^T + b (rows = samples).
   common::Mat forward_batch(const common::Mat& x) const;
 
-  /// Parameter gradients of a batch: gw = dY^T * X, gb = column sums of dY.
-  void grads(const common::Mat& x, const common::Mat& dy, common::Mat& gw,
-             common::Vec& gb) const;
-  /// Input gradient of a batch: dX = dY * W.
-  common::Mat backprop_input(const common::Mat& dy) const;
-
-  /// One optimizer step on the (batch-averaged) gradients.
-  void apply(const common::Mat& gw, const common::Vec& gb);
+  /// One optimizer step on the (batch-averaged) gradients: gw holds
+  /// out_dim() x in_dim() doubles row-major, gb out_dim() doubles.
+  void apply(const double* gw, const double* gb);
 
   std::size_t in_dim() const { return w_.cols(); }
   std::size_t out_dim() const { return w_.rows(); }
   std::size_t num_params() const { return w_.rows() * w_.cols() + b_.size(); }
 
   const common::Mat& weights() const { return w_; }
+  const common::Vec& bias() const { return b_; }
 
   /// Appends w (row-major) then b to `out` — the artifact-store wire format.
   /// Optimizer state is deliberately excluded: a restored layer serves
   /// inference / fresh training, not mid-stream optimizer resumption.
   void append_params(std::vector<double>& out) const;
   /// Reads back what append_params wrote (layer shape must already match);
-  /// false on underrun, leaving pos unspecified.
+  /// false, with the layer unchanged, on underrun or a non-finite value.
   bool read_params(const std::vector<double>& in, std::size_t& pos);
 
  private:
   common::Mat w_;  // out x in
   common::Vec b_;  // out
   std::unique_ptr<Optimizer> opt_;
+};
+
+/// Scratch for one network's train_batch, reused across calls: the
+/// transposed weights the forward pass reads, every layer's activations and
+/// output deltas for the whole minibatch, the per-head input-gradient
+/// partial sums, and one flat gradient buffer per 8-row shard.  Buffers only
+/// grow, so once a network has trained on its largest batch size, train_batch
+/// performs no heap allocation.  Nothing in it carries over from one call to
+/// the next.
+struct TrainWorkspace {
+  std::vector<double> wt;       ///< transposed weights (in x out), layer after layer
+  std::vector<double> acts;     ///< activations (B x out), layer after layer
+  std::vector<double> deltas;   ///< dL/d(pre-activation) of the hidden layers
+  std::vector<double> partial;  ///< one output part's input-gradient partial sum
+  std::vector<double> grads;    ///< per-shard gradients, num_params() per shard
 };
 
 struct MlpConfig {
@@ -132,6 +145,7 @@ class Mlp {
 
   /// One optimizer step on a minibatch (rows = samples); returns the mean
   /// per-sample loss.  mask, when given, has the same shape as targets.
+  /// Allocation-free once the workspace has grown to the batch size.
   double train_batch(const common::Mat& x, const common::Mat& targets,
                      const common::Mat* mask = nullptr);
 
@@ -160,19 +174,11 @@ class Mlp {
   bool import_params(const std::vector<double>& in, std::size_t& pos);
 
  private:
-  struct ShardGrads {
-    std::vector<common::Mat> gw;
-    std::vector<common::Vec> gb;
-    double loss = 0.0;
-  };
-  ShardGrads backward_shard(const common::Mat& x, const common::Mat& targets,
-                            const common::Mat* mask, std::size_t row0,
-                            std::size_t row1) const;
-
   std::size_t input_dim_;
   std::size_t output_dim_;
   MlpConfig cfg_;
   std::vector<DenseLayer> layers_;
+  TrainWorkspace ws_;
 };
 
 /// Shared-trunk multi-head softmax classifier: the IL policy network.
@@ -206,6 +212,7 @@ class MultiHeadClassifier {
 
   /// One optimizer step on a minibatch (rows = samples); labels[i] holds one
   /// class per head for sample i.  Returns the mean per-sample loss.
+  /// Allocation-free once the workspace has grown to the batch size.
   double train_batch(const common::Mat& x,
                      const std::vector<std::vector<std::size_t>>& labels);
 
@@ -220,6 +227,7 @@ class MultiHeadClassifier {
                const std::vector<std::vector<std::size_t>>& labels, std::size_t epochs,
                std::size_t batch_size, common::Rng& rng);
 
+  std::size_t input_dim() const { return input_dim_; }
   std::size_t num_heads() const { return heads_.size(); }
   std::size_t num_params() const;
 
@@ -232,20 +240,12 @@ class MultiHeadClassifier {
   std::size_t storage_bytes() const { return num_params() * 4; }
 
  private:
-  struct ShardGrads {
-    std::vector<common::Mat> gw;  // trunk layers, then heads
-    std::vector<common::Vec> gb;
-    double loss = 0.0;
-  };
-  ShardGrads backward_shard(const common::Mat& x,
-                            const std::vector<std::vector<std::size_t>>& labels,
-                            std::size_t row0, std::size_t row1) const;
-
   std::size_t input_dim_;
   MlpConfig cfg_;
   std::vector<DenseLayer> trunk_;
   std::vector<DenseLayer> heads_;
   std::vector<std::size_t> head_sizes_;
+  TrainWorkspace ws_;
 };
 
 /// Numerically-stable softmax.

@@ -3,25 +3,16 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/kernels.h"
+
 namespace oal::ml {
-
-namespace {
-
-void check_shapes(const common::Mat& w, const common::Vec& b, const common::Mat& gw,
-                  const common::Vec& gb) {
-  if (gw.rows() != w.rows() || gw.cols() != w.cols() || gb.size() != b.size())
-    throw std::invalid_argument("Optimizer::apply: gradient shape mismatch");
-}
-
-}  // namespace
 
 // ---- Sgd -------------------------------------------------------------------
 
 Sgd::Sgd(double learning_rate, double l2, double momentum)
     : lr_(learning_rate), l2_(l2), momentum_(momentum) {}
 
-void Sgd::apply(common::Mat& w, common::Vec& b, const common::Mat& gw, const common::Vec& gb) {
-  check_shapes(w, b, gw, gb);
+void Sgd::apply(common::Mat& w, common::Vec& b, const double* gw, const double* gb) {
   if (momentum_ != 0.0 && vw_.empty()) {
     vw_ = common::Mat(w.rows(), w.cols());
     vb_.assign(b.size(), 0.0);
@@ -30,7 +21,7 @@ void Sgd::apply(common::Mat& w, common::Vec& b, const common::Mat& gw, const com
   // independent, so this is bit-identical to the nested (row, col) loops.
   const std::size_t n = w.rows() * w.cols();
   double* __restrict__ wp = w.raw();
-  const double* __restrict__ gp = gw.raw();
+  const double* __restrict__ gp = gw;
   if (momentum_ != 0.0) {
     double* __restrict__ vp = vw_.raw();
     for (std::size_t i = 0; i < n; ++i) {
@@ -55,8 +46,7 @@ std::unique_ptr<Optimizer> Sgd::clone() const { return std::make_unique<Sgd>(*th
 Adam::Adam(double learning_rate, double l2, double beta1, double beta2, double epsilon)
     : lr_(learning_rate), l2_(l2), beta1_(beta1), beta2_(beta2), eps_(epsilon) {}
 
-void Adam::apply(common::Mat& w, common::Vec& b, const common::Mat& gw, const common::Vec& gb) {
-  check_shapes(w, b, gw, gb);
+void Adam::apply(common::Mat& w, common::Vec& b, const double* gw, const double* gb) {
   if (mw_.empty()) {
     mw_ = common::Mat(w.rows(), w.cols());
     vw_ = common::Mat(w.rows(), w.cols());
@@ -64,34 +54,17 @@ void Adam::apply(common::Mat& w, common::Vec& b, const common::Mat& gw, const co
     vb_.assign(b.size(), 0.0);
   }
   ++t_;
+  const double omb1 = 1.0 - beta1_, omb2 = 1.0 - beta2_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const common::kernels::AdamStep p{lr_, l2_, beta1_, beta2_, omb1, omb2, bc1, bc2, eps_};
   // Flat loops over the row-major storage: every element's update is
-  // independent, so this is bit-identical to the nested (row, col) loops, and
-  // the compiler can vectorize the sqrt/div chain (element-wise IEEE ops —
-  // vector and scalar lanes round identically).
-  const std::size_t n = w.rows() * w.cols();
-  double* __restrict__ wp = w.raw();
-  double* __restrict__ mp = mw_.raw();
-  double* __restrict__ vp = vw_.raw();
-  const double* __restrict__ gp = gw.raw();
-  const double omb1 = 1.0 - beta1_, omb2 = 1.0 - beta2_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double g = gp[i] + l2_ * wp[i];
-    const double m = beta1_ * mp[i] + omb1 * g;
-    const double v = beta2_ * vp[i] + omb2 * g * g;
-    mp[i] = m;
-    vp[i] = v;
-    wp[i] -= lr_ * (m / bc1) / (std::sqrt(v / bc2) + eps_);
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    const double g = gb[i];
-    const double m = beta1_ * mb_[i] + omb1 * g;
-    const double v = beta2_ * vb_[i] + omb2 * g * g;
-    mb_[i] = m;
-    vb_[i] = v;
-    b[i] -= lr_ * (m / bc1) / (std::sqrt(v / bc2) + eps_);
-  }
+  // independent, so this is bit-identical to the nested (row, col) loops,
+  // and the kernel variants vectorize the sqrt/div chain (element-wise IEEE
+  // ops — vector and scalar lanes round identically).
+  const auto& k = common::kernels::active();
+  k.adam(w.rows() * w.cols(), p, true, w.raw(), mw_.raw(), vw_.raw(), gw);
+  k.adam(b.size(), p, false, b.data(), mb_.data(), vb_.data(), gb);
 }
 
 std::unique_ptr<Optimizer> Adam::clone() const { return std::make_unique<Adam>(*this); }

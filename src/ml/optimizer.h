@@ -25,10 +25,12 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  /// One update step.  `w`/`b` are the layer parameters, `gw`/`gb` the
-  /// (already batch-averaged) loss gradients of the same shapes.
-  virtual void apply(common::Mat& w, common::Vec& b, const common::Mat& gw,
-                     const common::Vec& gb) = 0;
+  /// One update step.  `w`/`b` are the layer parameters; `gw` points at the
+  /// (already batch-averaged) weight gradient, w.rows() * w.cols() doubles in
+  /// w's row-major order, and `gb` at b.size() bias-gradient doubles.  Raw
+  /// pointers let the trainers hand over slices of their flat gradient
+  /// buffers without copying.
+  virtual void apply(common::Mat& w, common::Vec& b, const double* gw, const double* gb) = 0;
 
   /// Deep copy including accumulated state (moments, step counts).
   virtual std::unique_ptr<Optimizer> clone() const = 0;
@@ -56,8 +58,7 @@ class Sgd : public Optimizer {
  public:
   Sgd(double learning_rate, double l2, double momentum = 0.0);
 
-  void apply(common::Mat& w, common::Vec& b, const common::Mat& gw,
-             const common::Vec& gb) override;
+  void apply(common::Mat& w, common::Vec& b, const double* gw, const double* gb) override;
   std::unique_ptr<Optimizer> clone() const override;
 
  private:
@@ -71,14 +72,14 @@ class Sgd : public Optimizer {
 /// Adam (Kingma & Ba) with bias correction and L2 weight decay folded into
 /// the gradient.  The arithmetic and parameter traversal order match the
 /// pre-refactor DenseLayer::apply_adam exactly, so a default-configured
-/// network trains bitwise-identically to the old implementation.
+/// network trains bitwise-identically to the old implementation.  The element
+/// loop is the runtime-dispatched common::kernels adam kernel.
 class Adam : public Optimizer {
  public:
   Adam(double learning_rate, double l2, double beta1 = 0.9, double beta2 = 0.999,
        double epsilon = 1e-8);
 
-  void apply(common::Mat& w, common::Vec& b, const common::Mat& gw,
-             const common::Vec& gb) override;
+  void apply(common::Mat& w, common::Vec& b, const double* gw, const double* gb) override;
   std::unique_ptr<Optimizer> clone() const override;
 
  private:

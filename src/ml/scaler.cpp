@@ -74,21 +74,31 @@ void StandardScaler::export_state(std::vector<double>& out) const {
   out.insert(out.end(), m2_.begin(), m2_.end());
 }
 
+namespace {
+
+/// True when a header field read from an untrusted blob is a count in
+/// [0, max]: finite and integral, so the cast to size_t is exact and defined.
+bool is_count(double v, double max) {
+  return std::isfinite(v) && v >= 0.0 && v <= max && v == std::floor(v);
+}
+
+}  // namespace
+
 bool StandardScaler::import_state(const std::vector<double>& in, std::size_t& pos) {
   if (pos + 2 > in.size()) return false;
   const double dim_d = in[pos];
   const double count_d = in[pos + 1];
-  if (dim_d < 0.0 || dim_d > 1e9 || count_d < 0.0) return false;
+  // 2^53: every integer up to it is exactly representable as a double.
+  if (!is_count(dim_d, 1e9) || !is_count(count_d, 9007199254740992.0)) return false;
   const auto dim = static_cast<std::size_t>(dim_d);
-  if (pos + 2 + 2 * dim > in.size()) return false;
-  pos += 2;
-  mean_.assign(in.begin() + static_cast<std::ptrdiff_t>(pos),
-               in.begin() + static_cast<std::ptrdiff_t>(pos + dim));
-  pos += dim;
-  m2_.assign(in.begin() + static_cast<std::ptrdiff_t>(pos),
-             in.begin() + static_cast<std::ptrdiff_t>(pos + dim));
-  pos += dim;
+  if (dim > (in.size() - pos - 2) / 2) return false;
+  const auto first = in.begin() + static_cast<std::ptrdiff_t>(pos + 2);
+  const auto last = first + static_cast<std::ptrdiff_t>(2 * dim);
+  if (!std::all_of(first, last, [](double v) { return std::isfinite(v); })) return false;
+  mean_.assign(first, first + static_cast<std::ptrdiff_t>(dim));
+  m2_.assign(first + static_cast<std::ptrdiff_t>(dim), last);
   count_ = static_cast<std::size_t>(count_d);
+  pos += 2 + 2 * dim;
   return true;
 }
 

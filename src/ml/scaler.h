@@ -55,8 +55,9 @@ class StandardScaler {
   /// Appends {dim, count, mean, m2} to `out` — enough to reconstruct the
   /// scaler exactly (transform() of the restored scaler is bitwise identical).
   void export_state(std::vector<double>& out) const;
-  /// Restores what export_state wrote; false on underrun or a nonsensical
-  /// dimension, leaving the scaler unchanged in that case.
+  /// Restores what export_state wrote; false (scaler unchanged) on underrun,
+  /// a dimension or count that is not a finite non-negative integer, or a
+  /// non-finite mean/m2 entry.
   bool import_state(const std::vector<double>& in, std::size_t& pos);
 
  private:

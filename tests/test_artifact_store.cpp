@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -290,6 +291,87 @@ TEST(IlPolicy, ArtifactRoundTripsDecisionsAndBookkeeping) {
   bad = trained.export_artifact();
   bad.push_back(0.0);
   EXPECT_FALSE(untouched.import_artifact(bad));  // trailing garbage rejected
+}
+
+TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
+  // Untrusted blobs: every crafted corruption must be rejected (no NaN cast
+  // to size_t, no silent truncation, no non-finite weight deployed) and the
+  // target policy must keep exactly its previous artifact.
+  soc::ConfigSpace space;
+  common::Rng rng(41);
+  PolicyDataset ds;
+  for (int i = 0; i < 64; ++i) {
+    common::Vec s(12);
+    for (double& v : s) v = rng.uniform(-2.0, 2.0);
+    ds.states.push_back(std::move(s));
+    ds.labels.push_back(space.config_at(
+        static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(space.size()) - 1))));
+  }
+  IlPolicyConfig cfg;
+  cfg.offline_epochs = 2;
+  IlPolicy source(space, cfg);
+  source.train_offline(ds, rng);
+  const std::vector<double> good = source.export_artifact();
+  cfg.seed = 43;  // a different network, so "unchanged" is observable
+  IlPolicy target(space, cfg);
+  target.train_offline(ds, rng);
+  const std::vector<double> before = target.export_artifact();
+  ASSERT_NE(before, good);
+
+  // Layout: [trained, train_time_s, last_loss, dim, count, mean[dim],
+  // m2[dim], network params...].
+  const std::size_t kDim = 3, kCount = 4, kMean = 5;
+  const std::size_t dim = static_cast<std::size_t>(good[kDim]);
+  const std::size_t kM2 = kMean + dim, kNet = kM2 + dim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    std::size_t index;
+    double value;
+  };
+  const Case cases[] = {
+      {"trained flag not 0/1", 0, 0.5},
+      {"NaN train time", 1, nan},
+      {"infinite loss", 2, inf},
+      {"NaN dim", kDim, nan},
+      {"infinite dim", kDim, inf},
+      {"non-integral dim", kDim, static_cast<double>(dim) + 0.5},
+      {"NaN count", kCount, nan},
+      {"infinite count", kCount, inf},
+      {"non-integral count", kCount, good[kCount] + 0.25},
+      {"negative count", kCount, -1.0},
+      {"NaN mean", kMean, nan},
+      {"infinite m2", kM2 + 1, -inf},
+      {"NaN weight", kNet, nan},
+      {"infinite bias", good.size() - 1, inf},
+  };
+  for (const Case& c : cases) {
+    std::vector<double> bad = good;
+    bad[c.index] = c.value;
+    EXPECT_FALSE(target.import_artifact(bad)) << c.what;
+    EXPECT_EQ(target.export_artifact(), before) << c.what;
+  }
+
+  // A consistent length with a scaler narrower than the network input: the
+  // network would read shifted (finite) parameters, so only the dimension
+  // check catches it.
+  std::vector<double> narrow(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(kMean));
+  narrow[kDim] = static_cast<double>(dim - 1);
+  narrow.insert(narrow.end(), good.begin() + static_cast<std::ptrdiff_t>(kMean),
+                good.begin() + static_cast<std::ptrdiff_t>(kMean + dim - 1));
+  narrow.insert(narrow.end(), good.begin() + static_cast<std::ptrdiff_t>(kM2),
+                good.begin() + static_cast<std::ptrdiff_t>(kM2 + dim - 1));
+  narrow.insert(narrow.end(), good.begin() + static_cast<std::ptrdiff_t>(kNet), good.end());
+  narrow.push_back(0.0);
+  narrow.push_back(0.0);
+  ASSERT_EQ(narrow.size(), good.size());
+  EXPECT_FALSE(target.import_artifact(narrow));
+  EXPECT_EQ(target.export_artifact(), before);
+
+  // The untouched artifact still imports.
+  EXPECT_TRUE(target.import_artifact(good));
+  EXPECT_EQ(target.export_artifact(), good);
 }
 
 TEST(TabularQ, StateRoundTripContinuesIdentically) {

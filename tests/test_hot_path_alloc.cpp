@@ -5,14 +5,18 @@
 // "Steady state" means: scratch/feature buffers have grown to their final
 // sizes (first decide), the DQN replay ring is preallocated, and the
 // tabular-Q table already contains the visited states.  Amortized work is
-// excluded by construction here — IL retraining (buffer fills), DQN
-// minibatch training (min_replay gate), and first-visit Q-row insertion
-// are all deliberate, bounded allocations outside the per-decide path.
+// excluded from the per-decide probes by construction — IL retraining
+// (buffer fills), DQN minibatch training (min_replay gate), and first-visit
+// Q-row insertion are deliberate, bounded work outside the per-decide path.
+// The minibatch optimizer step itself (Mlp / MultiHeadClassifier
+// train_batch) is probed separately: once its training workspace has grown
+// to the batch size it allocates nothing either.
 //
 // alloc_guard.h defines the counting global operator new for this binary,
 // so it must be included here and nowhere else in this target.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <deque>
 
 #include "alloc_guard.h"
@@ -21,6 +25,7 @@
 #include "core/il_policy.h"
 #include "core/nmpc.h"
 #include "core/rl_controller.h"
+#include "ml/mlp.h"
 #include "ml/qlearn.h"
 #include "ml/rls.h"
 #include "soc/platform.h"
@@ -137,6 +142,62 @@ TEST(HotPathAlloc, MultiHeadPredictIntoMatchesPredictBitwise) {
   AllocationProbe probe;
   for (int i = 0; i < 100; ++i) net.predict_into(x, cls, scratch);
   EXPECT_EQ(probe.delta(), 0u);
+}
+
+TEST(HotPathAlloc, MultiHeadTrainBatchIsAllocFreeAfterWarmup) {
+  // The IL policy network: 12 features -> 24 -> 24 -> heads {4, 5, 13, 19}.
+  ml::MlpConfig cfg;
+  cfg.hidden = {24, 24};
+  ml::MultiHeadClassifier net(12, {4, 5, 13, 19}, cfg);
+  common::Rng rng(29);
+  const std::size_t heads[] = {4, 5, 13, 19};
+  std::vector<common::Mat> xs;
+  std::vector<std::vector<std::vector<std::size_t>>> labels;
+  for (std::size_t bsz : {16u, 7u, 16u, 1u}) {
+    common::Mat x(bsz, 12);
+    std::vector<std::vector<std::size_t>> l(bsz);
+    for (std::size_t r = 0; r < bsz; ++r) {
+      for (std::size_t c = 0; c < 12; ++c) x(r, c) = rng.uniform(-2.0, 2.0);
+      for (std::size_t h : heads)
+        l[r].push_back(static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(h) - 1)));
+    }
+    xs.push_back(std::move(x));
+    labels.push_back(std::move(l));
+  }
+  (void)net.train_batch(xs[0], labels[0]);  // grows the workspace to 16 rows
+
+  // Smaller and equal batches reuse the grown workspace.
+  double loss = 0.0;
+  AllocationProbe probe;
+  for (int rep = 0; rep < 5; ++rep)
+    for (std::size_t b = 0; b < xs.size(); ++b) loss += net.train_batch(xs[b], labels[b]);
+  EXPECT_EQ(probe.delta(), 0u);
+  EXPECT_TRUE(std::isfinite(loss));
+}
+
+TEST(HotPathAlloc, MlpTrainBatchIsAllocFreeAfterWarmup) {
+  ml::MlpConfig cfg;
+  cfg.hidden = {16, 8};
+  ml::Mlp net(5, 3, cfg);
+  common::Rng rng(31);
+  common::Mat x(17, 5), t(17, 3), mask(17, 3);
+  for (std::size_t r = 0; r < 17; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) x(r, c) = rng.uniform(-1.5, 1.5);
+    for (std::size_t c = 0; c < 3; ++c) {
+      t(r, c) = rng.uniform(-1.0, 1.0);
+      mask(r, c) = rng.uniform() < 0.5 ? 1.0 : 0.0;
+    }
+  }
+  (void)net.train_batch(x, t, &mask);  // grows the workspace to 17 rows
+
+  double loss = 0.0;
+  AllocationProbe probe;
+  for (int rep = 0; rep < 10; ++rep) {
+    loss += net.train_batch(x, t, &mask);
+    loss += net.train_batch(x, t);
+  }
+  EXPECT_EQ(probe.delta(), 0u);
+  EXPECT_TRUE(std::isfinite(loss));
 }
 
 TEST(HotPathAlloc, TabularQSteadyStateStepIsAllocFree) {

@@ -1,0 +1,148 @@
+// Every ISA variant of the training kernels (common/kernels.h) must produce
+// exactly the bits of the baseline variant, and the baseline must match the
+// plain ascending-index scalar loops.  Shapes are ragged on purpose: 1-16
+// rows and 1-41 columns (every width, so the IL policy's 4/5/13/19-class
+// heads, its 24-wide trunk and the 41-wide fused head block are all
+// covered), with row strides wider than the logical widths.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/kernels.h"
+#include "common/rng.h"
+
+namespace oal::common::kernels {
+namespace {
+
+const std::size_t kInner[] = {1, 2, 3, 5, 8, 9, 12, 13, 19, 24};
+constexpr std::size_t kMaxRows = 16;
+constexpr std::size_t kMaxCols = 41;
+constexpr std::size_t kPad = 3;  // row-stride slack
+
+std::vector<double> random_buffer(std::size_t n, Rng& rng) {
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.uniform(-2.0, 2.0);
+  return v;
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+const KernelTable& baseline() { return detail::supported_variants().front(); }
+
+TEST(Kernels, VariantTableIsBaselineFirstAndActiveLast) {
+  const auto& variants = detail::supported_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(std::string(variants.front().name), "baseline");
+  EXPECT_EQ(&active(), &variants.back());
+  for (const auto& v : variants) std::printf("kernel variant supported: %s\n", v.name);
+}
+
+TEST(Kernels, BaselineGemmMatchesScalarDotProducts) {
+  Rng rng(3);
+  for (std::size_t m = 1; m <= kMaxRows; ++m)
+    for (std::size_t n = 1; n <= kMaxCols; ++n)
+      for (std::size_t k : kInner) {
+        const std::vector<double> a = random_buffer(m * k, rng);
+        const std::vector<double> at = random_buffer(k * m, rng);
+        const std::vector<double> b = random_buffer(k * n, rng);
+        std::vector<double> nn(m * n), tn(m * n), want_nn(m * n), want_tn(m * n);
+        baseline().gemm_nn({m, n, k, a.data(), k, b.data(), n, nn.data(), n});
+        baseline().gemm_tn({m, n, k, at.data(), m, b.data(), n, tn.data(), n});
+        for (std::size_t i = 0; i < m; ++i)
+          for (std::size_t j = 0; j < n; ++j) {
+            double s = 0.0, t = 0.0;
+            for (std::size_t kk = 0; kk < k; ++kk) {
+              s += a[i * k + kk] * b[kk * n + j];
+              t += at[kk * m + i] * b[kk * n + j];
+            }
+            want_nn[i * n + j] = s;
+            want_tn[i * n + j] = t;
+          }
+        ASSERT_TRUE(bits_equal(nn, want_nn)) << "gemm_nn " << m << "x" << n << "x" << k;
+        ASSERT_TRUE(bits_equal(tn, want_tn)) << "gemm_tn " << m << "x" << n << "x" << k;
+      }
+}
+
+TEST(Kernels, EveryVariantGemmIsBitIdenticalToBaseline) {
+  Rng rng(5);
+  for (std::size_t m = 1; m <= kMaxRows; ++m)
+    for (std::size_t n = 1; n <= kMaxCols; ++n)
+      for (std::size_t k : kInner) {
+        // Strided operands: lda/ldb/ldc exceed the logical widths.
+        const std::size_t lda = k + kPad, ldat = m + kPad, ldb = n + kPad, ldc = n + kPad;
+        const std::vector<double> a = random_buffer(m * lda, rng);
+        const std::vector<double> at = random_buffer(k * ldat, rng);
+        const std::vector<double> b = random_buffer(k * ldb, rng);
+        std::vector<double> want_nn(m * ldc, -1.0), want_tn(m * ldc, -1.0);
+        baseline().gemm_nn({m, n, k, a.data(), lda, b.data(), ldb, want_nn.data(), ldc});
+        baseline().gemm_tn({m, n, k, at.data(), ldat, b.data(), ldb, want_tn.data(), ldc});
+        for (const KernelTable& v : detail::supported_variants()) {
+          std::vector<double> nn(m * ldc, -1.0), tn(m * ldc, -1.0);
+          v.gemm_nn({m, n, k, a.data(), lda, b.data(), ldb, nn.data(), ldc});
+          v.gemm_tn({m, n, k, at.data(), ldat, b.data(), ldb, tn.data(), ldc});
+          ASSERT_TRUE(bits_equal(nn, want_nn)) << v.name << " gemm_nn " << m << "x" << n << "x"
+                                               << k;
+          ASSERT_TRUE(bits_equal(tn, want_tn)) << v.name << " gemm_tn " << m << "x" << n << "x"
+                                               << k;
+        }
+      }
+}
+
+TEST(Kernels, EveryVariantColSumsIsBitIdenticalToBaseline) {
+  Rng rng(7);
+  for (std::size_t rows = 1; rows <= kMaxRows; ++rows)
+    for (std::size_t cols = 1; cols <= kMaxCols; ++cols) {
+      const std::size_t lda = cols + kPad;
+      const std::vector<double> a = random_buffer(rows * lda, rng);
+      std::vector<double> want(cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        double s = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) s += a[r * lda + c];
+        want[c] = s;
+      }
+      for (const KernelTable& v : detail::supported_variants()) {
+        std::vector<double> got(cols, -1.0);
+        v.col_sums(rows, cols, a.data(), lda, got.data());
+        ASSERT_TRUE(bits_equal(got, want)) << v.name << " col_sums " << rows << "x" << cols;
+      }
+    }
+}
+
+TEST(Kernels, EveryVariantAdamIsBitIdenticalToBaseline) {
+  Rng rng(11);
+  const double beta1 = 0.9, beta2 = 0.999;
+  for (std::size_t n = 1; n <= 3 * kMaxCols; ++n)
+    for (bool decay : {true, false}) {
+      const std::vector<double> w0 = random_buffer(n, rng);
+      std::vector<std::vector<double>> grads;
+      for (int t = 0; t < 4; ++t) grads.push_back(random_buffer(n, rng));
+      std::vector<double> want_w, want_m, want_v;
+      for (const KernelTable& v : detail::supported_variants()) {
+        std::vector<double> w = w0, mom(n, 0.0), var(n, 0.0);
+        for (std::size_t t = 1; t <= grads.size(); ++t) {
+          const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+          const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+          const AdamStep p{2.5e-2, 1e-5, beta1, beta2, 1.0 - beta1, 1.0 - beta2, bc1, bc2, 1e-8};
+          v.adam(n, p, decay, w.data(), mom.data(), var.data(), grads[t - 1].data());
+        }
+        if (&v == &baseline()) {
+          want_w = w;
+          want_m = mom;
+          want_v = var;
+          continue;
+        }
+        ASSERT_TRUE(bits_equal(w, want_w)) << v.name << " adam w, n " << n;
+        ASSERT_TRUE(bits_equal(mom, want_m)) << v.name << " adam m, n " << n;
+        ASSERT_TRUE(bits_equal(var, want_v)) << v.name << " adam v, n " << n;
+      }
+    }
+}
+
+}  // namespace
+}  // namespace oal::common::kernels

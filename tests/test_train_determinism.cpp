@@ -4,10 +4,13 @@
 // shard s always covers rows [s*8, s*8+8) of the minibatch — and are reduced
 // in ascending shard order, so a ThreadPool only changes who computes a
 // shard, never the arithmetic.  Serial, 1-thread, and N-thread training must
-// therefore produce bit-identical parameters.
+// therefore produce bit-identical parameters.  Every comparison is on the
+// raw bits: a ULP-tolerant double comparison would forgive up to 4 ULP.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,6 +23,12 @@ namespace {
 using common::Mat;
 using common::Rng;
 using common::Vec;
+
+std::uint64_t bits(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
 
 Mat random_batch(std::size_t rows, std::size_t cols, Rng& rng) {
   Mat m(rows, cols);
@@ -94,8 +103,8 @@ TEST(TrainDeterminism, MlpBitwiseIdenticalAcrossThreadCounts) {
   ASSERT_EQ(serial.size(), one.size());
   ASSERT_EQ(serial.size(), four.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial[i], one[i]) << "serial vs 1-thread, output " << i;
-    EXPECT_DOUBLE_EQ(serial[i], four[i]) << "serial vs 4-thread, output " << i;
+    EXPECT_EQ(bits(serial[i]), bits(one[i])) << "serial vs 1-thread, output " << i;
+    EXPECT_EQ(bits(serial[i]), bits(four[i])) << "serial vs 4-thread, output " << i;
   }
 }
 
@@ -108,8 +117,8 @@ TEST(TrainDeterminism, MultiHeadBitwiseIdenticalAcrossThreadCounts) {
   ASSERT_EQ(serial.size(), one.size());
   ASSERT_EQ(serial.size(), four.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial[i], one[i]) << "serial vs 1-thread, output " << i;
-    EXPECT_DOUBLE_EQ(serial[i], four[i]) << "serial vs 4-thread, output " << i;
+    EXPECT_EQ(bits(serial[i]), bits(one[i])) << "serial vs 1-thread, output " << i;
+    EXPECT_EQ(bits(serial[i]), bits(four[i])) << "serial vs 4-thread, output " << i;
   }
 }
 
@@ -128,7 +137,7 @@ TEST(TrainDeterminism, TrainBatchLossIdenticalAcrossExecutors) {
   cfg.pool = &pool;
   Mlp pooled_net(3, 1, cfg);
   const double pooled_loss = pooled_net.train_batch(x, t);
-  EXPECT_DOUBLE_EQ(serial_loss, pooled_loss);
+  EXPECT_EQ(bits(serial_loss), bits(pooled_loss));
 }
 
 }  // namespace
