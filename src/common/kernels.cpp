@@ -1,23 +1,25 @@
 #include "common/kernels.h"
 
 #include <cmath>
-#include <type_traits>
 
-// This file must be compiled with -ffp-contract=off (CMakeLists.txt): the
-// AVX-512 variant's target implies FMA, and contraction would change bits.
+// This file must be compiled with -ffp-contract=off (CMakeLists.txt): a
+// contracted a*b+c rounds once instead of twice, so any variant whose target
+// ISA has FMA would stop matching the baseline's bits.
 
 namespace oal::common::kernels {
 
 namespace {
 
-// The kernel bodies are written once and force-inlined into each variant's
-// entry point below, so the compiler generates the same loops for that entry
-// point's target ISA.  Vector lanes only ever hold independent output
-// elements, never terms of one reduction.
+// The kernel bodies are written once as always_inline function templates
+// (helpers included, so no piece of a body can stay an out-of-line baseline
+// function) and inlined into each variant's entry point below, so the
+// compiler generates the loops for that entry point's target ISA.  Vector
+// lanes only ever hold independent output elements, never terms of one
+// reduction.
 
 #define OAL_KERNEL_BODY inline __attribute__((always_inline))
 
-// Vectors of kW doubles: one SSE2 (2), AVX2 (4) or AVX-512 (8) register.
+// Vectors of kW doubles: one SSE2 (2) or AVX2 (4) register.
 // GCC/clang vector-extension arithmetic is element-wise IEEE, so a lane
 // computes exactly what the scalar expression would.  Loads and stores go
 // through the unaligned, may_alias twin, which compiles to one unaligned
@@ -30,54 +32,61 @@ struct Lanes {
 };
 constexpr std::size_t kRows = 4;  // rows per register block
 
-template <std::size_t N>
-using Count = std::integral_constant<std::size_t, N>;
-
-/// C = op(A) * B with op(A)(i, kk) = a[i * ars + kk * aks]: the same body
-/// serves A (ars = lda, aks = 1) and A^T (ars = 1, aks = lda).  Each C
-/// element is a dot product accumulated in ascending kk from 0.0.  Blocks of
-/// kRows rows x kVecs vectors of kW doubles keep their accumulators in registers
-/// across the whole kk loop; ragged edges run the same accumulation with one
-/// row, one vector, or one column at a time.
-template <std::size_t kW, std::size_t kVecs>
-OAL_KERNEL_BODY void gemm_body(const Gemm& g, std::size_t ars, std::size_t aks) {
+/// The (kR x kV * kW) block of C = op(A) * B at (i, j), where op(A)(i, kk)
+/// = a[i * ars + kk * aks]: the same body serves A (ars = lda, aks = 1) and
+/// A^T (ars = 1, aks = lda).  The accumulators stay in registers across the
+/// whole kk loop; each C element is a dot product accumulated in ascending
+/// kk from 0.0.
+template <std::size_t kW, std::size_t kR, std::size_t kV>
+OAL_KERNEL_BODY void gemm_block(const Gemm& g, std::size_t ars, std::size_t aks, std::size_t i,
+                                std::size_t j) {
   using V = typename Lanes<kW>::type;
   using U = typename Lanes<kW>::unaligned;
-  const std::size_t m = g.m, n = g.n, k = g.k, ldb = g.ldb, ldc = g.ldc;
+  const std::size_t k = g.k, ldb = g.ldb, ldc = g.ldc;
   const double* __restrict__ a = g.a;
   const double* __restrict__ b = g.b;
   double* __restrict__ c = g.c;
-  // The (rows x vecs * kW) block of C at (i, j).
-  const auto block = [&](std::size_t i, std::size_t j, auto rows, auto vecs) {
-    constexpr std::size_t kR = decltype(rows)::value, kV = decltype(vecs)::value;
-    V acc[kR][kV] = {};
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const U* bv = reinterpret_cast<const U*>(b + kk * ldb + j);
-      for (std::size_t r = 0; r < kR; ++r) {
-        const double ar = a[(i + r) * ars + kk * aks];
-        for (std::size_t v = 0; v < kV; ++v) acc[r][v] += ar * bv[v];
-      }
-    }
+  V acc[kR][kV] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const U* bv = reinterpret_cast<const U*>(b + kk * ldb + j);
     for (std::size_t r = 0; r < kR; ++r) {
-      U* crow = reinterpret_cast<U*>(c + (i + r) * ldc + j);
-      for (std::size_t v = 0; v < kV; ++v) crow[v] = acc[r][v];
+      const double ar = a[(i + r) * ars + kk * aks];
+      for (std::size_t v = 0; v < kV; ++v) acc[r][v] += ar * bv[v];
     }
-  };
-  // Every column of `rows` rows starting at row i.
-  const auto row_block = [&](std::size_t i, auto rows) {
-    std::size_t j = 0;
-    for (; j + kVecs * kW <= n; j += kVecs * kW) block(i, j, rows, Count<kVecs>{});
-    for (; j + kW <= n; j += kW) block(i, j, rows, Count<1>{});
-    for (std::size_t r = i; r < i + decltype(rows)::value; ++r)
-      for (std::size_t jj = j; jj < n; ++jj) {
-        double s = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) s += a[r * ars + kk * aks] * b[kk * ldb + jj];
-        c[r * ldc + jj] = s;
-      }
-  };
+  }
+  for (std::size_t r = 0; r < kR; ++r) {
+    U* crow = reinterpret_cast<U*>(c + (i + r) * ldc + j);
+    for (std::size_t v = 0; v < kV; ++v) crow[v] = acc[r][v];
+  }
+}
+
+/// Every column of the kR rows of C starting at row i: full kVecs-vector
+/// blocks, then single vectors, then the ragged columns one at a time with
+/// the same ascending-kk accumulation.
+template <std::size_t kW, std::size_t kVecs, std::size_t kR>
+OAL_KERNEL_BODY void gemm_rows(const Gemm& g, std::size_t ars, std::size_t aks, std::size_t i) {
+  const std::size_t n = g.n, k = g.k, ldb = g.ldb, ldc = g.ldc;
+  const double* __restrict__ a = g.a;
+  const double* __restrict__ b = g.b;
+  double* __restrict__ c = g.c;
+  std::size_t j = 0;
+  for (; j + kVecs * kW <= n; j += kVecs * kW) gemm_block<kW, kR, kVecs>(g, ars, aks, i, j);
+  for (; j + kW <= n; j += kW) gemm_block<kW, kR, 1>(g, ars, aks, i, j);
+  for (std::size_t r = i; r < i + kR; ++r)
+    for (std::size_t jj = j; jj < n; ++jj) {
+      double s = 0.0;
+      for (std::size_t kk = 0; kk < k; ++kk) s += a[r * ars + kk * aks] * b[kk * ldb + jj];
+      c[r * ldc + jj] = s;
+    }
+}
+
+/// C = op(A) * B in blocks of kRows rows x kVecs vectors of kW doubles;
+/// leftover rows go one at a time.
+template <std::size_t kW, std::size_t kVecs>
+OAL_KERNEL_BODY void gemm_body(const Gemm& g, std::size_t ars, std::size_t aks) {
   std::size_t i = 0;
-  for (; i + kRows <= m; i += kRows) row_block(i, Count<kRows>{});
-  for (; i < m; ++i) row_block(i, Count<1>{});
+  for (; i + kRows <= g.m; i += kRows) gemm_rows<kW, kVecs, kRows>(g, ars, aks, i);
+  for (; i < g.m; ++i) gemm_rows<kW, kVecs, 1>(g, ars, aks, i);
 }
 
 OAL_KERNEL_BODY void col_sums_body(std::size_t rows, std::size_t cols,
@@ -151,22 +160,6 @@ OAL_AVX2 void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* 
 constexpr KernelTable kTable{"avx2", gemm_nn, gemm_tn, col_sums, adam};
 }  // namespace avx2
 #undef OAL_AVX2
-
-#define OAL_AVX512 __attribute__((target("avx512f")))
-namespace avx512 {
-OAL_AVX512 void gemm_nn(const Gemm& g) { gemm_body<8, 1>(g, g.lda, 1); }
-OAL_AVX512 void gemm_tn(const Gemm& g) { gemm_body<8, 1>(g, 1, g.lda); }
-OAL_AVX512 void col_sums(std::size_t rows, std::size_t cols, const double* a, std::size_t lda,
-                         double* s) {
-  col_sums_body(rows, cols, a, lda, s);
-}
-OAL_AVX512 void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* w, double* m,
-                     double* v, const double* g) {
-  adam_body(n, p, weight_decay, w, m, v, g);
-}
-constexpr KernelTable kTable{"avx512", gemm_nn, gemm_tn, col_sums, adam};
-}  // namespace avx512
-#undef OAL_AVX512
 #endif
 
 #undef OAL_KERNEL_BODY
@@ -176,7 +169,6 @@ std::vector<KernelTable> detect() {
 #ifdef OAL_KERNELS_X86
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) v.push_back(avx2::kTable);
-  if (__builtin_cpu_supports("avx512f")) v.push_back(avx512::kTable);
 #endif
   return v;
 }

@@ -2,19 +2,19 @@
 //
 // The minibatch trainers (ml/mlp.cpp) and the Adam optimizer spend their
 // time in four small loops: two GEMM shapes, a column-sum reduction and
-// Adam's per-parameter update.  Each is compiled in several ISA variants
-// (baseline x86-64, AVX2, AVX-512F) and the widest one the host supports is
-// chosen once, on first use.  There is no build option or environment
-// variable: the choice cannot change results, because every variant performs
-// the same IEEE-754 operations in the same order and only packs independent
-// output elements into wider vector lanes.  Two rules keep that true:
+// Adam's per-parameter update.  Each is compiled in two ISA variants
+// (baseline x86-64 and AVX2) and the widest one the host supports is chosen
+// once, on first use.  There is no build option or environment variable: the
+// choice cannot change results, because every variant performs the same
+// IEEE-754 operations in the same order and only packs independent output
+// elements into wider vector lanes.  Two rules keep that true:
 //   * no reduction is reassociated — each output element accumulates its
 //     terms in ascending index order starting from 0.0, exactly like the
 //     scalar loop, whatever the vector width;
 //   * no multiply-add is contracted into an FMA.  The translation unit that
 //     holds the variants is compiled with -ffp-contract=off (see
-//     CMakeLists.txt); GCC's avx512f target implies FMA, and a contracted
-//     a*b+c rounds once instead of twice.
+//     CMakeLists.txt), because a contracted a*b+c rounds once instead of
+//     twice.
 // tests/test_kernels.cpp runs every supported variant on ragged shapes and
 // asserts bit equality with the baseline.
 #pragma once

@@ -7,8 +7,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "common/kernels.h"
-
 namespace oal::common {
 
 Mat::Mat(std::size_t rows, std::size_t cols, double fill)
@@ -190,30 +188,11 @@ void matvec_into(const Mat& a, const Vec& v, Vec& out) {
   }
 }
 
-// ---- GEMM kernels ----------------------------------------------------------
+// ---- Batch kernels ---------------------------------------------------------
 //
 // Each element accumulates its reduction strictly in ascending index order
 // starting from 0.0 (no zero-skip shortcuts, unlike operator*), so results are
 // bitwise reproducible and a 1-row batch reproduces the per-sample loops.
-// matmul, matmul_tn and col_sums are by-value wrappers over the
-// runtime-dispatched raw-pointer kernels (common/kernels.h) that the trainers
-// call directly.
-
-Mat matmul(const Mat& a, const Mat& b) {
-  if (a.cols() != b.rows()) throw std::invalid_argument("matmul: inner dim mismatch");
-  Mat r(a.rows(), b.cols());
-  kernels::active().gemm_nn(
-      {a.rows(), b.cols(), a.cols(), a.raw(), a.cols(), b.raw(), b.cols(), r.raw(), r.cols()});
-  return r;
-}
-
-Mat matmul_tn(const Mat& a, const Mat& b) {
-  if (a.rows() != b.rows()) throw std::invalid_argument("matmul_tn: leading dim mismatch");
-  Mat r(a.cols(), b.cols());
-  kernels::active().gemm_tn(
-      {a.cols(), b.cols(), a.rows(), a.raw(), a.cols(), b.raw(), b.cols(), r.raw(), r.cols()});
-  return r;
-}
 
 Mat matmul_nt(const Mat& a, const Mat& b) {
   if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: trailing dim mismatch");
@@ -238,12 +217,6 @@ void add_row_broadcast(Mat& m, const Vec& v) {
   if (v.size() != m.cols()) throw std::invalid_argument("add_row_broadcast: size mismatch");
   for (std::size_t r = 0; r < m.rows(); ++r)
     for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) += v[c];
-}
-
-Vec col_sums(const Mat& m) {
-  Vec s(m.cols(), 0.0);
-  kernels::active().col_sums(m.rows(), m.cols(), m.raw(), m.cols(), s.data());
-  return s;
 }
 
 Mat outer(const Vec& a, const Vec& b) {

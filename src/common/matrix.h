@@ -89,22 +89,16 @@ Mat outer(const Vec& a, const Vec& b);
 /// v); the same summation order as Mat::operator*(Vec), which wraps it.
 void matvec_into(const Mat& a, const Vec& v, Vec& out);
 
-// ---- GEMM kernels ----------------------------------------------------------
-// By-value batch kernels (rows = samples).  Every output element reduces in
+// ---- Batch kernels ---------------------------------------------------------
+// Batch forward kernels (rows = samples).  Every output element reduces in
 // ascending index order from 0.0 with no zero-skip, so results are bitwise
 // deterministic and a 1-row batch matches the per-sample scalar loops.  The
-// trainers call the raw-pointer forms in common/kernels.h instead.
+// trainers use the raw-pointer kernels in common/kernels.h.
 
-/// C = A * B.
-Mat matmul(const Mat& a, const Mat& b);
-/// C = A^T * B (fused transpose; the batch weight-gradient kernel dY^T * X).
-Mat matmul_tn(const Mat& a, const Mat& b);
 /// C = A * B^T (fused transpose; the batch forward kernel X * W^T).
 Mat matmul_nt(const Mat& a, const Mat& b);
 /// m(r, :) += v for every row r (bias broadcast).
 void add_row_broadcast(Mat& m, const Vec& v);
-/// Column sums (the batch bias-gradient reduction).
-Vec col_sums(const Mat& m);
 
 // ---- Factorizations & solvers ---------------------------------------------
 
