@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> nmpc_workloads{"EpicCitadel", "SharkDash", "GFXBench-trex"};
   for (const std::string& name : nmpc_workloads) {
     const std::string id = "ablate/enmpc/" + name;
-    registry.add_any(id, [id, name, fps] { return nmpc_vs_enmpc_arm(id, name, fps); });
+    registry.add(id, [id, name, fps] { return nmpc_vs_enmpc_arm(id, name, fps); });
   }
 
   // ---- Section D: forgetting factors ---------------------------------------
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   staff_arms.push_back({"STAFF (adaptive)", ml::StaffConfig{}});
   for (std::size_t i = 0; i < staff_arms.size(); ++i) {
     const std::string id = "ablate/staff/" + std::to_string(i);
-    registry.add_any(id, [id, cfg = staff_arms[i].cfg] { return staff_arm(id, cfg); });
+    registry.add(id, [id, cfg = staff_arms[i].cfg] { return staff_arm(id, cfg); });
   }
 
   if (driver.listing()) return driver.list(registry);

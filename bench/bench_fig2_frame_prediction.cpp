@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
 
   auto harvest = std::make_shared<Harvest>();
   ScenarioRegistry registry;
-  registry.add_any("fig2/nenamark2", [num_frames, warmup, harvest] {
+  registry.add("fig2/nenamark2", [num_frames, warmup, harvest] {
     GpuScenario s;
     {
       common::Rng rng(5);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   for (const auto& spec : workloads::GpuBenchmarks::fig5_suite()) {
     for (const char* arm : {"baseline", "enmpc"}) {
       const bool baseline = arm == std::string("baseline");
-      registry.add_any("fig5/" + spec.name + "/" + arm, [spec, frames, fps, cfg, baseline] {
+      registry.add("fig5/" + spec.name + "/" + arm, [spec, frames, fps, cfg, baseline] {
         common::Rng trng(1000 + spec.id);
         GpuScenario s;
         s.fps_target = fps;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   const auto add_thermal_arm = [&registry, thermal_spec, frames, fps](
                                    const std::string& id, NmpcConfig arm_cfg,
                                    soc::ThermalGpuConstraintParams thermal) {
-    registry.add_any(id, [thermal_spec, frames, fps, arm_cfg, thermal] {
+    registry.add(id, [thermal_spec, frames, fps, arm_cfg, thermal] {
       common::Rng trng(1000 + thermal_spec.id);
       GpuScenario s;
       s.fps_target = fps;

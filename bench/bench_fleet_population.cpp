@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   // other bench.  Builders are lazy: cataloging never builds a scenario.
   core::ScenarioRegistry registry;
   for (std::size_t i = 0; i < population.size(); ++i)
-    registry.add_any(population.spec(i).id, [population, i] { return population.scenario(i); });
+    registry.add(population.spec(i).id, [population, i] { return population.scenario(i); });
 
   if (driver.listing()) return driver.list(registry);
 
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   const std::size_t ran = engine.run_any_streaming(
       [&]() -> std::optional<core::AnyScenario> {
         if (cursor >= names.size()) return std::nullopt;
-        return registry.build_any(names[cursor++]);
+        return registry.build(names[cursor++]);
       },
       [&](core::AnyResult&& r) { aggregate.add(r); }, core::StreamOptions{shard_size});
 

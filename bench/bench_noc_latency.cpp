@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
   ScenarioRegistry registry;
   const auto add_point = [&registry](const std::string& name, const TrafficMatrix& tm,
                                      std::uint64_t seed, const NocParams& p, bool analytical) {
-    registry.add_any(name,
-                     [tm, seed, p, analytical] { return sim_point(tm, seed, p, analytical); });
+    registry.add(name, [tm, seed, p, analytical] { return sim_point(tm, seed, p, analytical); });
   };
   for (std::size_t ri = 0; ri < 5; ++ri) {
     const double rate = rates[ri];

@@ -128,12 +128,14 @@ static void BM_ArtifactStoreWarmLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_ArtifactStoreWarmLoad)->Unit(benchmark::kMicrosecond);
 
+// The scratch decide the controllers run.
 static void BM_IlPolicyDecision(benchmark::State& state) {
   auto& f = cpu_fixture();
   const FeatureExtractor fx(f.plat.space());
   const common::Vec s = fx.policy_features(f.result.counters, f.config);
+  IlPolicy::Scratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.policy->decide(s));
+    benchmark::DoNotOptimize(f.policy->decide(s, scratch));
   }
 }
 BENCHMARK(BM_IlPolicyDecision)->Unit(benchmark::kMicrosecond);
@@ -169,11 +171,14 @@ static void BM_IlRetrain1600x15(benchmark::State& state) {
 }
 BENCHMARK(BM_IlRetrain1600x15)->Unit(benchmark::kMillisecond);
 
+// One candidate score as the online-IL neighborhood sweep runs it: the phi
+// overload with one reused feature buffer.
 static void BM_ModelCandidateEval(benchmark::State& state) {
   auto& f = cpu_fixture();
   const WorkloadFeatures w = workload_features(f.result.counters, f.config);
+  common::Vec phi;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.models->predict_log_cost(w, f.config));
+    benchmark::DoNotOptimize(f.models->predict_log_cost(w, f.config, phi));
   }
 }
 BENCHMARK(BM_ModelCandidateEval)->Unit(benchmark::kNanosecond);

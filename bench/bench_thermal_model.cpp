@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       {1.0, 0.3, 0.5}, {2.5, 0.6, 1.5}, {4.0, 0.8, 2.5}, {5.5, 1.0, 3.5}};
   for (std::size_t i = 0; i < fp_loads.size(); ++i) {
     const std::string id = "thermal/fixed_point/" + std::to_string(i);
-    registry.add_any(id, [id, l = fp_loads[i]] {
+    registry.add(id, [id, l = fp_loads[i]] {
       return AnyScenario(id, [id, l] {
         const auto n = bench_network();
         const auto lk = bench_leakage();
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Skin-temperature estimation ------------------------------------------
-  registry.add_any("thermal/skin/estimator", [] {
+  registry.add("thermal/skin/estimator", [] {
     return AnyScenario("thermal/skin/estimator", [] {
       const SkinDataset data;
       const std::size_t train_n = 800;
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   });
   for (std::size_t k = 1; k <= 4; ++k) {
     const std::string id = "thermal/skin/sensors/" + std::to_string(k);
-    registry.add_any(id, [id, k] {
+    registry.add(id, [id, k] {
       return AnyScenario(id, [id, k] {
         const SkinDataset data;
         const auto order = greedy_sensor_selection(data.readings, data.skin_truth, 4);
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
   const common::Vec shape{0.55, 0.1, 0.35, 0.0, 0.0};  // big-heavy workload mix
   for (double h : horizons) {
     const std::string id = "thermal/headroom/" + common::Table::fmt(h, 0);
-    registry.add_any(id, [id, h, shape] {
+    registry.add(id, [id, h, shape] {
       return AnyScenario(id, [id, h, shape] {
         RcThermalNetwork fresh = bench_network();
         const double w =
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
       s.oracle_cache = cache;
       return s;
     });
-    registry.add_any("thermal_drm/budget/" + name, [trace, factory, cache, tight] {
+    registry.add("thermal_drm/budget/" + name, [trace, factory, cache, tight] {
       Scenario s;
       s.trace = trace;
       s.make_controller = factory;
@@ -271,14 +271,14 @@ int main(int argc, char** argv) {
     for (const char* mode : {"blind", "aware"}) {
       const ControllerFactory factory =
           mode == std::string("blind") ? factories.first : factories.second;
-      registry.add_any("thermal_aware/" + std::string(mode) + "/" + name,
-                       [long_trace, factory, cache, tight] {
-                         Scenario s;
-                         s.trace = long_trace;
-                         s.make_controller = factory;
-                         s.oracle_cache = cache;
-                         return AnyScenario(ThermalDrmScenario{std::move(s), tight});
-                       });
+      registry.add("thermal_aware/" + std::string(mode) + "/" + name,
+                   [long_trace, factory, cache, tight] {
+                     Scenario s;
+                     s.trace = long_trace;
+                     s.make_controller = factory;
+                     s.oracle_cache = cache;
+                     return AnyScenario(ThermalDrmScenario{std::move(s), tight});
+                   });
     }
   }
 

@@ -159,7 +159,7 @@ std::vector<core::AnyScenario> BenchDriver::select(
   const std::vector<std::string> names = selection(registry);
   std::vector<core::AnyScenario> out;
   out.reserve(names.size());
-  for (const std::string& name : names) out.push_back(registry.build_any(name));
+  for (const std::string& name : names) out.push_back(registry.build(name));
   return out;
 }
 

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   ScenarioRegistry registry;
   const auto add_arm = [&](const std::string& id, GpuControllerFactory factory) {
     ArmInfo* slot = &(*info)[id];
-    registry.add_any(id, [id, slot, factory, spec, frames, fps] {
+    registry.add(id, [id, slot, factory, spec, frames, fps] {
       common::Rng trng(3);
       GpuScenario s;
       s.id = id;

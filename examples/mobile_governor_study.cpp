@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
-#include <memory>
 
 #include "bench/driver.h"
 #include "common/table.h"
@@ -38,12 +37,18 @@ int main(int argc, char** argv) {
   auto seq = workloads::CpuBenchmarks::sequence(apps, seq_rng);
   if (seq.size() > max_snippets) seq.resize(max_snippets);
 
+  // Each builder harvests its controller's display name into its own
+  // pre-inserted map slot as the scenario runs — no shared mutation.
+  std::map<std::string, std::string> names;
   ScenarioRegistry registry;
-  const auto add_governor = [&registry, &seq](const std::string& name, ControllerFactory make) {
-    registry.add("governors/" + name, [seq, make] {
+  const auto add_governor = [&](const std::string& name, ControllerFactory make) {
+    const std::string id = "governors/" + name;
+    std::string* slot = &names[id];
+    registry.add(id, [seq, make, slot] {
       Scenario s;
       s.trace = seq;
       s.make_controller = make;
+      s.on_complete = [slot](DrmController& ctl, const RunResult&) { *slot = ctl.name(); };
       return s;
     });
   };
@@ -62,31 +67,15 @@ int main(int argc, char** argv) {
   if (driver.listing()) return driver.list(registry);
   std::printf("Workload: FFT -> Kmeans -> Blkschls-4T, %zu snippets\n\n", seq.size());
 
-  // Harvest the display name of each controller as its scenario runs.  Each
-  // on_complete writes its own pre-inserted map slot — no shared mutation.
-  auto names = std::make_shared<std::map<std::string, std::string>>();
-  std::vector<Scenario> batch;
-  for (const std::string& name : driver.selection(registry)) batch.push_back(registry.build(name));
-  for (Scenario& s : batch) {
-    std::string* slot = &(*names)[s.id];
-    s.on_complete = [slot](DrmController& ctl, const RunResult&) { *slot = ctl.name(); };
-  }
-
   ExperimentEngine engine;
-  const auto results = engine.run_batch(batch);
-  {
-    // The DRM-typed run_batch path has no AnyResults; wrap them so --json
-    // emits per-arm records like every other driver-ported binary.
-    std::vector<AnyResult> records;
-    records.reserve(results.size());
-    for (const auto& r : results) records.emplace_back(r.id, r.run, drm_metrics(r.run));
-    driver.json().write(driver.bench_name(), records);
-  }
+  const std::vector<AnyResult> results = engine.run_any(driver.select(registry));
+  driver.json().write(driver.bench_name(), results);
   common::Table t({"Controller", "Energy (J)", "E/Oracle", "Time (s)"});
-  for (const auto& r : results) {
-    t.add_row({names->at(r.id), common::Table::fmt(r.run.total_energy_j(), 2),
-               common::Table::fmt(r.run.energy_ratio(), 2),
-               common::Table::fmt(r.run.total_time_s(), 1)});
+  for (const AnyResult& r : results) {
+    const RunResult& run = r.as<RunResult>();
+    t.add_row({names.at(r.id()), common::Table::fmt(run.total_energy_j(), 2),
+               common::Table::fmt(run.energy_ratio(), 2),
+               common::Table::fmt(run.total_time_s(), 1)});
   }
 
   t.print(std::cout);

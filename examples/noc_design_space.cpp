@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   for (const SweepPoint& p : points) {
     const std::string id = "noc/sweep/" + std::to_string(p.dim) + "x" + std::to_string(p.dim) +
                            "/r" + common::Table::fmt(p.rate, 2);
-    registry.add_any(id, [id, p] {
+    registry.add(id, [id, p] {
       NocScenario s;
       s.id = id;
       s.mesh_cols = p.dim;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   // The 18 training simulations and 3 verification simulations run inside
   // the arm (deterministic per-sim seeds), so the arm as a whole is one
   // batch member next to the sweep cells.
-  registry.add_any("noc/calibrated", [measure_cycles] {
+  registry.add("noc/calibrated", [measure_cycles] {
     return AnyScenario("noc/calibrated", [measure_cycles] {
       const Mesh mesh(8, 8);
       const NocSimulator sim(mesh);

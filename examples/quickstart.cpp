@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
   ScenarioRegistry registry;
   const std::string arm = "quickstart/online-il";
-  registry.add_any(arm, [arm, online_snippets, snippets_per_app] {
+  registry.add(arm, [arm, online_snippets, snippets_per_app] {
     return AnyScenario(arm, [arm, online_snippets, snippets_per_app] {
       // The platform: an Exynos-5422-class big.LITTLE SoC simulator with the
       // Table-I performance counters.

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
   ScenarioRegistry registry;
   const std::string arm = "thermal_budget/closed-loop";
-  registry.add_any(arm, [arm, ticks] {
+  registry.add(arm, [arm, ticks] {
     return AnyScenario(arm, [arm, ticks] {
       auto net = RcThermalNetwork::mobile_soc();
       LeakageModel leak;

@@ -188,37 +188,6 @@ void matvec_into(const Mat& a, const Vec& v, Vec& out) {
   }
 }
 
-// ---- Batch kernels ---------------------------------------------------------
-//
-// Each element accumulates its reduction strictly in ascending index order
-// starting from 0.0 (no zero-skip shortcuts, unlike operator*), so results are
-// bitwise reproducible and a 1-row batch reproduces the per-sample loops.
-
-Mat matmul_nt(const Mat& a, const Mat& b) {
-  if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: trailing dim mismatch");
-  const std::size_t m = a.rows(), n = b.rows(), kk = a.cols();
-  Mat r(m, n);
-  const double* __restrict__ ap = a.raw();
-  const double* __restrict__ bp = b.raw();
-  double* __restrict__ rp = r.raw();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = ap + i * kk;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* brow = bp + j * kk;
-      double s = 0.0;
-      for (std::size_t k = 0; k < kk; ++k) s += arow[k] * brow[k];
-      rp[i * n + j] = s;
-    }
-  }
-  return r;
-}
-
-void add_row_broadcast(Mat& m, const Vec& v) {
-  if (v.size() != m.cols()) throw std::invalid_argument("add_row_broadcast: size mismatch");
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) += v[c];
-}
-
 Mat outer(const Vec& a, const Vec& b) {
   Mat m(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)

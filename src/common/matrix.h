@@ -89,17 +89,6 @@ Mat outer(const Vec& a, const Vec& b);
 /// v); the same summation order as Mat::operator*(Vec), which wraps it.
 void matvec_into(const Mat& a, const Vec& v, Vec& out);
 
-// ---- Batch kernels ---------------------------------------------------------
-// Batch forward kernels (rows = samples).  Every output element reduces in
-// ascending index order from 0.0 with no zero-skip, so results are bitwise
-// deterministic and a 1-row batch matches the per-sample scalar loops.  The
-// trainers use the raw-pointer kernels in common/kernels.h.
-
-/// C = A * B^T (fused transpose; the batch forward kernel X * W^T).
-Mat matmul_nt(const Mat& a, const Mat& b);
-/// m(r, :) += v for every row r (bias broadcast).
-void add_row_broadcast(Mat& m, const Vec& v);
-
 // ---- Factorizations & solvers ---------------------------------------------
 
 /// LU factors with partial pivoting: P A = L U packed in `lu` (unit-diagonal

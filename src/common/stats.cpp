@@ -50,6 +50,10 @@ double max_of(const std::vector<double>& xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
+bool is_count(double v, double max) {
+  return std::isfinite(v) && v >= 0.0 && v <= max && v == std::floor(v);
+}
+
 double sum(const std::vector<double>& xs) {
   double s = 0.0;
   for (double x : xs) s += x;

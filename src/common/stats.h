@@ -23,6 +23,10 @@ double min_of(const std::vector<double>& xs);
 double max_of(const std::vector<double>& xs);
 double sum(const std::vector<double>& xs);
 
+/// True when `v`, a count field read from an untrusted blob, is finite,
+/// integral and in [0, max], so its cast to size_t is exact and defined.
+bool is_count(double v, double max);
+
 /// Mean absolute percentage error: mean(|pred - actual| / |actual|) * 100.
 /// Entries with |actual| < eps are skipped.
 double mape(const std::vector<double>& actual, const std::vector<double>& predicted,

@@ -11,24 +11,6 @@ namespace oal::core {
 
 namespace {
 
-// The shared scheduling/determinism core behind every public entry point:
-// run the n-element shard on the pool (each index independent; run_indexed
-// rethrows the lowest-index exception after the shard drains), then deliver
-// results to the sink in id order.  Delivery order is a pure function of
-// the shard's ids — independent of thread count and scheduling — so a
-// stateful sink aggregates the identical stream serial vs parallel.
-template <typename ResultT, typename RunFn, typename IdFn, typename SinkT>
-void run_shard_into_sink(common::ThreadPool& pool, std::size_t n, const RunFn& run_one,
-                         const IdFn& id_of, const SinkT& sink) {
-  std::vector<ResultT> results(n);
-  pool.run_indexed(n, [&](std::size_t i) { results[i] = run_one(i); });
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return id_of(results[a]) < id_of(results[b]); });
-  for (std::size_t i : order) sink(std::move(results[i]));
-}
-
 // Shared id/runnability validation; `ids` accumulates across shards so a
 // streaming sweep rejects duplicates over the whole population.
 void validate_any(const AnyScenario& s, std::unordered_set<std::string>& ids) {
@@ -75,19 +57,17 @@ ScenarioResult ExperimentEngine::run_scenario(const Scenario& s, const RunCustom
   return result;
 }
 
-void ExperimentEngine::run_any(const std::vector<AnyScenario>& batch, const AnySink& sink) {
-  if (!sink) throw std::invalid_argument("ExperimentEngine: null sink");
-  std::unordered_set<std::string> ids;
-  for (const AnyScenario& s : batch) validate_any(s, ids);
-  run_shard_into_sink<AnyResult>(
-      pool_, batch.size(), [&](std::size_t i) { return batch[i].run(); },
-      [](const AnyResult& r) -> const std::string& { return r.id(); }, sink);
-}
-
 std::vector<AnyResult> ExperimentEngine::run_any(const std::vector<AnyScenario>& batch) {
   std::vector<AnyResult> results;
   results.reserve(batch.size());
-  run_any(batch, [&](AnyResult&& r) { results.push_back(std::move(r)); });
+  std::size_t next = 0;
+  run_any_streaming(
+      [&]() -> std::optional<AnyScenario> {
+        if (next == batch.size()) return std::nullopt;
+        return batch[next++];
+      },
+      [&](AnyResult&& r) { results.push_back(std::move(r)); },
+      StreamOptions{std::max<std::size_t>(batch.size(), 1)});
   return results;
 }
 
@@ -115,36 +95,21 @@ std::size_t ExperimentEngine::run_any_streaming(const AnyGenerator& generator, c
       shard.push_back(std::move(*s));
     }
     if (shard.empty()) break;
-    run_shard_into_sink<AnyResult>(
-        pool_, shard.size(), [&](std::size_t i) { return shard[i].run(); },
-        [](const AnyResult& r) -> const std::string& { return r.id(); }, sink);
+    // Each index is independent; run_indexed rethrows the lowest-index
+    // exception after the shard drains.  Delivery order is a pure function
+    // of the shard's ids — independent of thread count and scheduling — so a
+    // stateful sink aggregates the identical stream serial vs parallel.
+    std::vector<AnyResult> results(shard.size());
+    pool_.run_indexed(shard.size(), [&](std::size_t i) { results[i] = shard[i].run(); });
+    std::vector<std::size_t> order(results.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return results[a].id() < results[b].id();
+    });
+    for (std::size_t i : order) sink(std::move(results[i]));
     total += shard.size();
   }
   return total;
-}
-
-void ExperimentEngine::run_batch(const std::vector<Scenario>& batch, const ScenarioSink& sink) {
-  // Deliberately not routed through run_any: type erasure would copy every
-  // Scenario in and deep-copy every RunResult out, pure overhead for the
-  // all-DRM hot path.  Validation and execution semantics are identical,
-  // and the scheduling/delivery core is the same template.
-  if (!sink) throw std::invalid_argument("ExperimentEngine: null sink");
-  std::unordered_set<std::string> ids;
-  for (const Scenario& s : batch) {
-    if (s.id.empty()) throw std::invalid_argument("ExperimentEngine: scenario with empty id");
-    if (!ids.insert(s.id).second)
-      throw std::invalid_argument("ExperimentEngine: duplicate scenario id '" + s.id + "'");
-  }
-  run_shard_into_sink<ScenarioResult>(
-      pool_, batch.size(), [&](std::size_t i) { return run_scenario(batch[i]); },
-      [](const ScenarioResult& r) -> const std::string& { return r.id; }, sink);
-}
-
-std::vector<ScenarioResult> ExperimentEngine::run_batch(const std::vector<Scenario>& batch) {
-  std::vector<ScenarioResult> results;
-  results.reserve(batch.size());
-  run_batch(batch, [&](ScenarioResult&& r) { results.push_back(std::move(r)); });
-  return results;
 }
 
 }  // namespace oal::core

@@ -22,15 +22,14 @@
 // artifacts (e.g. an offline dataset behind a shared_ptr) but must copy
 // anything the controller mutates.
 //
-// The result path is streaming-first: one shared scheduling/determinism core
-// runs a materialized shard on the pool and delivers every result to a sink
-// callback in id order, so a downstream aggregator sees the identical
-// result stream regardless of thread count.  The vector-returning APIs are
-// thin wrappers (sink = push_back) and run_any_streaming() feeds the same
-// core from a lazy generator in fixed-size shards — peak result memory is
-// one shard, not the population, which is what lets fleet-scale sweeps
-// (thousands of device arms) run through the same engine and keep the
-// parallel==serial bitwise contract per shard.
+// There is one execution path: run_any_streaming() pulls scenarios from a
+// lazy generator in fixed-size shards, runs each shard on the pool, and
+// delivers its results to a sink callback in id order, so a downstream
+// aggregator sees the identical result stream regardless of thread count.
+// Peak result memory is one shard, not the population, which is what lets
+// fleet-scale sweeps (thousands of device arms) run through the same engine
+// and keep the parallel==serial bitwise contract per shard.  The vector
+// run_any() is that path with the whole batch as one shard.
 #pragma once
 
 #include <cstdint>
@@ -130,12 +129,11 @@ class ExperimentEngine {
  public:
   using Options = ExperimentOptions;
 
-  /// Per-result delivery callback of the streaming core, invoked on the
+  /// Per-result delivery callback of run_any_streaming, invoked on the
   /// calling thread in id order (never concurrently).  A sink may throw:
   /// the exception propagates to the caller and undelivered results of the
   /// current shard are dropped.
   using AnySink = std::function<void(AnyResult&&)>;
-  using ScenarioSink = std::function<void(ScenarioResult&&)>;
   /// Lazy scenario source for run_any_streaming: one scenario per call,
   /// std::nullopt when the population is exhausted.  Called on the engine's
   /// calling thread only (never concurrently), so a generator may hold
@@ -144,26 +142,13 @@ class ExperimentEngine {
 
   explicit ExperimentEngine(Options opts = Options());
 
-  /// Executes the batch in parallel; returns results sorted by scenario id.
-  /// Throws std::invalid_argument on empty/duplicate ids or a null factory.
-  /// Same contract as run_any, implemented directly (no type erasure) so
-  /// the all-DRM hot path avoids Scenario/RunResult copies.
-  std::vector<ScenarioResult> run_batch(const std::vector<Scenario>& batch);
-
-  /// Streaming form: delivers each ScenarioResult to `sink` in id order
-  /// instead of collecting a vector.  The vector form is a thin wrapper
-  /// over this (sink = push_back).
-  void run_batch(const std::vector<Scenario>& batch, const ScenarioSink& sink);
-
   /// Domain-generic batch execution: DRM, GPU-ENMPC, NoC, thermally-
   /// constrained DRM, and custom scenarios mix freely (see core/domain.h).
-  /// Same contract as run_batch: results sorted by id, parallel bitwise ==
-  /// serial, lowest-index exception rethrown after the batch drains.
+  /// Returns results sorted by scenario id; parallel is bitwise == serial;
+  /// the lowest-index exception is rethrown after the batch drains.  Throws
+  /// std::invalid_argument on empty/duplicate ids or a non-runnable
+  /// scenario, before anything runs.  One run_any_streaming shard.
   std::vector<AnyResult> run_any(const std::vector<AnyScenario>& batch);
-
-  /// Streaming form of run_any (sink called in id order; the vector form is
-  /// a thin wrapper over this).
-  void run_any(const std::vector<AnyScenario>& batch, const AnySink& sink);
 
   /// Sharded streaming sweep over a lazily-generated population: pulls up to
   /// StreamOptions::shard_size scenarios from `generator`, runs the shard on
@@ -176,13 +161,8 @@ class ExperimentEngine {
   std::size_t run_any_streaming(const AnyGenerator& generator, const AnySink& sink,
                                 const StreamOptions& stream = {});
 
-  /// Deterministic parallel map over arbitrary items (for sweeps that are
-  /// not DRM runs, e.g. NoC design points): out[i] = fn(items[i], i).
-  template <typename T, typename F>
-  auto map(const std::vector<T>& items, F&& fn) {
-    return pool_.parallel_map(items, std::forward<F>(fn));
-  }
-
+  /// The engine's pool, also for deterministic sweeps that are not scenario
+  /// runs (ThreadPool::parallel_map, e.g. NoC design points).
   common::ThreadPool& pool() { return pool_; }
 
   /// Customization point for domain adapters (e.g. thermal budgeting):

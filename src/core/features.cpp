@@ -26,38 +26,8 @@ WorkloadFeatures workload_features(const soc::PerfCounters& k, const soc::SocCon
 common::Vec FeatureExtractor::policy_features(const soc::PerfCounters& k,
                                               const soc::SocConfig& current,
                                               const soc::ThermalTelemetry& telemetry) const {
-  const WorkloadFeatures w = workload_features(k, current);
-  const double fl_norm = static_cast<double>(current.little_freq_idx) /
-                         static_cast<double>(space_.little_freqs().size() - 1);
-  const double fb_norm = static_cast<double>(current.big_freq_idx) /
-                         static_cast<double>(space_.big_freqs().size() - 1);
-  common::Vec v{w.mpki,
-                w.bmpki,
-                w.mem_ai,
-                w.ext_per_inst,
-                w.pf_proxy,
-                w.cpi_obs,
-                w.runnable / 4.0,
-                k.little_cluster_utilization,
-                k.big_cluster_utilization,
-                static_cast<double>(current.num_little) / 4.0,
-                static_cast<double>(current.num_big) / 4.0,
-                0.5 * (fl_norm + fb_norm)};
-  if (thermal_aware_) {
-    // Proximity of each thermal limit (0 = at ambient, 1 = at the throttle
-    // limit; can exceed 1 transiently) and the budget normalized by the
-    // neutral "no budget binds" level.  All three are ~[0, 1] scaled, like
-    // the knob features, and take their neutral values (0, 0, 1) from a
-    // default-constructed telemetry so blind-collected datasets stay usable.
-    const auto proximity = [](double t_c, double limit_c, double ambient_c) {
-      const double span = std::max(limit_c - ambient_c, 1.0);
-      return std::clamp((t_c - ambient_c) / span, 0.0, 1.5);
-    };
-    v.push_back(proximity(telemetry.junction_c, telemetry.junction_limit_c, telemetry.ambient_c));
-    v.push_back(proximity(telemetry.skin_c, telemetry.skin_limit_c, telemetry.ambient_c));
-    v.push_back(std::clamp(telemetry.budget_w / soc::ThermalTelemetry::kUnconstrainedBudgetW,
-                           0.0, 1.0));
-  }
+  common::Vec v;
+  policy_features_into(k, current, v, telemetry);
   return v;
 }
 
@@ -71,7 +41,7 @@ void FeatureExtractor::policy_features_into(const soc::PerfCounters& k,
   const double fb_norm = static_cast<double>(current.big_freq_idx) /
                          static_cast<double>(space_.big_freqs().size() - 1);
   // Indexed writes into a fixed-size buffer: resize reaches policy_dim()
-  // once, then is a no-op — and the per-element push_back branches are gone.
+  // once, then is a no-op.
   // oal-lint: allow(hot-path-alloc)
   out.resize(policy_dim());
   std::size_t i = 0;
@@ -88,6 +58,11 @@ void FeatureExtractor::policy_features_into(const soc::PerfCounters& k,
   out[i++] = static_cast<double>(current.num_big) / 4.0;
   out[i++] = 0.5 * (fl_norm + fb_norm);
   if (thermal_aware_) {
+    // Proximity of each thermal limit (0 = at ambient, 1 = at the throttle
+    // limit; can exceed 1 transiently) and the budget normalized by the
+    // neutral "no budget binds" level.  All three are ~[0, 1] scaled, like
+    // the knob features, and take their neutral values (0, 0, 1) from a
+    // default-constructed telemetry so blind-collected datasets stay usable.
     const auto proximity = [](double t_c, double limit_c, double ambient_c) {
       const double span = std::max(limit_c - ambient_c, 1.0);
       return std::clamp((t_c - ambient_c) / span, 0.0, 1.5);
@@ -102,6 +77,14 @@ void FeatureExtractor::policy_features_into(const soc::PerfCounters& k,
 
 common::Vec FeatureExtractor::model_features(const WorkloadFeatures& w,
                                              const soc::SocConfig& c) const {
+  common::Vec phi;
+  model_features_into(w, c, phi);
+  return phi;
+}
+
+// oal-lint: hot-path
+void FeatureExtractor::model_features_into(const WorkloadFeatures& w, const soc::SocConfig& c,
+                                           common::Vec& out) const {
   // Physically-motivated basis.  Let f_l, f_b be GHz, n_l, n_b core counts.
   // log(t/I) of the analytic platform is approximately affine in:
   //   log-speeds of the two clusters, memory-intensity crossings, and the
@@ -117,58 +100,14 @@ common::Vec FeatureExtractor::model_features(const WorkloadFeatures& w,
   const double mpki = w.mpki;
   // Parallel-fraction estimate from the run-queue depth (robust even when a
   // single core is active, unlike the utilization-based proxy).
-  const double pf = w.runnable > 1.0
-                        ? std::clamp((w.runnable - 1.0) / w.runnable, 0.0, 1.0)
-                        : w.pf_proxy;
-  // Usable parallel width: software threads cap hardware width.
-  const double w_eff =
-      std::min(std::max(w.runnable, 1.0), n_l + (big_on ? n_b : 0.0));
-  const double width = std::log(std::max(w_eff, 1.0) );
-
-  return {1.0,
-          log_fl,
-          log_fb,
-          big_on ? 1.0 : 0.0,
-          mpki,
-          mpki * f_l,
-          mpki * (big_on ? f_b : 0.0),
-          w.bmpki,
-          pf,
-          pf * width,
-          n_l,
-          big_on ? n_b : 0.0,
-          f_l,
-          big_on ? f_b : 0.0,
-          f_l * f_l,
-          big_on ? f_b * f_b : 0.0,
-          pf * log_fl,
-          pf * log_fb,
-          w.mem_ai,
-          w.ext_per_inst,
-          w_eff,
-          pf * w_eff,
-          pf / std::max(w_eff, 1.0)};
-}
-
-// oal-lint: hot-path
-void FeatureExtractor::model_features_into(const WorkloadFeatures& w, const soc::SocConfig& c,
-                                           common::Vec& out) const {
-  // Same basis as model_features, written into a reused buffer.
-  const double f_l = space_.little_freq_mhz(c) / 1000.0;  // GHz
-  const double f_b = space_.big_freq_mhz(c) / 1000.0;
-  const double n_l = static_cast<double>(c.num_little);
-  const double n_b = static_cast<double>(c.num_big);
-  const bool big_on = c.num_big >= 1;
-  const double log_fl = std::log(f_l);
-  const double log_fb = big_on ? std::log(f_b) : 0.0;
-  const double mpki = w.mpki;
   const double pf = w.runnable > 1.0 ? std::clamp((w.runnable - 1.0) / w.runnable, 0.0, 1.0)
                                      : w.pf_proxy;
+  // Usable parallel width: software threads cap hardware width.
   const double w_eff = std::min(std::max(w.runnable, 1.0), n_l + (big_on ? n_b : 0.0));
   const double width = std::log(std::max(w_eff, 1.0));
 
   // Indexed writes into a fixed-size buffer: resize reaches model_dim()
-  // once, then is a no-op — and the per-element push_back branches are gone.
+  // once, then is a no-op.
   // oal-lint: allow(hot-path-alloc)
   out.resize(model_dim());
   std::size_t i = 0;

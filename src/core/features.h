@@ -47,9 +47,9 @@ class FeatureExtractor {
   /// argument — encodes a cool, unconstrained device).
   common::Vec policy_features(const soc::PerfCounters& k, const soc::SocConfig& current,
                               const soc::ThermalTelemetry& telemetry = {}) const;
-  /// Allocation-free variant: writes the same state (bitwise identical, same
-  /// expression order) into `out`, which keeps its capacity across calls —
-  /// zero steady-state heap traffic once it has grown to policy_dim().
+  /// Allocation-free variant: writes the same state into `out`, which keeps
+  /// its capacity across calls — zero steady-state heap traffic once it has
+  /// grown to policy_dim().
   void policy_features_into(const soc::PerfCounters& k, const soc::SocConfig& current,
                             common::Vec& out, const soc::ThermalTelemetry& telemetry = {}) const;
   std::size_t policy_dim() const { return thermal_aware_ ? 12 + kThermalDims : 12; }
@@ -62,9 +62,9 @@ class FeatureExtractor {
   /// configuration crossed with workload features.  Targets are log(time per
   /// instruction) and log(power), which are close to linear in this basis.
   common::Vec model_features(const WorkloadFeatures& w, const soc::SocConfig& candidate) const;
-  /// Allocation-free variant of model_features (same values, same order)
-  /// into a caller-reused buffer — the per-candidate hot path of the
-  /// online-IL neighborhood sweep and the NMPC solvers.
+  /// Allocation-free variant of model_features into a caller-reused buffer —
+  /// the per-candidate hot path of the online-IL neighborhood sweep and the
+  /// NMPC solvers.
   void model_features_into(const WorkloadFeatures& w, const soc::SocConfig& candidate,
                            common::Vec& out) const;
   std::size_t model_dim() const;

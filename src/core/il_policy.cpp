@@ -60,8 +60,8 @@ double IlPolicy::train_incremental(const PolicyDataset& data, std::size_t epochs
 }
 
 soc::SocConfig IlPolicy::decide(const common::Vec& state) const {
-  if (!trained_) throw std::logic_error("IlPolicy::decide before training");
-  return config_of(net_.predict(scaler_.transform(state)));
+  Scratch s;
+  return decide(state, s);
 }
 
 // oal-lint: hot-path
@@ -69,9 +69,7 @@ soc::SocConfig IlPolicy::decide(const common::Vec& state, Scratch& s) const {
   if (!trained_) throw std::logic_error("IlPolicy::decide before training");
   scaler_.transform_into(state, s.z, s.scaler);
   net_.predict_into(s.z, s.cls, s.net);
-  // Same knob-label decoding as config_of, minus the intermediate vector.
-  return soc::SocConfig{static_cast<int>(s.cls[0]) + 1, static_cast<int>(s.cls[1]),
-                        static_cast<int>(s.cls[2]), static_cast<int>(s.cls[3])};
+  return config_of(s.cls);
 }
 // oal-lint: hot-path-end
 

@@ -55,7 +55,8 @@ class IlPolicy {
   /// the input space of the deployed network is stable).
   double train_incremental(const PolicyDataset& data, std::size_t epochs, common::Rng& rng);
 
-  /// Greedy policy decision from a raw (unscaled) state vector.
+  /// Greedy policy decision from a raw (unscaled) state vector:
+  /// decide(state, scratch) with throwaway buffers.
   soc::SocConfig decide(const common::Vec& state) const;
 
   /// Caller-owned scratch for the allocation-free decision path.  The
@@ -70,9 +71,8 @@ class IlPolicy {
     ml::MultiHeadClassifier::InferScratch net;  ///< trunk/logit buffers
     std::vector<std::size_t> cls;               ///< per-head argmax
   };
-  /// Allocation-free decide: same scaling arithmetic, argmax taken from the
-  /// head logits (softmax skipped — monotone).  Decisions are bitwise
-  /// identical to decide(state); asserted in tests/test_hot_path_alloc.cpp.
+  /// Allocation-free decide: scales the state, then takes each head's
+  /// argmax from its logits (MultiHeadClassifier::predict_into).
   soc::SocConfig decide(const common::Vec& state, Scratch& scratch) const;
 
   bool trained() const { return trained_; }

@@ -33,12 +33,8 @@ void OnlineSocModels::bootstrap(const std::vector<ModelSample>& samples, double 
 }
 
 double OnlineSocModels::update(const ModelSample& s) {
-  if (s.time_s <= 0.0 || s.instructions <= 0.0 || s.power_w <= 0.0)
-    throw std::invalid_argument("OnlineSocModels::update: non-positive sample");
-  const common::Vec phi = fx_.model_features(s.workload, s.config);
-  const double innovation = time_model_.update(phi, std::log(s.time_s / s.instructions));
-  power_model_.update(phi, std::log(s.power_w));
-  return innovation;
+  common::Vec phi;
+  return update(s, phi);
 }
 
 double OnlineSocModels::predict_time_s(const WorkloadFeatures& w, const soc::SocConfig& c,
@@ -47,7 +43,8 @@ double OnlineSocModels::predict_time_s(const WorkloadFeatures& w, const soc::Soc
 }
 
 double OnlineSocModels::predict_power_w(const WorkloadFeatures& w, const soc::SocConfig& c) const {
-  return std::exp(power_model_.predict(fx_.model_features(w, c)));
+  common::Vec phi;
+  return predict_power_w(w, c, phi);
 }
 
 double OnlineSocModels::predict_energy_j(const WorkloadFeatures& w, const soc::SocConfig& c,
@@ -57,8 +54,8 @@ double OnlineSocModels::predict_energy_j(const WorkloadFeatures& w, const soc::S
 }
 
 double OnlineSocModels::predict_log_cost(const WorkloadFeatures& w, const soc::SocConfig& c) const {
-  const common::Vec phi = fx_.model_features(w, c);
-  return time_model_.predict(phi) + power_model_.predict(phi);
+  common::Vec phi;
+  return predict_log_cost(w, c, phi);
 }
 
 double OnlineSocModels::update(const ModelSample& s, common::Vec& phi) {

@@ -50,9 +50,9 @@ class OnlineSocModels {
   /// log(t/I) + log(P): monotone in predicted energy; cheaper for argmin.
   double predict_log_cost(const WorkloadFeatures& w, const soc::SocConfig& candidate) const;
 
-  /// Scratch overloads: identical arithmetic, but the feature basis is built
-  /// into the caller-owned phi buffer — the online-IL candidate loop calls
-  /// these hundreds of times per decision and reuses one buffer throughout.
+  /// Scratch overloads, which the by-value forms wrap: the feature basis is
+  /// built into the caller-owned phi buffer — the online-IL candidate loop
+  /// calls these hundreds of times per decision and reuses one buffer.
   double update(const ModelSample& observed, common::Vec& phi);
   double predict_power_w(const WorkloadFeatures& w, const soc::SocConfig& candidate,
                          common::Vec& phi) const;

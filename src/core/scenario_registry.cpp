@@ -18,66 +18,30 @@ bool prefix_matches(const std::string& name, const std::string& prefix) {
 
 }  // namespace
 
-void ScenarioRegistry::add_entry(const std::string& name, Entry entry, bool have_builder) {
+void ScenarioRegistry::add(const std::string& name, AnyBuilder builder) {
   if (name.empty()) throw std::invalid_argument("ScenarioRegistry::add: empty name");
-  if (!have_builder)
-    throw std::invalid_argument("ScenarioRegistry::add: null builder for " + name);
-  if (!builders_.emplace(name, std::move(entry)).second)
+  if (!builder) throw std::invalid_argument("ScenarioRegistry::add: null builder for " + name);
+  if (!builders_.emplace(name, std::move(builder)).second)
     throw std::invalid_argument("ScenarioRegistry::add: duplicate name " + name);
-}
-
-void ScenarioRegistry::add(const std::string& name, Builder builder) {
-  // Only `drm` is stored; build_any wraps it on the fly, so the builder's
-  // captured state (per-arm traces can be large) is held once, not twice.
-  const bool have = static_cast<bool>(builder);
-  Entry entry;
-  entry.drm = std::move(builder);
-  add_entry(name, std::move(entry), have);
-}
-
-void ScenarioRegistry::add_any(const std::string& name, AnyBuilder builder) {
-  const bool have = static_cast<bool>(builder);
-  Entry entry;
-  entry.any = std::move(builder);
-  add_entry(name, std::move(entry), have);
 }
 
 std::vector<std::string> ScenarioRegistry::names(const std::string& prefix) const {
   std::vector<std::string> out;
-  for (const auto& [name, entry] : builders_)
+  for (const auto& [name, builder] : builders_)
     if (prefix_matches(name, prefix)) out.push_back(name);
   return out;
 }
 
-Scenario ScenarioRegistry::build(const std::string& name) const {
+AnyScenario ScenarioRegistry::build(const std::string& name) const {
   const auto it = builders_.find(name);
   if (it == builders_.end())
     throw std::invalid_argument("ScenarioRegistry::build: unknown scenario " + name);
-  if (!it->second.drm)
-    throw std::invalid_argument("ScenarioRegistry::build: '" + name +
-                                "' is a cross-domain scenario; use build_any");
-  Scenario s = it->second.drm();
-  s.id = name;
-  return s;
+  return it->second().renamed(name);
 }
 
-AnyScenario ScenarioRegistry::build_any(const std::string& name) const {
-  const auto it = builders_.find(name);
-  if (it == builders_.end())
-    throw std::invalid_argument("ScenarioRegistry::build_any: unknown scenario " + name);
-  if (it->second.any) return it->second.any().renamed(name);
-  return AnyScenario(it->second.drm()).renamed(name);
-}
-
-std::vector<Scenario> ScenarioRegistry::build_batch(const std::string& prefix) const {
-  std::vector<Scenario> out;
-  for (const std::string& name : names(prefix)) out.push_back(build(name));
-  return out;
-}
-
-std::vector<AnyScenario> ScenarioRegistry::build_batch_any(const std::string& prefix) const {
+std::vector<AnyScenario> ScenarioRegistry::build_batch(const std::string& prefix) const {
   std::vector<AnyScenario> out;
-  for (const std::string& name : names(prefix)) out.push_back(build_any(name));
+  for (const std::string& name : names(prefix)) out.push_back(build(name));
   return out;
 }
 

@@ -8,14 +8,12 @@
 // builders run lazily at build time so registering a large catalog stays
 // free (and --list never pays for a run).  Built scenarios get their
 // registry name as their id, which is also the deterministic result order
-// of ExperimentEngine::run_batch / run_any.
+// of ExperimentEngine::run_any.
 //
-// Two builder flavors share one namespace:
-//  * Builder (DRM-typed) keeps the copy-free run_batch path for all-DRM
-//    catalogs and remains buildable through every accessor;
-//  * AnyBuilder catalogs any domain core/domain.h erases (GPU-ENMPC frame
-//    loops, NoC traffic points, thermally-constrained runs, custom
-//    closures) and is what the shared bench driver consumes.
+// A builder returns any scenario core/domain.h erases: DRM runs, GPU-ENMPC
+// frame loops, NoC traffic points, thermally-constrained runs, or custom
+// closures.  A builder returning a plain DRM Scenario registers as is, since
+// Scenario converts implicitly to AnyScenario.
 #pragma once
 
 #include <functional>
@@ -30,18 +28,11 @@ namespace oal::core {
 
 class ScenarioRegistry {
  public:
-  using Builder = std::function<Scenario()>;        ///< DRM-typed arm
-  using AnyBuilder = std::function<AnyScenario()>;  ///< any-domain arm
+  using AnyBuilder = std::function<AnyScenario()>;
 
-  /// Registers a DRM builder under a unique name (throws on duplicates —
-  /// the namespace is shared with add_any).  Entries registered here are
-  /// reachable through both the Scenario and the AnyScenario accessors.
-  void add(const std::string& name, Builder builder);
-
-  /// Registers a cross-domain builder under a unique name.  Entries
-  /// registered here are reachable through build_any()/build_batch_any()
-  /// only; build() on them throws (there is no Scenario to return).
-  void add_any(const std::string& name, AnyBuilder builder);
+  /// Registers a builder under a unique name; throws std::invalid_argument
+  /// on an empty name, a null builder, or a duplicate name.
+  void add(const std::string& name, AnyBuilder builder);
 
   bool contains(const std::string& name) const { return builders_.count(name) != 0; }
   std::size_t size() const { return builders_.size(); }
@@ -53,32 +44,16 @@ class ScenarioRegistry {
   /// string-matches.  Empty selects everything.
   std::vector<std::string> names(const std::string& prefix = "") const;
 
-  /// Builds one DRM scenario; its id is set to the registry name.  Throws
-  /// std::invalid_argument for unknown names and for names registered
-  /// through add_any.
-  Scenario build(const std::string& name) const;
+  /// Builds one scenario; its id is set to the registry name.  Throws
+  /// std::invalid_argument for unknown names.
+  AnyScenario build(const std::string& name) const;
 
-  /// Builds one scenario of any domain; its id is set to the registry name.
-  /// Works for both builder flavors (DRM entries are wrapped on the fly).
-  AnyScenario build_any(const std::string& name) const;
-
-  /// Builds every DRM scenario `prefix` selects (same segment-boundary rules
-  /// as names()), in name order — ready for ExperimentEngine::run_batch.
-  std::vector<Scenario> build_batch(const std::string& prefix = "") const;
-
-  /// Builds every scenario `prefix` selects regardless of domain, in name
-  /// order — ready for ExperimentEngine::run_any.
-  std::vector<AnyScenario> build_batch_any(const std::string& prefix = "") const;
+  /// Builds every scenario `prefix` selects (same segment-boundary rules as
+  /// names()), in name order — ready for ExperimentEngine::run_any.
+  std::vector<AnyScenario> build_batch(const std::string& prefix = "") const;
 
  private:
-  struct Entry {
-    Builder drm;     ///< set for add() registrations (build_any wraps on the fly)
-    AnyBuilder any;  ///< set for add_any() registrations
-  };
-
-  void add_entry(const std::string& name, Entry entry, bool have_builder);
-
-  std::map<std::string, Entry> builders_;
+  std::map<std::string, AnyBuilder> builders_;
 };
 
 }  // namespace oal::core

@@ -1,8 +1,12 @@
 #include "ml/dqn.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
+
+#include "common/stats.h"
 
 namespace oal::ml {
 
@@ -129,22 +133,32 @@ void Dqn::export_params(std::vector<double>& out) const {
 }
 
 bool Dqn::import_params(const std::vector<double>& in, std::size_t& pos) {
-  if (pos + 2 > in.size()) return false;
+  if (pos > in.size() || in.size() - pos < 2) return false;
   if (in[pos] != static_cast<double>(state_dim_) ||
       in[pos + 1] != static_cast<double>(num_actions_))
     return false;
   std::size_t p = pos + 2;
-  if (!online_.import_params(in, p) || !target_.import_params(in, p)) return false;
-  if (p + 8 > in.size()) return false;
-  epsilon_ = in[p++];
+  // Stage both networks so a rejected blob leaves the agent unchanged.
+  Mlp online = online_;
+  Mlp target = target_;
+  if (!online.import_params(in, p) || !target.import_params(in, p)) return false;
+  // Tail: epsilon, four rng words, cached-normal flag and value, step count.
+  if (in.size() - p < 8) return false;
+  const double epsilon = in[p++];
   common::Rng::State rs;
   for (std::uint64_t& w : rs.s) {
     std::memcpy(&w, &in[p++], sizeof(w));
   }
   rs.has_cached_normal = in[p++] != 0.0;
   rs.cached_normal = in[p++];
+  // 2^53: every integer up to it is exactly representable as a double.
+  const double steps = in[p++];
+  if (!std::isfinite(epsilon) || !common::is_count(steps, 9007199254740992.0)) return false;
+  online_ = std::move(online);
+  target_ = std::move(target);
+  epsilon_ = epsilon;
   rng_.set_state(rs);
-  steps_ = static_cast<std::size_t>(in[p++]);
+  steps_ = static_cast<std::size_t>(steps);
   // Replay is not part of the artifact: restart from an empty ring (slots
   // themselves stay allocated).
   replay_head_ = 0;

@@ -68,7 +68,9 @@ class Dqn {
   /// captured (it is bulky, transient warm-up state); a restored agent
   /// greedy-acts identically and resumes training from an empty buffer.
   void export_params(std::vector<double>& out) const;
-  /// Restores what export_params wrote; false on underrun or shape mismatch.
+  /// Restores what export_params wrote; false (agent unchanged) on underrun,
+  /// a shape mismatch, a non-finite weight or epsilon, or a step count that
+  /// is not a whole number in [0, 2^53].
   bool import_params(const std::vector<double>& in, std::size_t& pos);
 
  private:

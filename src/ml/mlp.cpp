@@ -12,33 +12,11 @@ namespace oal::ml {
 
 namespace {
 
-common::Vec activate_vec(Activation act, const common::Vec& z) {
-  common::Vec a(z.size());
-  if (act == Activation::kTanh) {
-    for (std::size_t i = 0; i < z.size(); ++i) a[i] = std::tanh(z[i]);
-  } else {
-    for (std::size_t i = 0; i < z.size(); ++i) a[i] = z[i] > 0.0 ? z[i] : 0.0;
-  }
-  return a;
-}
-
-/// In-place variant of activate_vec: same elementwise math, no allocation.
-void activate_vec_inplace(Activation act, common::Vec& a) {
+void activate_inplace(Activation act, common::Vec& a) {
   if (act == Activation::kTanh) {
     for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::tanh(a[i]);
   } else {
     for (std::size_t i = 0; i < a.size(); ++i) a[i] = a[i] > 0.0 ? a[i] : 0.0;
-  }
-}
-
-void activate_inplace(Activation act, common::Mat& z) {
-  if (act == Activation::kTanh) {
-    for (std::size_t r = 0; r < z.rows(); ++r)
-      for (std::size_t c = 0; c < z.cols(); ++c) z(r, c) = std::tanh(z(r, c));
-  } else {
-    for (std::size_t r = 0; r < z.rows(); ++r)
-      for (std::size_t c = 0; c < z.cols(); ++c)
-        if (z(r, c) < 0.0) z(r, c) = 0.0;
   }
 }
 
@@ -287,19 +265,6 @@ void backward_and_apply(const NetView& net, const common::Mat& x, const double* 
 
 }  // namespace
 
-common::Vec softmax(const common::Vec& z) {
-  double mx = z.front();
-  for (double v : z) mx = std::max(mx, v);
-  common::Vec p(z.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    p[i] = std::exp(z[i] - mx);
-    sum += p[i];
-  }
-  for (double& v : p) v /= sum;
-  return p;
-}
-
 // ---- DenseLayer ------------------------------------------------------------
 
 DenseLayer::DenseLayer(std::size_t in, std::size_t out, common::Rng& rng,
@@ -323,17 +288,11 @@ DenseLayer& DenseLayer::operator=(const DenseLayer& o) {
   return *this;
 }
 
-common::Vec DenseLayer::forward(const common::Vec& x) const {
-  common::Vec y = w_ * x;
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] += b_[i];
-  return y;
-}
-
 // oal-lint: hot-path
 void DenseLayer::forward_into(const common::Vec& x, common::Vec& y) const {
   if (w_.cols() != x.size()) throw std::invalid_argument("Mat*Vec size mismatch");
-  // Same accumulation order as Mat::operator*(Vec) followed by the bias add,
-  // so the result is bitwise identical to forward().
+  // Each output accumulates from 0.0 in ascending input index, then adds the
+  // bias: the order the batch forward (gemm_nn, then bias) uses per row.
   y.resize(w_.rows());  // oal-lint: allow(hot-path-alloc)  reaches capacity once, then no-op
   for (std::size_t i = 0; i < w_.rows(); ++i) {
     double s = 0.0;
@@ -342,12 +301,6 @@ void DenseLayer::forward_into(const common::Vec& x, common::Vec& y) const {
   }
 }
 // oal-lint: hot-path-end
-
-common::Mat DenseLayer::forward_batch(const common::Mat& x) const {
-  common::Mat y = common::matmul_nt(x, w_);
-  common::add_row_broadcast(y, b_);
-  return y;
-}
 
 void DenseLayer::apply(const double* gw, const double* gb) { opt_->apply(w_, b_, gw, gb); }
 
@@ -389,11 +342,10 @@ Mlp::Mlp(std::size_t input_dim, std::size_t output_dim, MlpConfig cfg)
 }
 
 common::Vec Mlp::forward(const common::Vec& x) const {
-  if (x.size() != input_dim_) throw std::invalid_argument("Mlp::forward: dim mismatch");
-  common::Vec a = x;
-  for (std::size_t l = 0; l + 1 < layers_.size(); ++l)
-    a = activate_vec(cfg_.activation, layers_[l].forward(a));
-  return layers_.back().forward(a);
+  InferScratch s;
+  common::Vec out;
+  forward_into(x, out, s);
+  return out;
 }
 
 // oal-lint: hot-path
@@ -404,7 +356,7 @@ void Mlp::forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) 
   for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
     common::Vec& dst = use_a ? s.a : s.b;
     layers_[l].forward_into(*cur, dst);
-    activate_vec_inplace(cfg_.activation, dst);
+    activate_inplace(cfg_.activation, dst);
     cur = &dst;
     use_a = !use_a;
   }
@@ -412,14 +364,14 @@ void Mlp::forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) 
 }
 // oal-lint: hot-path-end
 
-common::Mat Mlp::forward_batch(const common::Mat& x) const {
+common::Mat Mlp::forward_batch(const common::Mat& x) {
   if (x.cols() != input_dim_) throw std::invalid_argument("Mlp::forward_batch: dim mismatch");
-  common::Mat a = x;
-  for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
-    a = layers_[l].forward_batch(a);
-    activate_inplace(cfg_.activation, a);
-  }
-  return layers_.back().forward_batch(a);
+  const NetView net(layers_.data(), layers_.size() - 1, &layers_.back(), 1, cfg_.activation);
+  reserve_workspace(net, x.rows(), ws_);
+  const double* y = forward_batch_into(net, x, ws_, common::kernels::active());
+  common::Mat out(x.rows(), output_dim_);
+  std::copy(y, y + x.rows() * output_dim_, out.raw());
+  return out;
 }
 
 // oal-lint: hot-path
@@ -550,23 +502,10 @@ MultiHeadClassifier::MultiHeadClassifier(std::size_t input_dim, std::vector<std:
   }
 }
 
-std::vector<common::Vec> MultiHeadClassifier::predict_proba(const common::Vec& x) const {
-  if (x.size() != input_dim_) throw std::invalid_argument("MultiHeadClassifier: dim mismatch");
-  common::Vec a = x;
-  for (const auto& layer : trunk_) a = activate_vec(cfg_.activation, layer.forward(a));
-  std::vector<common::Vec> probs;
-  probs.reserve(heads_.size());
-  for (const auto& head : heads_) probs.push_back(softmax(head.forward(a)));
-  return probs;
-}
-
 std::vector<std::size_t> MultiHeadClassifier::predict(const common::Vec& x) const {
-  const auto probs = predict_proba(x);
+  InferScratch s;
   std::vector<std::size_t> cls;
-  cls.reserve(probs.size());
-  for (const auto& p : probs)
-    cls.push_back(static_cast<std::size_t>(
-        std::distance(p.begin(), std::max_element(p.begin(), p.end()))));
+  predict_into(x, cls, s);
   return cls;
 }
 
@@ -579,7 +518,7 @@ void MultiHeadClassifier::predict_into(const common::Vec& x, std::vector<std::si
   for (const auto& layer : trunk_) {
     common::Vec& dst = use_a ? s.a : s.b;
     layer.forward_into(*cur, dst);
-    activate_vec_inplace(cfg_.activation, dst);
+    activate_inplace(cfg_.activation, dst);
     cur = &dst;
     use_a = !use_a;
   }
@@ -613,8 +552,8 @@ double MultiHeadClassifier::train_batch(const common::Mat& x,
   const auto& k = common::kernels::active();
   double* z = forward_batch_into(net, x, ws_, k);
 
-  // Each head's logits become dL/dz in place: softmax each row (same
-  // arithmetic as ml::softmax), then subtract the one-hot label.  The loss
+  // Each head's logits become dL/dz in place: a max-shifted softmax of each
+  // row, then subtract the one-hot label.  The loss
   // keeps the shard, head, row summation order.
   double loss = 0.0;
   for (std::size_t r0 = 0; r0 < bsz; r0 += kGradShardRows) {

@@ -52,14 +52,10 @@ class DenseLayer {
   DenseLayer(DenseLayer&&) = default;
   DenseLayer& operator=(DenseLayer&&) = default;
 
-  common::Vec forward(const common::Vec& x) const;
   /// Allocation-free forward: writes y = W*x + b into `y` (resized to
   /// out_dim(); no reallocation once capacity suffices).  `y` must not alias
-  /// `x`.  Identical FP operation order to forward(), so the results are
-  /// bitwise equal.
+  /// `x`.
   void forward_into(const common::Vec& x, common::Vec& y) const;
-  /// Batch forward: Y = X * W^T + b (rows = samples).
-  common::Mat forward_batch(const common::Mat& x) const;
 
   /// One optimizer step on the (batch-averaged) gradients: gw holds
   /// out_dim() x in_dim() doubles row-major, gb out_dim() doubles.
@@ -86,10 +82,10 @@ class DenseLayer {
   std::unique_ptr<Optimizer> opt_;
 };
 
-/// Scratch for one network's train_batch, reused across calls: the
-/// transposed weights the forward pass reads, every layer's activations and
-/// output deltas for the whole minibatch, the per-head input-gradient
-/// partial sums, and one flat gradient buffer per 8-row shard.  Buffers only
+/// Scratch for one network's train_batch and forward_batch, reused across
+/// calls: the transposed weights the forward pass reads, every layer's
+/// activations and output deltas for the whole minibatch, the per-head
+/// input-gradient partial sums, and one flat gradient buffer per 8-row shard.  Buffers only
 /// grow, so once a network has trained on its largest batch size, train_batch
 /// performs no heap allocation.  Nothing in it carries over from one call to
 /// the next.
@@ -121,6 +117,7 @@ class Mlp {
  public:
   Mlp(std::size_t input_dim, std::size_t output_dim, MlpConfig cfg = {});
 
+  /// forward_into with throwaway buffers.
   common::Vec forward(const common::Vec& x) const;
 
   /// Reusable activation buffers for the allocation-free inference path.
@@ -130,12 +127,14 @@ class Mlp {
   struct InferScratch {
     common::Vec a, b;
   };
-  /// Allocation-free inference into `out` (must not alias `x`).  Bitwise
-  /// identical to forward(): same per-layer FP operation order.
+  /// Allocation-free inference into `out` (must not alias `x`).
   void forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) const;
 
-  /// Batch inference: rows = samples.
-  common::Mat forward_batch(const common::Mat& x) const;
+  /// Batch inference (rows = samples) through train_batch's forward pass in
+  /// the network's workspace — hence non-const.  Each row is bitwise equal
+  /// to forward() of that row: every output accumulates from 0.0 in
+  /// ascending input index before the bias is added.
+  common::Mat forward_batch(const common::Mat& x);
 
   /// One optimizer step on 0.5*||mask .* (f(x) - target)||^2; returns the
   /// loss.  mask == nullptr means all outputs contribute.  Routed through
@@ -188,21 +187,16 @@ class MultiHeadClassifier {
   MultiHeadClassifier(std::size_t input_dim, std::vector<std::size_t> head_sizes,
                       MlpConfig cfg = {});
 
-  /// Per-head class probabilities.
-  std::vector<common::Vec> predict_proba(const common::Vec& x) const;
-  /// Per-head argmax class.
+  /// predict_into with throwaway buffers.
   std::vector<std::size_t> predict(const common::Vec& x) const;
 
   /// Reusable trunk/logit buffers for the allocation-free decision path.
   struct InferScratch {
     common::Vec a, b, logits;
   };
-  /// Per-head argmax written into `cls` (resized to num_heads()), taken
-  /// directly from the head logits — the softmax is skipped entirely.  exp
-  /// is strictly increasing and the per-head division by the partition sum
-  /// is monotone, so the logit argmax (first-max tie-break, exactly
-  /// std::max_element's) equals predict()'s softmax argmax; the equivalence
-  /// is asserted bitwise in tests/test_hot_path_alloc.cpp.  Zero heap
+  /// Per-head argmax class written into `cls` (resized to num_heads()),
+  /// taken directly from the head logits with a first-max tie-break.  The
+  /// softmax is monotone, so inference never computes it.  Zero heap
   /// allocations once the scratch buffers have grown to the layer widths.
   void predict_into(const common::Vec& x, std::vector<std::size_t>& cls, InferScratch& s) const;
 
@@ -247,8 +241,5 @@ class MultiHeadClassifier {
   std::vector<std::size_t> head_sizes_;
   TrainWorkspace ws_;
 };
-
-/// Numerically-stable softmax.
-common::Vec softmax(const common::Vec& z);
 
 }  // namespace oal::ml

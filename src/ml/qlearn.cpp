@@ -1,8 +1,11 @@
 #include "ml/qlearn.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
+
+#include "common/stats.h"
 
 namespace oal::ml {
 
@@ -90,25 +93,32 @@ void TabularQ::export_state(std::vector<double>& out) const {
 }
 
 bool TabularQ::import_state(const std::vector<double>& in, std::size_t& pos) {
-  if (pos + 8 > in.size()) return false;
+  // Header: epsilon, four rng words, cached-normal flag and value, action
+  // count, row count.
+  constexpr std::size_t kHeader = 9;
+  if (pos > in.size() || in.size() - pos < kHeader) return false;
   std::size_t p = pos;
   const double epsilon = in[p++];
+  if (!std::isfinite(epsilon)) return false;
   common::Rng::State rs;
   for (std::uint64_t& w : rs.s) w = double_as_u64(in[p++]);
   rs.has_cached_normal = in[p++] != 0.0;
   rs.cached_normal = in[p++];
-  if (in[p] != static_cast<double>(num_actions_)) return false;
-  ++p;
+  if (in[p++] != static_cast<double>(num_actions_)) return false;
+  // Each row is a state key (raw bits, any value) and num_actions_ Q-values;
+  // the row count must fit in what remains of the blob.
+  const std::size_t row_len = 1 + num_actions_;
   const double rows_d = in[p++];
-  if (rows_d < 0.0 || rows_d > 1e12) return false;
+  if (!common::is_count(rows_d, static_cast<double>((in.size() - p) / row_len))) return false;
   const auto rows = static_cast<std::size_t>(rows_d);
-  if (p + rows * (1 + num_actions_) > in.size()) return false;
   std::unordered_map<std::uint64_t, std::vector<double>> table;
   table.reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) {
     const std::uint64_t state = double_as_u64(in[p++]);
-    table.emplace(state, std::vector<double>(in.begin() + static_cast<std::ptrdiff_t>(p),
-                                             in.begin() + static_cast<std::ptrdiff_t>(p + num_actions_)));
+    const auto first = in.begin() + static_cast<std::ptrdiff_t>(p);
+    const auto last = first + static_cast<std::ptrdiff_t>(num_actions_);
+    if (!std::all_of(first, last, [](double q) { return std::isfinite(q); })) return false;
+    table.emplace(state, std::vector<double>(first, last));
     p += num_actions_;
   }
   epsilon_ = epsilon;

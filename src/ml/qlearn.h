@@ -46,8 +46,9 @@ class TabularQ {
   /// though the hash map isn't ordered).  A restored learner's subsequent
   /// select_action/update sequence is bitwise identical to the original's.
   void export_state(std::vector<double>& out) const;
-  /// Restores what export_state wrote; false (learner unchanged) on underrun
-  /// or an action-count mismatch.
+  /// Restores what export_state wrote; false (learner unchanged) on underrun,
+  /// an action-count mismatch, a row count that is not a whole number fitting
+  /// the blob, or a non-finite epsilon or Q-value.
   bool import_state(const std::vector<double>& in, std::size_t& pos);
 
   double epsilon() const { return epsilon_; }

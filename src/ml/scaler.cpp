@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/stats.h"
+
 namespace oal::ml {
 
 StandardScaler::StandardScaler(std::size_t dim) : mean_(dim, 0.0), m2_(dim, 0.0) {}
@@ -41,10 +43,9 @@ common::Vec StandardScaler::stds() const {
 }
 
 common::Vec StandardScaler::transform(const common::Vec& x) const {
-  if (x.size() != mean_.size()) throw std::invalid_argument("StandardScaler: dim mismatch");
-  const common::Vec s = stds();
-  common::Vec z(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = (x[i] - mean_[i]) / s[i];
+  TransformCache cache;
+  common::Vec z;
+  transform_into(x, z, cache);
   return z;
 }
 
@@ -74,22 +75,13 @@ void StandardScaler::export_state(std::vector<double>& out) const {
   out.insert(out.end(), m2_.begin(), m2_.end());
 }
 
-namespace {
-
-/// True when a header field read from an untrusted blob is a count in
-/// [0, max]: finite and integral, so the cast to size_t is exact and defined.
-bool is_count(double v, double max) {
-  return std::isfinite(v) && v >= 0.0 && v <= max && v == std::floor(v);
-}
-
-}  // namespace
-
 bool StandardScaler::import_state(const std::vector<double>& in, std::size_t& pos) {
   if (pos + 2 > in.size()) return false;
   const double dim_d = in[pos];
   const double count_d = in[pos + 1];
   // 2^53: every integer up to it is exactly representable as a double.
-  if (!is_count(dim_d, 1e9) || !is_count(count_d, 9007199254740992.0)) return false;
+  if (!common::is_count(dim_d, 1e9) || !common::is_count(count_d, 9007199254740992.0))
+    return false;
   const auto dim = static_cast<std::size_t>(dim_d);
   if (dim > (in.size() - pos - 2) / 2) return false;
   const auto first = in.begin() + static_cast<std::ptrdiff_t>(pos + 2);

@@ -24,6 +24,7 @@ class StandardScaler {
   /// Online (streaming) update of mean/variance via Welford's algorithm.
   void partial_fit(const common::Vec& x);
 
+  /// transform_into with throwaway buffers.
   common::Vec transform(const common::Vec& x) const;
   common::Vec inverse_transform(const common::Vec& z) const;
 
@@ -35,8 +36,7 @@ class StandardScaler {
     common::Vec stds;
     std::size_t count = static_cast<std::size_t>(-1);
   };
-  /// Allocation-free transform (once `z`/`cache` have their capacity):
-  /// identical arithmetic to transform(), bitwise-equal results.
+  /// Allocation-free transform (once `z`/`cache` have their capacity).
   void transform_into(const common::Vec& x, common::Vec& z, TransformCache& cache) const;
 
   std::size_t dim() const { return mean_.size(); }

@@ -293,6 +293,13 @@ TEST(IlPolicy, ArtifactRoundTripsDecisionsAndBookkeeping) {
   EXPECT_FALSE(untouched.import_artifact(bad));  // trailing garbage rejected
 }
 
+/// One corrupted field of an exported blob.
+struct Corruption {
+  const char* what;
+  std::size_t index;
+  double value;
+};
+
 TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
   // Untrusted blobs: every crafted corruption must be rejected (no NaN cast
   // to size_t, no silent truncation, no non-finite weight deployed) and the
@@ -325,12 +332,7 @@ TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
   const std::size_t kM2 = kMean + dim, kNet = kM2 + dim;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  struct Case {
-    const char* what;
-    std::size_t index;
-    double value;
-  };
-  const Case cases[] = {
+  const Corruption cases[] = {
       {"trained flag not 0/1", 0, 0.5},
       {"NaN train time", 1, nan},
       {"infinite loss", 2, inf},
@@ -346,7 +348,7 @@ TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
       {"NaN weight", kNet, nan},
       {"infinite bias", good.size() - 1, inf},
   };
-  for (const Case& c : cases) {
+  for (const Corruption& c : cases) {
     std::vector<double> bad = good;
     bad[c.index] = c.value;
     EXPECT_FALSE(target.import_artifact(bad)) << c.what;
@@ -420,6 +422,132 @@ TEST(Dqn, ParamsRoundTripReproducesExport) {
   ml::Dqn wrong_shape(4, 4, cfg);
   pos = 0;
   EXPECT_FALSE(wrong_shape.import_params(params, pos));
+}
+
+/// Applies each corruption to `good` alone and checks the import rejects it,
+/// leaves the learner's export unchanged, and does not advance pos.
+template <typename Import, typename Export>
+void expect_rejects_each(const std::vector<double>& good, const std::vector<Corruption>& cases,
+                         const Import& import, const Export& exported) {
+  const std::vector<double> before = exported();
+  for (const auto& [what, index, value] : cases) {
+    std::vector<double> bad = good;
+    bad[index] = value;
+    std::size_t pos = 0;
+    EXPECT_FALSE(import(bad, pos)) << what;
+    EXPECT_EQ(pos, 0u) << what;
+    EXPECT_EQ(exported(), before) << what;
+  }
+}
+
+TEST(TabularQ, ImportRejectsMalformedStateAndLeavesLearnerUnchanged) {
+  const auto trained = [](std::uint64_t seed) {
+    ml::QLearnConfig cfg;
+    cfg.seed = seed;
+    ml::TabularQ q(6, cfg);
+    common::Rng env(seed);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t s = env.next_u64() % 16;
+      q.update(s, q.select_action(s), env.uniform(-1.0, 1.0), env.next_u64() % 16);
+    }
+    return q;
+  };
+  std::vector<double> good;
+  trained(13).export_state(good);
+  ml::TabularQ target = trained(14);
+  const auto import = [&](const std::vector<double>& in, std::size_t& pos) {
+    return target.import_state(in, pos);
+  };
+  const auto exported = [&] {
+    std::vector<double> out;
+    target.export_state(out);
+    return out;
+  };
+  ASSERT_NE(exported(), good);
+
+  // Layout: [epsilon, 4 rng words, flag, cached normal, actions, rows,
+  // (state, q[6]) per row].
+  const std::size_t kActions = 7, kRows = 8, kFirstQ = 10;
+  const double rows = good[kRows];
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_rejects_each(good,
+                      {{"NaN epsilon", 0, nan},
+                       {"infinite epsilon", 0, inf},
+                       {"action count mismatch", kActions, 5.0},
+                       {"NaN rows", kRows, nan},
+                       {"infinite rows", kRows, inf},
+                       {"non-integral rows", kRows, rows - 0.5},
+                       {"negative rows", kRows, -1.0},
+                       {"rows past the end", kRows, rows + 1.0},
+                       {"NaN Q-value", kFirstQ, nan},
+                       {"infinite Q-value", good.size() - 1, -inf}},
+                      import, exported);
+
+  // Truncated blobs, down to a header one field short.
+  for (const std::size_t size : {good.size() - 1, std::size_t{8}}) {
+    const std::vector<double> cut(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(size));
+    std::size_t pos = 0;
+    EXPECT_FALSE(target.import_state(cut, pos)) << size;
+  }
+  std::size_t pos = 0;
+  ASSERT_TRUE(target.import_state(good, pos));
+  EXPECT_EQ(exported(), good);
+}
+
+TEST(Dqn, ImportRejectsMalformedParamsAndLeavesAgentUnchanged) {
+  const auto trained = [](std::uint64_t seed) {
+    ml::DqnConfig cfg;
+    cfg.hidden = {8};
+    cfg.seed = seed;
+    ml::Dqn agent(3, 4, cfg);
+    common::Rng env(seed);
+    for (int i = 0; i < 128; ++i) {
+      const common::Vec s{env.uniform(0, 1), env.uniform(0, 1), env.uniform(0, 1)};
+      const std::size_t a = agent.select_action(s);
+      const common::Vec s2{env.uniform(0, 1), env.uniform(0, 1), env.uniform(0, 1)};
+      agent.observe(s, a, env.uniform(-1.0, 1.0), s2);
+    }
+    return agent;
+  };
+  std::vector<double> good;
+  trained(17).export_params(good);
+  ml::Dqn target = trained(18);
+  const auto import = [&](const std::vector<double>& in, std::size_t& pos) {
+    return target.import_params(in, pos);
+  };
+  const auto exported = [&] {
+    std::vector<double> out;
+    target.export_params(out);
+    return out;
+  };
+  ASSERT_NE(exported(), good);
+
+  // Layout: [state_dim, actions, online params, target params, epsilon,
+  // 4 rng words, flag, cached normal, steps].
+  const std::size_t n = good.size();
+  const std::size_t kOnline = 2, kLastTarget = n - 9, kEpsilon = n - 8, kSteps = n - 1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_rejects_each(good,
+                      {{"NaN online weight", kOnline, nan},
+                       // The online network imports cleanly first: a rejected
+                       // target network must not leave it half-restored.
+                       {"infinite target bias", kLastTarget, inf},
+                       {"NaN epsilon", kEpsilon, nan},
+                       {"infinite epsilon", kEpsilon, -inf},
+                       {"NaN steps", kSteps, nan},
+                       {"infinite steps", kSteps, inf},
+                       {"negative steps", kSteps, -1.0},
+                       {"non-integral steps", kSteps, good[kSteps] + 0.5},
+                       {"steps beyond 2^53", kSteps, 1e300}},
+                      import, exported);
+
+  const std::vector<double> cut(good.begin(), good.end() - 1);
+  std::size_t pos = 0;
+  EXPECT_FALSE(target.import_params(cut, pos));
+  ASSERT_TRUE(target.import_params(good, pos));
+  EXPECT_EQ(exported(), good);
 }
 
 TEST(QLearningController, StateRoundTripViaBlob) {

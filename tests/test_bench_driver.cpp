@@ -39,7 +39,7 @@ struct Args {
 ScenarioRegistry tiny_registry() {
   ScenarioRegistry reg;
   for (const char* name : {"fam/a", "fam/b", "other/c"}) {
-    reg.add_any(name, [name] {
+    reg.add(name, [name] {
       return AnyScenario(name, [name] {
         return AnyResult(name, 0, Metrics{{"value", 1.0}});
       });

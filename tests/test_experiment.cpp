@@ -40,8 +40,8 @@ Scenario governor_scenario(const std::string& id, const std::string& app, std::u
 /// A batch of >= 8 scenarios mixing apps, seeds, and controllers — including
 /// stateful Online-IL arms whose candidate search and exploration draw from
 /// per-scenario Rng streams.
-std::vector<Scenario> mixed_batch() {
-  std::vector<Scenario> batch;
+std::vector<AnyScenario> mixed_batch() {
+  std::vector<AnyScenario> batch;
   const char* apps[] = {"SHA", "FFT", "Qsort", "Dijkstra", "Kmeans", "Spectral"};
   for (int i = 0; i < 6; ++i)
     batch.push_back(governor_scenario("gov/" + std::to_string(i), apps[i], 100 + i));
@@ -164,7 +164,7 @@ TEST(ThreadPool, ZeroTasksIsANoOp) {
 
 TEST(Experiment, EmptyBatchYieldsEmptyResults) {
   ExperimentEngine engine(ExperimentOptions{2});
-  EXPECT_TRUE(engine.run_batch({}).empty());
+  EXPECT_TRUE(engine.run_any({}).empty());
 }
 
 TEST(Experiment, ParallelMatchesSerialBitwise) {
@@ -173,23 +173,25 @@ TEST(Experiment, ParallelMatchesSerialBitwise) {
 
   ExperimentEngine serial(ExperimentOptions{1});
   ExperimentEngine parallel(ExperimentOptions{4});
-  const auto rs = serial.run_batch(batch);
-  const auto rp = parallel.run_batch(batch);
+  const auto rs = serial.run_any(batch);
+  const auto rp = parallel.run_any(batch);
 
   ASSERT_EQ(rs.size(), batch.size());
   ASSERT_EQ(rp.size(), batch.size());
   for (std::size_t i = 0; i < rs.size(); ++i) {
-    EXPECT_EQ(rs[i].id, rp[i].id);
+    EXPECT_EQ(rs[i].id(), rp[i].id());
     // Bitwise-identical aggregates: the doubles must match exactly, not
     // within a tolerance — scenarios own every byte of mutable state.
-    EXPECT_EQ(rs[i].run.energy_ratio(), rp[i].run.energy_ratio());
-    EXPECT_EQ(rs[i].run.total_energy_j(), rp[i].run.total_energy_j());
-    EXPECT_EQ(rs[i].run.total_time_s(), rp[i].run.total_time_s());
-    ASSERT_EQ(rs[i].run.records.size(), rp[i].run.records.size());
-    for (std::size_t k = 0; k < rs[i].run.records.size(); ++k) {
-      EXPECT_EQ(rs[i].run.records[k].energy_j, rp[i].run.records[k].energy_j);
-      EXPECT_EQ(rs[i].run.records[k].applied, rp[i].run.records[k].applied);
-      EXPECT_EQ(rs[i].run.records[k].oracle, rp[i].run.records[k].oracle);
+    const RunResult& s = rs[i].as<RunResult>();
+    const RunResult& p = rp[i].as<RunResult>();
+    EXPECT_EQ(s.energy_ratio(), p.energy_ratio());
+    EXPECT_EQ(s.total_energy_j(), p.total_energy_j());
+    EXPECT_EQ(s.total_time_s(), p.total_time_s());
+    ASSERT_EQ(s.records.size(), p.records.size());
+    for (std::size_t k = 0; k < s.records.size(); ++k) {
+      EXPECT_EQ(s.records[k].energy_j, p.records[k].energy_j);
+      EXPECT_EQ(s.records[k].applied, p.records[k].applied);
+      EXPECT_EQ(s.records[k].oracle, p.records[k].oracle);
     }
   }
 }
@@ -197,24 +199,22 @@ TEST(Experiment, ParallelMatchesSerialBitwise) {
 TEST(Experiment, RepeatedParallelRunsAreIdentical) {
   const auto batch = mixed_batch();
   ExperimentEngine engine(ExperimentOptions{4});
-  const auto r1 = engine.run_batch(batch);
-  const auto r2 = engine.run_batch(batch);
+  const auto r1 = engine.run_any(batch);
+  const auto r2 = engine.run_any(batch);
   ASSERT_EQ(r1.size(), r2.size());
   for (std::size_t i = 0; i < r1.size(); ++i)
-    EXPECT_EQ(r1[i].run.energy_ratio(), r2[i].run.energy_ratio());
+    EXPECT_EQ(r1[i].metric("energy_ratio"), r2[i].metric("energy_ratio"));
 }
 
 TEST(Experiment, ResultsOrderedByScenarioId) {
-  std::vector<Scenario> batch;
-  batch.push_back(governor_scenario("z", "SHA", 1));
-  batch.push_back(governor_scenario("a", "FFT", 2));
-  batch.push_back(governor_scenario("m", "Qsort", 3));
   ExperimentEngine engine(ExperimentOptions{2});
-  const auto res = engine.run_batch(batch);
+  const auto res = engine.run_any({governor_scenario("z", "SHA", 1),
+                                   governor_scenario("a", "FFT", 2),
+                                   governor_scenario("m", "Qsort", 3)});
   ASSERT_EQ(res.size(), 3u);
-  EXPECT_EQ(res[0].id, "a");
-  EXPECT_EQ(res[1].id, "m");
-  EXPECT_EQ(res[2].id, "z");
+  EXPECT_EQ(res[0].id(), "a");
+  EXPECT_EQ(res[1].id(), "m");
+  EXPECT_EQ(res[2].id(), "z");
 }
 
 TEST(Experiment, ThrowingFactoryPropagates) {
@@ -225,25 +225,7 @@ TEST(Experiment, ThrowingFactoryPropagates) {
   };
   batch.insert(batch.begin() + 2, std::move(bad));
   ExperimentEngine engine(ExperimentOptions{4});
-  EXPECT_THROW(engine.run_batch(batch), std::runtime_error);
-}
-
-TEST(Experiment, NullFactoryAndBadIdsAreRejected) {
-  ExperimentEngine engine(ExperimentOptions{2});
-  {
-    Scenario s = governor_scenario("s", "SHA", 1);
-    s.make_controller = nullptr;
-    EXPECT_THROW(engine.run_batch({s}), std::invalid_argument);
-  }
-  {
-    Scenario s = governor_scenario("", "SHA", 1);
-    EXPECT_THROW(engine.run_batch({s}), std::invalid_argument);
-  }
-  {
-    EXPECT_THROW(
-        engine.run_batch({governor_scenario("dup", "SHA", 1), governor_scenario("dup", "FFT", 2)}),
-        std::invalid_argument);
-  }
+  EXPECT_THROW(engine.run_any(batch), std::runtime_error);
 }
 
 TEST(Experiment, WarmupRunsBeforeRecordedTrace) {
@@ -267,9 +249,9 @@ TEST(Experiment, WarmupRunsBeforeRecordedTrace) {
     return ControllerInstance{std::make_unique<CountingController>(steps), nullptr};
   };
   ExperimentEngine engine(ExperimentOptions{1});
-  const auto res = engine.run_batch({s});
+  const auto res = engine.run_any({s});
   ASSERT_EQ(res.size(), 1u);
-  EXPECT_EQ(res[0].run.records.size(), 10u);
+  EXPECT_EQ(res[0].as<RunResult>().records.size(), 10u);
   EXPECT_EQ(steps->load(), 15);  // 5 warmup + 10 recorded
 }
 
@@ -281,11 +263,11 @@ TEST(Experiment, OnCompleteSeesLiveController) {
     EXPECT_EQ(run.records.size(), 10u);
   };
   ExperimentEngine engine(ExperimentOptions{2});
-  (void)engine.run_batch({s});
+  (void)engine.run_any({s});
   EXPECT_EQ(*name, "ondemand");
 }
 
-TEST(Experiment, MapIsDeterministicAcrossPoolSizes) {
+TEST(Experiment, PoolMapIsDeterministicAcrossPoolSizes) {
   ExperimentEngine serial(ExperimentOptions{1});
   ExperimentEngine parallel(ExperimentOptions{4});
   std::vector<std::uint64_t> seeds;
@@ -296,7 +278,7 @@ TEST(Experiment, MapIsDeterministicAcrossPoolSizes) {
     for (int k = 0; k < 100; ++k) acc += rng.uniform();
     return acc;
   };
-  EXPECT_EQ(serial.map(seeds, draw), parallel.map(seeds, draw));
+  EXPECT_EQ(serial.pool().parallel_map(seeds, draw), parallel.pool().parallel_map(seeds, draw));
 }
 
 TEST(Experiment, MixedDomainParallelMatchesSerialBitwise) {
@@ -398,6 +380,12 @@ TEST(Experiment, RunAnyRejectsBadBatches) {
     // Default-constructed scenario is not runnable.
     EXPECT_THROW(engine.run_any({AnyScenario()}), std::invalid_argument);
   }
+  {
+    // A DRM scenario without a controller factory.
+    Scenario s = governor_scenario("s", "SHA", 1);
+    s.make_controller = nullptr;
+    EXPECT_THROW(engine.run_any({s}), std::invalid_argument);
+  }
 }
 
 TEST(Experiment, CustomClosureScenarioRunsOnEngine) {
@@ -428,40 +416,6 @@ AnyScenario cheap_scenario(const std::string& id) {
     for (int i = 0; i < 50; ++i) acc += rng.uniform();
     return AnyResult(id, acc, Metrics{{"acc", acc}});
   });
-}
-
-TEST(Experiment, VectorApisAreThinWrappersOverTheSink) {
-  // The vector-returning run_any/run_batch are sink wrappers; collecting
-  // through the sink by hand must reproduce them bitwise, ids in order.
-  const auto any_batch = [] {
-    std::vector<AnyScenario> b;
-    b.emplace_back(governor_scenario("w/2", "SHA", 1));
-    b.emplace_back(governor_scenario("w/0", "FFT", 2));
-    b.emplace_back(cheap_scenario("w/1"));
-    return b;
-  }();
-  ExperimentEngine engine(ExperimentOptions{4});
-  const std::vector<AnyResult> vec = engine.run_any(any_batch);
-  std::vector<AnyResult> sunk;
-  engine.run_any(any_batch, [&](AnyResult&& r) { sunk.push_back(std::move(r)); });
-  ASSERT_EQ(sunk.size(), vec.size());
-  for (std::size_t i = 0; i < vec.size(); ++i) {
-    EXPECT_EQ(sunk[i].id(), vec[i].id());
-    ASSERT_EQ(sunk[i].metrics().size(), vec[i].metrics().size());
-    for (std::size_t k = 0; k < vec[i].metrics().size(); ++k)
-      EXPECT_EQ(sunk[i].metrics()[k].second, vec[i].metrics()[k].second);
-  }
-
-  const std::vector<Scenario> drm_batch{governor_scenario("d/1", "SHA", 3),
-                                        governor_scenario("d/0", "Qsort", 4)};
-  const auto drm_vec = engine.run_batch(drm_batch);
-  std::vector<ScenarioResult> drm_sunk;
-  engine.run_batch(drm_batch, [&](ScenarioResult&& r) { drm_sunk.push_back(std::move(r)); });
-  ASSERT_EQ(drm_sunk.size(), drm_vec.size());
-  for (std::size_t i = 0; i < drm_vec.size(); ++i) {
-    EXPECT_EQ(drm_sunk[i].id, drm_vec[i].id);
-    EXPECT_EQ(drm_sunk[i].run.total_energy_j(), drm_vec[i].run.total_energy_j());
-  }
 }
 
 TEST(Experiment, StreamingDeliversShardsInIdOrderAcrossThreads) {
@@ -878,7 +832,7 @@ TEST(ScenarioRegistry, PrefixMatchesOnSegmentBoundaries) {
 
   const auto batch = reg.build_batch("fig1");
   ASSERT_EQ(batch.size(), 3u);
-  for (const auto& s : batch) EXPECT_EQ(s.id.rfind("fig10/", 0), std::string::npos);
+  for (const auto& s : batch) EXPECT_EQ(s.id().rfind("fig10/", 0), std::string::npos);
 
   // A trailing-slash prefix selects the family only (not the bare name).
   const auto slash_names = reg.names("fig1/");
@@ -905,12 +859,13 @@ TEST(ScenarioRegistry, BuildsByPrefixInNameOrder) {
 
   const auto batch = reg.build_batch("b/");
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].id, "b/1");  // builder id overridden by registry name
-  EXPECT_EQ(batch[1].id, "b/2");
+  EXPECT_EQ(batch[0].id(), "b/1");  // builder id overridden by registry name
+  EXPECT_EQ(batch[1].id(), "b/2");
 
   EXPECT_THROW(reg.build("missing"), std::invalid_argument);
   EXPECT_THROW(reg.add("a/1", [] { return Scenario{}; }), std::invalid_argument);
   EXPECT_THROW(reg.add("", [] { return Scenario{}; }), std::invalid_argument);
+  EXPECT_THROW(reg.add("null", nullptr), std::invalid_argument);
 }
 
 /// A small NoC traffic point for cross-domain registry batches.
@@ -922,16 +877,16 @@ NocScenario noc_scenario(std::uint64_t seed) {
 }
 
 /// A four-domain catalog: DRM governors, GPU-ENMPC, NoC points, and
-/// thermally-constrained DRM, all behind AnyBuilder entries (plus one
-/// DRM-typed Builder to prove the flavors mix).
+/// thermally-constrained DRM (one builder returns a plain Scenario, which
+/// converts implicitly).
 ScenarioRegistry cross_domain_registry() {
   ScenarioRegistry reg;
-  reg.add("drm/gov/0", [] { return governor_scenario("", "SHA", 31); });  // DRM-typed entry
-  reg.add_any("drm/gov/1", [] { return AnyScenario(governor_scenario("", "Kmeans", 32)); });
-  reg.add_any("gpu/enmpc/0", [] { return AnyScenario(gpu_enmpc_scenario("", 41)); });
-  reg.add_any("noc/uniform/0", [] { return AnyScenario(noc_scenario(7)); });
-  reg.add_any("noc/uniform/1", [] { return AnyScenario(noc_scenario(8)); });
-  reg.add_any("thermal/perf", [] {
+  reg.add("drm/gov/0", [] { return governor_scenario("", "SHA", 31); });
+  reg.add("drm/gov/1", [] { return AnyScenario(governor_scenario("", "Kmeans", 32)); });
+  reg.add("gpu/enmpc/0", [] { return AnyScenario(gpu_enmpc_scenario("", 41)); });
+  reg.add("noc/uniform/0", [] { return AnyScenario(noc_scenario(7)); });
+  reg.add("noc/uniform/1", [] { return AnyScenario(noc_scenario(8)); });
+  reg.add("thermal/perf", [] {
     return AnyScenario(ThermalDrmScenario{performance_scenario("", "Kmeans", 51),
                                           binding_thermal_params()});
   });
@@ -942,7 +897,7 @@ TEST(ScenarioRegistry, CrossDomainBatchParallelMatchesSerialBitwise) {
   // A registry-built mixed batch (DRM + GPU-ENMPC + NoC + thermal) must obey
   // the engine's bitwise-determinism contract like a hand-built one.
   const ScenarioRegistry reg = cross_domain_registry();
-  const auto batch = reg.build_batch_any();
+  const auto batch = reg.build_batch();
   ASSERT_EQ(batch.size(), 6u);
 
   ExperimentEngine serial(ExperimentOptions{1});
@@ -980,47 +935,30 @@ TEST(ScenarioRegistry, PrefixSelectionAcrossFamilies) {
   EXPECT_EQ(reg.names("drm").size(), 2u);
   EXPECT_EQ(reg.names().size(), 6u);
 
-  const auto batch = reg.build_batch_any("gpu");
+  const auto batch = reg.build_batch("gpu");
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].id(), "gpu/enmpc/0");
 
   ExperimentEngine engine(ExperimentOptions{2});
-  const auto res = engine.run_any(reg.build_batch_any("noc"));
+  const auto res = engine.run_any(reg.build_batch("noc"));
   ASSERT_EQ(res.size(), 2u);
   EXPECT_EQ(res[0].id(), "noc/uniform/0");
   EXPECT_GT(res[0].metric("sim_avg_latency_cycles"), 0.0);
-}
-
-TEST(ScenarioRegistry, AnyBuilderErrors) {
-  ScenarioRegistry reg;
-  reg.add_any("any/0", [] { return AnyScenario(noc_scenario(1)); });
-  // Duplicates are rejected across both builder flavors (one namespace).
-  EXPECT_THROW(reg.add_any("any/0", [] { return AnyScenario(noc_scenario(2)); }),
-               std::invalid_argument);
-  EXPECT_THROW(reg.add("any/0", [] { return Scenario{}; }), std::invalid_argument);
-  EXPECT_THROW(reg.add_any("", [] { return AnyScenario(noc_scenario(3)); }),
-               std::invalid_argument);
-  EXPECT_THROW(reg.add_any("null", nullptr), std::invalid_argument);
-  EXPECT_THROW(reg.build_any("missing"), std::invalid_argument);
-  // A cross-domain entry has no DRM Scenario to return.
-  EXPECT_THROW(reg.build("any/0"), std::invalid_argument);
-  EXPECT_THROW(reg.build_batch(""), std::invalid_argument);
-  // ... but the any-typed accessors reach DRM-typed entries.
-  reg.add("drm/0", [] { return governor_scenario("", "SHA", 5); });
-  EXPECT_EQ(reg.build_any("drm/0").id(), "drm/0");
-  EXPECT_EQ(reg.build("drm/0").id, "drm/0");
 }
 
 TEST(ScenarioRegistry, RegistryBatchRunsOnEngine) {
   ScenarioRegistry reg;
   reg.add("run/0", [] { return governor_scenario("", "SHA", 21); });
   reg.add("run/1", [] { return governor_scenario("", "FFT", 22); });
+  reg.add("run/2", [] { return AnyScenario(noc_scenario(1)); });
+  EXPECT_EQ(reg.build("run/2").id(), "run/2");
   ExperimentEngine engine(ExperimentOptions{2});
-  const auto res = engine.run_batch(reg.build_batch("run/"));
-  ASSERT_EQ(res.size(), 2u);
-  EXPECT_EQ(res[0].id, "run/0");
-  EXPECT_GT(res[0].run.energy_ratio(), 0.0);
-  EXPECT_GT(res[1].run.energy_ratio(), 0.0);
+  const auto res = engine.run_any(reg.build_batch("run/"));
+  ASSERT_EQ(res.size(), 3u);
+  EXPECT_EQ(res[0].id(), "run/0");
+  EXPECT_GT(res[0].as<RunResult>().energy_ratio(), 0.0);
+  EXPECT_GT(res[1].as<RunResult>().energy_ratio(), 0.0);
+  EXPECT_TRUE(res[2].holds<NocRunResult>());
 }
 
 }  // namespace

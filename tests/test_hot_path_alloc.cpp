@@ -1,6 +1,5 @@
 // The decision hot path, and the thermal budgeter it runs under, is
-// allocation-free in steady state, and the allocation-free overloads decide
-// bitwise-identically to the by-value paths they replaced.
+// allocation-free in steady state.
 //
 // "Steady state" means: scratch/feature buffers have grown to their final
 // sizes (first decide), the DQN replay ring is preallocated, and the
@@ -98,45 +97,26 @@ TEST(HotPathAlloc, GovernorsNeverAllocatePerStep) {
   EXPECT_TRUE(plat.space().valid(sink));
 }
 
-TEST(HotPathAlloc, IlPolicyScratchDecideIsAllocFreeAndBitwiseEqual) {
+TEST(HotPathAlloc, IlPolicyScratchDecideIsAllocFree) {
   soc::ConfigSpace space;
   IlPolicy policy(space);
   common::Rng rng(11);
   const PolicyDataset ds = synthetic_dataset(space, 300, rng);
   policy.train_offline(ds, rng);
 
-  // By-value and scratch decisions over the same states must agree exactly:
-  // the scratch path reorders no FP operation and the logit argmax equals
-  // the softmax argmax (monotone map, same first-max tie-break).
+  // One decide grows the scratch buffers; every further decide is
+  // heap-silent.
   IlPolicy::Scratch scratch;
-  std::vector<soc::SocConfig> by_value(ds.states.size()), by_scratch(ds.states.size());
-  for (std::size_t i = 0; i < ds.states.size(); ++i) {
-    by_value[i] = policy.decide(ds.states[i]);
-    by_scratch[i] = policy.decide(ds.states[i], scratch);
-  }
-  for (std::size_t i = 0; i < ds.states.size(); ++i) EXPECT_EQ(by_scratch[i], by_value[i]);
-
-  // The scratch buffers are warm now: every further decide is heap-silent.
+  (void)policy.decide(ds.states.front(), scratch);
   AllocationProbe probe;
   for (const auto& s : ds.states) (void)policy.decide(s, scratch);
   EXPECT_EQ(probe.delta(), 0u);
 }
 
-TEST(HotPathAlloc, MultiHeadPredictIntoMatchesPredictBitwise) {
-  // Untrained (random-init) network: the logit-vs-softmax argmax equivalence
-  // must hold for arbitrary weights, not just converged ones.
+TEST(HotPathAlloc, MultiHeadPredictIntoIsAllocFree) {
   ml::MultiHeadClassifier net(12, {4, 5, 13, 19});
-  common::Rng rng(23);
   ml::MultiHeadClassifier::InferScratch scratch;
   std::vector<std::size_t> cls;
-  for (int i = 0; i < 200; ++i) {
-    common::Vec x(12);
-    for (double& v : x) v = rng.uniform(-3.0, 3.0);
-    const std::vector<std::size_t> expect = net.predict(x);
-    net.predict_into(x, cls, scratch);
-    EXPECT_EQ(cls, expect);
-  }
-  // Warm scratch: zero allocations per fast-path prediction.
   common::Vec x(12, 0.25);
   net.predict_into(x, cls, scratch);
   AllocationProbe probe;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,31 @@ TEST(Kernels, BaselineGemmMatchesScalarDotProducts) {
         ASSERT_TRUE(bits_equal(nn, want_nn)) << "gemm_nn " << m << "x" << n << "x" << k;
         ASSERT_TRUE(bits_equal(tn, want_tn)) << "gemm_tn " << m << "x" << n << "x" << k;
       }
+}
+
+TEST(Kernels, GemmDoesNotSkipZeros) {
+  // One-hot rows times a weight matrix must pick the matching weight row
+  // exactly, and a NaN weight behind a zero input must still reach its
+  // output: a zero-skip would change the accumulation the bitwise contract
+  // fixes (0 * NaN is NaN).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t m = 4, n = 8, k = 3;
+  std::vector<double> onehot(m * k, 0.0), w(k * n);
+  for (std::size_t i = 0; i < m; ++i) onehot[i * k + 1] = 1.0;
+  for (std::size_t kk = 0; kk < k; ++kk)
+    for (std::size_t j = 0; j < n; ++j) w[kk * n + j] = kk == 2 && j % 2 == 1 ? nan : 10.0 * kk + j;
+  for (const KernelTable& v : detail::supported_variants()) {
+    std::vector<double> y(m * n, -1.0);
+    v.gemm_nn({m, n, k, onehot.data(), k, w.data(), n, y.data(), n});
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j % 2 == 1) {
+          EXPECT_TRUE(std::isnan(y[i * n + j])) << v.name << " row " << i << " col " << j;
+        } else {
+          EXPECT_EQ(y[i * n + j], 10.0 + static_cast<double>(j)) << v.name << " col " << j;
+        }
+      }
+  }
 }
 
 TEST(Kernels, EveryVariantGemmIsBitIdenticalToBaseline) {

@@ -177,48 +177,6 @@ TEST(Gemm, FromRowsStacksVectors) {
   EXPECT_THROW(Mat::from_rows({{1.0}, {1.0, 2.0}}), std::invalid_argument);
 }
 
-// The batch forward kernel must agree with the reference operators on
-// zero-free inputs; unlike operator* it must also keep exact accumulation
-// order when elements are zero (no zero-skip).  The training kernels
-// (common/kernels.h) are covered by test_kernels.
-TEST(Gemm, FusedTransposeMatchesExplicitTranspose) {
-  Mat a(4, 3), b(4, 2);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = std::sin(1.0 + static_cast<double>(3 * i + j));
-    for (std::size_t j = 0; j < 2; ++j) b(i, j) = std::cos(2.0 + static_cast<double>(2 * i + j));
-  }
-  const Mat tn_ref = a.transpose() * b;
-  const Mat nt = matmul_nt(a.transpose(), b.transpose());  // A^T * (B^T)^T
-  ASSERT_EQ(nt.rows(), 3u);
-  ASSERT_EQ(nt.cols(), 2u);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 2; ++j) EXPECT_NEAR(nt(i, j), tn_ref(i, j), 1e-12);
-
-  EXPECT_THROW(matmul_nt(a, Mat(2, 2)), std::invalid_argument);
-}
-
-TEST(Gemm, KernelDoesNotSkipZeros) {
-  // A one-hot row times a weight matrix must pick the matching row exactly —
-  // including when other entries are exactly zero (operator*'s zero-skip
-  // would change the accumulation pattern the bitwise contract fixes).
-  Mat onehot(1, 3);
-  onehot(0, 1) = 1.0;
-  Mat wt(2, 3);  // W^T, so matmul_nt computes onehot * W
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 2; ++j) wt(j, i) = static_cast<double>(10 * i + j);
-  const Mat r = matmul_nt(onehot, wt);
-  EXPECT_DOUBLE_EQ(r(0, 0), 10.0);
-  EXPECT_DOUBLE_EQ(r(0, 1), 11.0);
-}
-
-TEST(Gemm, RowBroadcast) {
-  Mat m{{1, 2}, {3, 4}, {5, 6}};
-  add_row_broadcast(m, {10.0, 20.0});
-  EXPECT_DOUBLE_EQ(m(0, 0), 11.0);
-  EXPECT_DOUBLE_EQ(m(2, 1), 26.0);
-  EXPECT_THROW(add_row_broadcast(m, {1.0}), std::invalid_argument);
-}
-
 TEST(SpectralRadius, StableSystemBelowOne) {
   const Mat a{{0.5, 0.1}, {0.0, 0.3}};
   EXPECT_NEAR(spectral_radius(a), 0.5, 1e-9);
