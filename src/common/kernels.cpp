@@ -1,5 +1,6 @@
 #include "common/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 
 // This file must be compiled with -ffp-contract=off (CMakeLists.txt): a
@@ -126,6 +127,94 @@ OAL_KERNEL_BODY void adam_body(std::size_t n, const AdamStep& p, bool weight_dec
   }
 }
 
+// oal-lint: hot-path
+/// rc_probe: kProbeLanes independent copies of the scalar transient probe,
+/// one per vector lane, kProbeLanes / kW vectors of kW lanes per node.  Per
+/// lane, every operation is the scalar one in the scalar order: leakage
+/// max(p0 (1 + k (T - t0)), 0); tick power s * shape + leak; per substep
+/// flow_i = P_i - sum_j g_ij (T_j - T_amb) in ascending j, then dT_i =
+/// flow_i / C_i, then T_i += h dT_i for every node; the limit check after
+/// each tick.  The tick, dt and substep arithmetic is scalar and shared by
+/// every lane.  (T_j - T_amb) is computed once per substep instead of once
+/// per (i, j) pair: the same value either way.  A lane keeps stepping after
+/// it violates, until the pass ends.
+///
+/// The node-major lane state (temperatures, tick powers, rises, dT/dt)
+/// lives in a local array when the node count kN is a compile-time
+/// constant, so the compiler can unroll the loops fully and keep it in
+/// registers; kN == 0 is the runtime-n form, which keeps it in p.scratch.
+template <std::size_t kW, std::size_t kN>
+OAL_KERNEL_BODY unsigned rc_probe_body(const RcProbe& p, const double* scale) {
+  using V = typename Lanes<kW>::type;
+  using U = typename Lanes<kW>::unaligned;
+  typedef long long M __attribute__((vector_size(kW * sizeof(long long))));
+  constexpr std::size_t kV = kProbeLanes / kW;
+  static_assert(kV * kW == kProbeLanes, "lanes must fill whole vectors");
+  const std::size_t n = kN ? kN : p.n;
+  const double* __restrict__ g = p.g;
+  V local[4 * (kN ? kN : 1) * kV];
+  U* __restrict__ temp = kN ? reinterpret_cast<U*>(local) : reinterpret_cast<U*>(p.scratch);
+  U* __restrict__ power = temp + n * kV;
+  U* __restrict__ rise = power + n * kV;
+  U* __restrict__ dtemp = rise + n * kV;
+  V s[kV];
+  for (std::size_t v = 0; v < kV; ++v) s[v] = reinterpret_cast<const U*>(scale)[v];
+  const V zero = {};
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t v = 0; v < kV; ++v) temp[i * kV + v] = zero + p.start_c[i];
+  constexpr unsigned kAll = (1u << kProbeLanes) - 1u;
+  M violated[kV] = {};
+  unsigned mask = 0;
+  double t = 0.0;
+  while (t < p.horizon_s) {
+    const double dt = std::min(1.0, p.horizon_s - t);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t v = 0; v < kV; ++v) {
+        const V leak = p.leak_p0[i] * (1.0 + p.leak_k[i] * (temp[i * kV + v] - p.leak_t0_c));
+        power[i * kV + v] = s[v] * p.shape_w[i] + (leak < 0.0 ? zero : leak);
+      }
+    const int substeps = std::max(1, static_cast<int>(std::ceil(dt / p.max_substep_s)));
+    const double h = dt / substeps;
+    for (int sub = 0; sub < substeps; ++sub) {
+      for (std::size_t j = 0; j < n * kV; ++j) rise[j] = temp[j] - p.ambient_c;
+      for (std::size_t i = 0; i < n; ++i) {
+        V flow[kV];
+        for (std::size_t v = 0; v < kV; ++v) flow[v] = power[i * kV + v];
+        for (std::size_t j = 0; j < n; ++j) {
+          const double gij = g[i * n + j];
+          for (std::size_t v = 0; v < kV; ++v) flow[v] -= gij * rise[j * kV + v];
+        }
+        for (std::size_t v = 0; v < kV; ++v) dtemp[i * kV + v] = flow[v] / p.cap[i];
+      }
+      for (std::size_t j = 0; j < n * kV; ++j) temp[j] += h * dtemp[j];
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t v = 0; v < kV; ++v) violated[v] |= temp[i * kV + v] > p.limit_c[i];
+    mask = 0;
+    for (std::size_t v = 0; v < kV; ++v)
+      for (std::size_t w = 0; w < kW; ++w)
+        mask |= (violated[v][w] != 0 ? 1u : 0u) << (v * kW + w);
+    if (mask == kAll) break;
+    t += dt;
+  }
+  if (kN != 0)
+    for (std::size_t j = 0; j < n * kV; ++j) reinterpret_cast<U*>(p.scratch)[j] = temp[j];
+  return mask;
+}
+
+/// Node counts up to kRegisterNodes get a register-resident instantiation.
+constexpr std::size_t kRegisterNodes = 8;
+
+template <std::size_t kW, std::size_t kN = kRegisterNodes>
+OAL_KERNEL_BODY unsigned rc_probe_any(const RcProbe& p, const double* scale) {
+  if constexpr (kN == 0) {
+    return rc_probe_body<kW, 0>(p, scale);
+  } else {
+    return p.n == kN ? rc_probe_body<kW, kN>(p, scale) : rc_probe_any<kW, kN - 1>(p, scale);
+  }
+}
+// oal-lint: hot-path-end
+
 // Each variant's out-of-line entry points carry its target attribute, and
 // the force-inlined bodies are compiled for that ISA inside them.
 
@@ -139,7 +228,8 @@ void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* w, double
           const double* g) {
   adam_body(n, p, weight_decay, w, m, v, g);
 }
-constexpr KernelTable kTable{"baseline", gemm_nn, gemm_tn, col_sums, adam};
+unsigned rc_probe(const RcProbe& p, const double* scale) { return rc_probe_any<2>(p, scale); }
+constexpr KernelTable kTable{"baseline", gemm_nn, gemm_tn, col_sums, adam, rc_probe};
 }  // namespace baseline
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -157,7 +247,10 @@ OAL_AVX2 void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* 
                    double* v, const double* g) {
   adam_body(n, p, weight_decay, w, m, v, g);
 }
-constexpr KernelTable kTable{"avx2", gemm_nn, gemm_tn, col_sums, adam};
+OAL_AVX2 unsigned rc_probe(const RcProbe& p, const double* scale) {
+  return rc_probe_any<4>(p, scale);
+}
+constexpr KernelTable kTable{"avx2", gemm_nn, gemm_tn, col_sums, adam, rc_probe};
 }  // namespace avx2
 #undef OAL_AVX2
 #endif

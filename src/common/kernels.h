@@ -1,22 +1,27 @@
-// Raw-pointer training kernels with runtime ISA dispatch.
+// Raw-pointer numeric kernels with runtime ISA dispatch.
 //
-// The minibatch trainers (ml/mlp.cpp) and the Adam optimizer spend their
-// time in four small loops: two GEMM shapes, a column-sum reduction and
-// Adam's per-parameter update.  Each is compiled in two ISA variants
-// (baseline x86-64 and AVX2) and the widest one the host supports is chosen
-// once, on first use.  There is no build option or environment variable: the
-// choice cannot change results, because every variant performs the same
-// IEEE-754 operations in the same order and only packs independent output
-// elements into wider vector lanes.  Two rules keep that true:
+// Two hot paths run through this table.  The minibatch trainers
+// (ml/mlp.cpp) and the Adam optimizer spend their time in four small loops:
+// two GEMM shapes, a column-sum reduction and Adam's per-parameter update.
+// The transient thermal budget (thermal/power_budget.cpp) spends its time
+// simulating an RC network at several candidate power scales at once
+// (rc_probe).  Each kernel is compiled in two ISA variants (baseline x86-64
+// and AVX2) and the widest one the host supports is chosen once, on first
+// use.  There is no build option or environment variable: the choice cannot
+// change results, because every variant performs the same IEEE-754
+// operations in the same order and only packs independent output elements
+// (or independent probes) into wider vector lanes.  Two rules keep that true:
 //   * no reduction is reassociated — each output element accumulates its
-//     terms in ascending index order starting from 0.0, exactly like the
-//     scalar loop, whatever the vector width;
+//     terms in ascending index order starting from its scalar start value,
+//     exactly like the scalar loop, whatever the vector width;
 //   * no multiply-add is contracted into an FMA.  The translation unit that
 //     holds the variants is compiled with -ffp-contract=off (see
 //     CMakeLists.txt), because a contracted a*b+c rounds once instead of
 //     twice.
-// tests/test_kernels.cpp runs every supported variant on ragged shapes and
-// asserts bit equality with the baseline.
+// tests/test_kernels.cpp runs every supported variant of the training
+// kernels on ragged shapes and asserts bit equality with the baseline;
+// tests/test_thermal.cpp holds every variant of rc_probe to the scalar
+// transient budget bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +55,36 @@ struct Gemm {
   std::size_t ldc;
 };
 
+/// Candidate power scales one rc_probe call simulates side by side.
+constexpr std::size_t kProbeLanes = 4;
+
+/// Operands of one lane-parallel transient probe of an n-node RC thermal
+/// network C dT/dt = P - G (T - T_amb).  Every lane starts from the same
+/// temperatures and injects its own constant dynamic power scale[l] *
+/// shape_w plus leakage max(p0 (1 + k (T - t0)), 0) refreshed from the
+/// lane's temperatures at the start of every tick.  Ticks are 1 s long
+/// (the last one is cut to the horizon) and each is stepped in
+/// max(1, ceil(dt / max_substep_s)) equal forward-Euler substeps, like
+/// thermal::RcThermalNetwork::step.  Arrays are n long and G is row-major.
+struct RcProbe {
+  std::size_t n;
+  const double* g;        ///< conductance, n x n
+  const double* cap;      ///< heat capacities
+  double ambient_c;
+  const double* leak_p0;  ///< leakage at t0
+  const double* leak_k;   ///< relative leakage growth per degree
+  double leak_t0_c;
+  const double* limit_c;  ///< a lane violates once a node exceeds its limit
+  const double* start_c;
+  const double* shape_w;
+  double horizon_s;       ///< finite and > 0
+  double max_substep_s;   ///< > 0, with ceil(1 / max_substep_s) an int
+  /// 4 * n * kProbeLanes doubles, any alignment.  On return the first
+  /// n * kProbeLanes hold the temperatures after the last simulated tick,
+  /// node i of lane l at [i * kProbeLanes + l].
+  double* scratch;
+};
+
 /// One ISA variant of the kernels.  Every kernel overwrites its output.
 struct KernelTable {
   const char* name;
@@ -65,6 +100,11 @@ struct KernelTable {
   /// (biases).
   void (*adam)(std::size_t n, const AdamStep& p, bool weight_decay, double* w, double* m,
                double* v, const double* g);
+  /// Simulates the kProbeLanes scales at once and returns a mask whose bit
+  /// l is set iff lane l exceeds a limit after some tick within the
+  /// horizon.  The call ends after the tick on which the last lane
+  /// violates, or at the horizon; every lane steps every tick until then.
+  unsigned (*rc_probe)(const RcProbe& p, const double* scale);
 };
 
 /// The variant every caller uses: the widest one the host supports.

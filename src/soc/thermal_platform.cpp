@@ -1,6 +1,7 @@
 #include "soc/thermal_platform.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -38,8 +39,23 @@ thermal::RcThermalNetwork validated_network(const char* who, double ambient_c,
     fail("initial_temperature_c", initial_temperature_c.size());
   if (leak.p0_w.size() != n) fail("leakage.p0_w", leak.p0_w.size());
   if (leak.k_per_c.size() != n) fail("leakage.k_per_c", leak.k_per_c.size());
+  if (!std::isfinite(ambient_c))
+    throw std::invalid_argument(std::string(who) + ": non-finite ambient_c");
+  for (double t : initial_temperature_c)
+    if (!std::isfinite(t))
+      throw std::invalid_argument(std::string(who) + ": non-finite initial_temperature_c entry");
   if (!initial_temperature_c.empty()) net.set_temperatures(initial_temperature_c);
   return net;
+}
+
+/// The budget cadence and horizon must be finite: a NaN horizon would
+/// silently select the steady-state budget, and a NaN or infinite interval
+/// would never refresh the budget.
+void validate_budget_timing(const char* who, double horizon_s, double budget_interval_s) {
+  if (!std::isfinite(horizon_s))
+    throw std::invalid_argument(std::string(who) + ": horizon_s must be finite");
+  if (!std::isfinite(budget_interval_s))
+    throw std::invalid_argument(std::string(who) + ": budget_interval_s must be finite");
 }
 
 }  // namespace
@@ -53,6 +69,7 @@ ThermalSocAdapter::ThermalSocAdapter(BigLittlePlatform& platform, ThermalConstra
       shape_w_(net_.num_nodes(), 0.0),
       leak_w_(net_.num_nodes(), 0.0),
       power_w_(net_.num_nodes(), 0.0) {
+  validate_budget_timing("ThermalSocAdapter", params_.horizon_s, params_.budget_interval_s);
   // Nominal big-heavy shape until the first snippet is observed.
   shape_w_[kBigNode] = 0.55;
   shape_w_[kLittleNode] = 0.10;
@@ -174,7 +191,9 @@ ThermalGpuAdapter::ThermalGpuAdapter(gpu::GpuPlatform& platform, double period_s
       shape_w_(net_.num_nodes(), 0.0),
       leak_w_(net_.num_nodes(), 0.0),
       power_w_(net_.num_nodes(), 0.0) {
-  if (period_s_ <= 0.0) throw std::invalid_argument("ThermalGpuAdapter: period_s must be > 0");
+  if (!(period_s_ > 0.0 && std::isfinite(period_s_)))
+    throw std::invalid_argument("ThermalGpuAdapter: period_s must be finite and > 0");
+  validate_budget_timing("ThermalGpuAdapter", params_.horizon_s, params_.budget_interval_s);
   // Nominal render-heavy shape until the first frame is observed.
   shape_w_[kGpuNode] = 0.60;
   shape_w_[kPcbNode] = 0.40;

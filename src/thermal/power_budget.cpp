@@ -1,20 +1,26 @@
 #include "thermal/power_budget.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace oal::thermal {
 
 PowerBudgeter::PowerBudgeter(const RcThermalNetwork& net, LeakageModel leak, PowerBudgetConfig cfg)
-    : leak_(std::move(leak)), cfg_(cfg), sim_(net) {
+    : leak_(std::move(leak)), cfg_(cfg), net_(net) {
   const std::size_t n = net.num_nodes();
   if (leak_.p0_w.size() != n || leak_.k_per_c.size() != n)
     throw std::invalid_argument("PowerBudgeter: leakage size mismatch");
+  // rc_probe casts ceil(dt / max_substep) to int for dt <= 1 s.
+  if (!(std::ceil(1.0 / net_.max_substep_s()) <= std::numeric_limits<int>::max()))
+    throw std::invalid_argument("PowerBudgeter: a 1 s tick needs more substeps than an int holds");
   dyn_.assign(n, 0.0);
   fp_temp_.assign(n, 0.0);
-  p_leak_.assign(n, 0.0);
-  total_.assign(n, 0.0);
+  limit_c_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) limit_c_[i] = node_limit(i);
+  lanes_.assign(4 * n * common::kernels::kProbeLanes, 0.0);
 }
 
 double PowerBudgeter::node_limit(std::size_t node) const {
@@ -41,13 +47,31 @@ double PowerBudgeter::steady_violation(const common::Vec& shape_w, double s,
 }
 // oal-lint: hot-path-end
 
+namespace {
+
+void check_finite(const common::Vec& v, const char* what) {
+  for (double x : v)
+    if (!std::isfinite(x)) throw std::invalid_argument(what);
+}
+
+/// Bisection levels one probe of `lanes` scales covers: the depth of the
+/// largest complete subtree (2^k - 1 nodes) that fits.
+constexpr int subtree_levels(std::size_t lanes) {
+  int k = 0;
+  while ((std::size_t{2} << k) - 1 <= lanes) ++k;
+  return k;
+}
+
+}  // namespace
+
 PowerBudgetResult PowerBudgeter::max_sustainable_power(const common::Vec& shape_w) {
-  if (shape_w.size() != sim_.num_nodes())
+  if (shape_w.size() != net_.num_nodes())
     throw std::invalid_argument("max_sustainable_power: shape size mismatch");
+  check_finite(shape_w, "max_sustainable_power: non-finite shape");
   double total_shape = 0.0;
   for (double v : shape_w) total_shape += v;
   if (total_shape <= 0.0) throw std::invalid_argument("max_sustainable_power: zero shape");
-  if (!steady_) steady_.emplace(sim_, leak_);
+  if (!steady_) steady_.emplace(net_, leak_);
 
   // Bisection on the scale.
   double lo = 0.0, hi = 1.0;
@@ -67,35 +91,100 @@ PowerBudgetResult PowerBudgeter::max_sustainable_power(const common::Vec& shape_
   return res;
 }
 
-// oal-lint: hot-path
-/// Whether constant power s * shape_w (plus leakage refreshed from the
-/// evolving temperatures every 1 s tick) crosses a limit within the horizon.
-bool PowerBudgeter::transient_violates(const common::Vec& start_temp_c,
-                                       const common::Vec& shape_w, double s, double horizon_s) {
-  sim_.set_temperatures(start_temp_c);
-  double t = 0.0;
-  while (t < horizon_s) {
-    const double dt = std::min(1.0, horizon_s - t);
-    leak_.leakage_into(sim_.temperatures(), p_leak_);
-    for (std::size_t i = 0; i < total_.size(); ++i) total_[i] = s * shape_w[i] + p_leak_[i];
-    sim_.step(total_, dt);
-    for (std::size_t i = 0; i < sim_.temperatures().size(); ++i)
-      if (sim_.temperatures()[i] > node_limit(i)) return true;
-    t += dt;
-  }
-  return false;
-}
-
 double PowerBudgeter::transient_power_headroom(const common::Vec& start_temp_c,
                                                const common::Vec& shape_w, double horizon_s) {
-  if (horizon_s <= 0.0) throw std::invalid_argument("transient_power_headroom: bad horizon");
-  if (shape_w.size() != sim_.num_nodes() || start_temp_c.size() != sim_.num_nodes())
+  return transient_power_headroom(start_temp_c, shape_w, horizon_s, common::kernels::active());
+}
+
+// oal-lint: hot-path
+/// The sequential search this reproduces, one probe at a time:
+///   lo = 0, hi = 1;
+///   while (!violates(hi) && hi < 1e4) hi *= 2;
+///   40 times: mid = 0.5 * (lo + hi); (violates(mid) ? hi : lo) = mid;
+///   return lo;
+/// where violates(s) simulates constant power s * shape (plus leakage
+/// refreshed every 1 s tick) over the horizon and reports whether any node
+/// crosses its limit.
+double PowerBudgeter::transient_power_headroom(const common::Vec& start_temp_c,
+                                               const common::Vec& shape_w, double horizon_s,
+                                               const common::kernels::KernelTable& kernels) {
+  constexpr std::size_t kLanes = common::kernels::kProbeLanes;
+  constexpr int kLevels = subtree_levels(kLanes);
+  constexpr int kIterations = 40;
+  const std::size_t n = net_.num_nodes();
+  if (!(horizon_s > 0.0 && horizon_s <= 0x1p53))
+    throw std::invalid_argument("transient_power_headroom: horizon must be in (0, 2^53] s");
+  if (shape_w.size() != n || start_temp_c.size() != n)
     throw std::invalid_argument("transient_power_headroom: size mismatch");
-  double lo = 0.0, hi = 1.0;
-  while (!transient_violates(start_temp_c, shape_w, hi, horizon_s) && hi < 1e4) hi *= 2.0;
-  for (int it = 0; it < 40; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    (transient_violates(start_temp_c, shape_w, mid, horizon_s) ? hi : lo) = mid;
+  check_finite(start_temp_c, "transient_power_headroom: non-finite start temperature");
+  check_finite(shape_w, "transient_power_headroom: non-finite shape");
+
+  const common::kernels::RcProbe probe{n,
+                                       net_.conductance().raw(),
+                                       net_.capacitances().data(),
+                                       net_.ambient_c(),
+                                       leak_.p0_w.data(),
+                                       leak_.k_per_c.data(),
+                                       leak_.t0_c,
+                                       limit_c_.data(),
+                                       start_temp_c.data(),
+                                       shape_w.data(),
+                                       horizon_s,
+                                       net_.max_substep_s(),
+                                       lanes_.data()};
+  double scale[kLanes] = {};
+
+  // Doubling: lane l tries hi * 2^l; the first lane that violates or
+  // reaches the cap ends the phase with hi at its scale.
+  double hi = 1.0;
+  for (;;) {
+    scale[0] = hi;
+    for (std::size_t l = 1; l < kLanes; ++l) scale[l] = 2.0 * scale[l - 1];
+    const unsigned violated = kernels.rc_probe(probe, scale);
+    std::size_t l = 0;
+    while (l < kLanes && (violated >> l & 1u) == 0 && scale[l] < 1e4) ++l;
+    if (l < kLanes) {
+      hi = scale[l];
+      break;
+    }
+    hi = 2.0 * scale[kLanes - 1];
+  }
+
+  // Bisection, kLevels iterations per probe.  Lane k is node k of the
+  // heap-ordered subtree below the current bracket: node 0 bisects
+  // [lo, hi], and the children 2k+1 and 2k+2 bisect the brackets node k
+  // leaves when it violates ([lo_k, mid_k]) and when it does not
+  // ([mid_k, hi_k]).  Spare lanes repeat node 0, so they never lengthen
+  // the pass.
+  double lo = 0.0;
+  double node_lo[kLanes] = {}, node_hi[kLanes] = {};
+  for (int it = 0; it < kIterations;) {
+    const int levels = std::min(kLevels, kIterations - it);
+    const std::size_t nodes = (std::size_t{1} << levels) - 1;
+    node_lo[0] = lo;
+    node_hi[0] = hi;
+    for (std::size_t k = 0; k < nodes; ++k) {
+      if (k > 0) {
+        const std::size_t parent = (k - 1) / 2;
+        const bool left = k % 2 == 1;
+        node_lo[k] = left ? node_lo[parent] : scale[parent];
+        node_hi[k] = left ? scale[parent] : node_hi[parent];
+      }
+      scale[k] = 0.5 * (node_lo[k] + node_hi[k]);
+    }
+    for (std::size_t k = nodes; k < kLanes; ++k) scale[k] = scale[0];
+    const unsigned violated = kernels.rc_probe(probe, scale);
+    std::size_t k = 0;
+    for (int level = 0; level < levels; ++level) {
+      if (violated >> k & 1u) {
+        hi = scale[k];
+        k = 2 * k + 1;
+      } else {
+        lo = scale[k];
+        k = 2 * k + 2;
+      }
+    }
+    it += levels;
   }
   return lo;
 }

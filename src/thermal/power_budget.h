@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <optional>
 
+#include "common/kernels.h"
 #include "common/matrix.h"
 #include "thermal/fixed_point.h"
 #include "thermal/rc_network.h"
@@ -35,45 +36,61 @@ struct PowerBudgetResult {
 /// Both budgets bisect on the power scale; only the cost of a probe differs
 /// from solving each probe from scratch.  A steady-state probe reuses one
 /// FixedPointSolver (R, loop gain and LU factored on the first steady-state
-/// call), so it is one R*rhs and two triangular sweeps.  A transient probe
-/// restarts a private scratch network in place.
+/// call), so it is one R*rhs and two triangular sweeps.  The transient
+/// search is speculative: one lane-parallel RC simulation
+/// (common::kernels::rc_probe) evaluates the current bisection midpoint and
+/// both midpoints that can follow it, so two bisection levels cost one
+/// simulation, and the doubling phase tries hi, 2hi, 4hi and 8hi at once.
 ///
-/// Bitwise contract: every budget equals the from-scratch computation bit
-/// for bit — the probes perform the same FP operations in the same order
-/// (rhs = s*shape_i + c_i; T = T_amb + dT, then T - limit; the Mat*Vec,
-/// LU and RC-step summation orders unchanged).  After the first call of
-/// each kind, budget calls are allocation-free.
+/// Bitwise contract: every budget equals the sequential from-scratch
+/// computation bit for bit.  The probes perform the same FP operations in
+/// the same order (rhs = s*shape_i + c_i; T = T_amb + dT, then T - limit;
+/// the Mat*Vec, LU and RC-step summation orders unchanged), and each
+/// speculative candidate is the exact expression the sequential loop would
+/// evaluate next (0.5 * (lo + hi) of the bracket that outcome leaves), so
+/// the search follows the sequential path whatever the probe outcomes are;
+/// it never assumes a probe is monotone in the scale.  After the first
+/// steady-state call, budget calls are allocation-free.
 class PowerBudgeter {
  public:
   /// Copies the network (its G, capacities and ambient; the temperatures
   /// are supplied per transient call).  Throws std::invalid_argument if the
-  /// leakage vectors do not match the network's node count.
+  /// leakage vectors do not match the network's node count, or if a 1 s
+  /// tick would need more Euler substeps than an int holds.
   PowerBudgeter(const RcThermalNetwork& net, LeakageModel leak, PowerBudgetConfig cfg = {});
 
   /// Steady-state budget (see max_sustainable_power).  Throws
-  /// std::invalid_argument on a shape size mismatch or a non-positive shape.
+  /// std::invalid_argument on a shape size mismatch, a non-finite shape
+  /// entry or a non-positive shape.
   PowerBudgetResult max_sustainable_power(const common::Vec& shape_w);
 
   /// Transient headroom scale from the temperatures `start_temp_c` (see
-  /// transient_power_headroom).  Throws std::invalid_argument on a
-  /// non-positive horizon or a size mismatch.
+  /// transient_power_headroom).  Throws std::invalid_argument on a size
+  /// mismatch, a non-finite start temperature or shape entry, or a horizon
+  /// that is not in (0, 2^53] s (past 2^53 the 1 s ticks stop advancing
+  /// the clock).
   double transient_power_headroom(const common::Vec& start_temp_c, const common::Vec& shape_w,
                                   double horizon_s);
+  /// The same search through one given kernel variant; the overload above
+  /// passes common::kernels::active().  Exposed so tests can hold every
+  /// variant to the same bits.
+  double transient_power_headroom(const common::Vec& start_temp_c, const common::Vec& shape_w,
+                                  double horizon_s, const common::kernels::KernelTable& kernels);
 
  private:
   double node_limit(std::size_t node) const;
   double steady_violation(const common::Vec& shape_w, double s, std::size_t* worst_node);
-  bool transient_violates(const common::Vec& start_temp_c, const common::Vec& shape_w, double s,
-                          double horizon_s);
 
   LeakageModel leak_;
   PowerBudgetConfig cfg_;
-  RcThermalNetwork sim_;  ///< transient probes step this copy
+  RcThermalNetwork net_;  ///< G, capacities, ambient and substep bound
   /// Built on the first steady-state call, so a transient-only budgeter
   /// never needs G to be invertible.
   std::optional<FixedPointSolver> steady_;
-  // Per-probe scratch.
-  common::Vec dyn_, fp_temp_, p_leak_, total_;
+  // Steady-state probe scratch.
+  common::Vec dyn_, fp_temp_;
+  // Transient probe operands: per-node limits and the kernel's lane scratch.
+  common::Vec limit_c_, lanes_;
 };
 
 /// One-shot steady-state budget: PowerBudgeter(net, leak, cfg)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace oal::thermal {
@@ -67,10 +68,13 @@ void RcThermalNetwork::reset_to_ambient() { std::fill(temp_.begin(), temp_.end()
 // oal-lint: hot-path
 void RcThermalNetwork::step(const common::Vec& power_w, double dt_s) {
   if (power_w.size() != temp_.size()) throw std::invalid_argument("step: power size mismatch");
-  if (dt_s <= 0.0) throw std::invalid_argument("step: dt must be > 0");
+  if (!(dt_s > 0.0)) throw std::invalid_argument("step: dt must be > 0");
   // Sub-step at 0.2x the cached stability bound.
-  const double h_max = 0.2 * min_tau_;
-  const int substeps = std::max(1, static_cast<int>(std::ceil(dt_s / h_max)));
+  const double h_max = max_substep_s();
+  const double count = std::ceil(dt_s / h_max);
+  if (!(count <= std::numeric_limits<int>::max()))
+    throw std::invalid_argument("step: dt needs more substeps than an int holds");
+  const int substeps = std::max(1, static_cast<int>(count));
   const double h = dt_s / substeps;
   // C dT/dt = P - G (T - T_amb): G's diagonal carries ambient legs plus
   // coupling sums, off-diagonals are negated couplings (Laplacian form).

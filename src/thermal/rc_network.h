@@ -47,9 +47,18 @@ class RcThermalNetwork {
   void set_temperatures(const common::Vec& t);
   void reset_to_ambient();
 
+  /// Conductance matrix G (ambient legs on the diagonal, negated couplings
+  /// off it) and heat capacities C.
+  const common::Mat& conductance() const { return g_; }
+  const common::Vec& capacitances() const { return cap_; }
+  /// Longest forward-Euler substep step() takes: 0.2 x min_i C_i / G_ii.
+  double max_substep_s() const { return 0.2 * min_tau_; }
+
   /// Advance by dt seconds under constant node powers (W).  Internally uses
-  /// sub-stepped forward Euler with a stability-bounded step.  Steps on
-  /// member scratch: allocation-free.
+  /// ceil(dt / max_substep_s()) forward-Euler substeps of equal length.
+  /// Steps on member scratch: allocation-free.  Throws
+  /// std::invalid_argument unless dt is finite and > 0 with a substep count
+  /// that fits an int.
   void step(const common::Vec& power_w, double dt_s);
 
   /// Steady-state temperatures for constant power: T = T_amb + G^{-1} P.

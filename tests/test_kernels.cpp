@@ -3,7 +3,8 @@
 // plain ascending-index scalar loops.  Shapes are ragged on purpose: 1-16
 // rows and 1-41 columns (every width, so the IL policy's 4/5/13/19-class
 // heads, its 24-wide trunk and the 41-wide fused head block are all
-// covered), with row strides wider than the logical widths.
+// covered), with row strides wider than the logical widths.  The transient
+// probe kernel (rc_probe) is held to the scalar probe in test_thermal.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>

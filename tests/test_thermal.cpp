@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "gpu/gpu_model.h"
@@ -97,6 +99,11 @@ TEST(RcNetwork, InvalidInputsThrow) {
   EXPECT_THROW(net.step({1.0}, 1.0), std::invalid_argument);
   EXPECT_THROW(net.step(common::Vec(5, 0.0), -1.0), std::invalid_argument);
   EXPECT_THROW(RcThermalNetwork({}, {}), std::invalid_argument);
+  // NaN, infinite, or so long its substep count would overflow an int.
+  for (double dt : {std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity(), 1e300})
+    EXPECT_THROW(net.step(common::Vec(5, 0.0), dt), std::invalid_argument) << dt;
+  EXPECT_EQ(net.temperatures(), common::Vec(5, net.ambient_c()));
 }
 
 TEST(FixedPoint, ExistsAtModerateLeakage) {
@@ -223,8 +230,9 @@ TEST(PowerBudget, TransientHeadroomExceedsSustainable) {
 //
 // The reference below is a verbatim copy of the budget code the budgeter
 // replaced: every steady-state probe re-solves the fixed point from scratch
-// (R, loop gain, LU), every transient probe copies the whole network and
-// allocates per tick.  The budgeter must return the same bits.
+// (R, loop gain, LU), every transient probe copies the whole network,
+// allocates per tick and runs one scale at a time.  The budgeter must return
+// the same bits through every kernel variant.
 
 namespace reference {
 
@@ -420,6 +428,20 @@ TEST(PowerBudgeter, SteadyBudgetsMatchReferenceBitwise) {
   }
 }
 
+/// Holds every kernel variant's transient budget to the reference's bits.
+void expect_variants_match_reference(const RcThermalNetwork& net, const LeakageModel& leak,
+                                     const common::Vec& shape_w, double horizon_s,
+                                     const PowerBudgetConfig& cfg, const char* what) {
+  const double want = reference::transient_power_headroom(net, leak, shape_w, horizon_s, cfg);
+  PowerBudgeter budgeter(net, leak, cfg);
+  for (const auto& variant : common::kernels::detail::supported_variants()) {
+    const double got =
+        budgeter.transient_power_headroom(net.temperatures(), shape_w, horizon_s, variant);
+    EXPECT_TRUE(same_bits(got, want))
+        << what << " via " << variant.name << ": " << got << " vs " << want;
+  }
+}
+
 TEST(PowerBudgeter, TransientBudgetsMatchReferenceBitwise) {
   // 37.3 s ends on a partial 0.3 s tick; 0.5 s is a single partial tick.
   common::Rng rng(43);
@@ -441,6 +463,8 @@ TEST(PowerBudgeter, TransientBudgetsMatchReferenceBitwise) {
       // The one-shot wrapper is the same computation.
       EXPECT_TRUE(
           same_bits(transient_power_headroom(net, default_leak(), shape, horizon, cfg), want));
+      // So is the search through every kernel variant.
+      expect_variants_match_reference(net, default_leak(), shape, horizon, cfg, "preheated");
     }
     EXPECT_EQ(positive, cases) << "h" << horizon << ": degenerate (zero-headroom) cases";
   }
@@ -456,6 +480,9 @@ TEST(PowerBudgeter, RunawayLeakageGivesZeroScaleLikeReference) {
   const PowerBudgetResult got = budgeter.max_sustainable_power(shape);
   EXPECT_EQ(got.scale, 0.0);
   expect_same_budget(got, reference::max_sustainable_power(net, hot, shape, {}));
+  // Transient: every scale heats without bound.
+  for (double horizon : {37.3, 240.0})
+    expect_variants_match_reference(net, hot, shape, horizon, {}, "runaway");
 }
 
 TEST(PowerBudgeter, ScaleCapMatchesReference) {
@@ -471,6 +498,7 @@ TEST(PowerBudgeter, ScaleCapMatchesReference) {
   EXPECT_GT(burst, 1e4);
   EXPECT_TRUE(
       same_bits(burst, reference::transient_power_headroom(net, default_leak(), tiny, 10.0, {})));
+  expect_variants_match_reference(net, default_leak(), tiny, 10.0, {}, "cap");
 }
 
 TEST(PowerBudgeter, RejectsBadInputs) {
@@ -485,6 +513,228 @@ TEST(PowerBudgeter, RejectsBadInputs) {
   EXPECT_THROW(budgeter.transient_power_headroom(net.temperatures(), shape, 0.0),
                std::invalid_argument);
   EXPECT_THROW(budgeter.transient_power_headroom({30.0}, shape, 10.0), std::invalid_argument);
+}
+
+TEST(PowerBudgeter, RejectsNonFiniteInputs) {
+  // Unchecked, a NaN horizon, start temperature or shape entry bisected to
+  // the cap scale (no probe ever compares as violating), and an infinite
+  // horizon never ended on a shape that stays inside the limits.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto net = RcThermalNetwork::mobile_soc();
+  PowerBudgeter budgeter(net, default_leak());
+  const common::Vec& start = net.temperatures();
+  const common::Vec shape{0.55, 0.1, 0.35, 0.0, 0.0};
+  for (double horizon : {nan, inf, -inf, 0x1p54})
+    EXPECT_THROW(budgeter.transient_power_headroom(start, shape, horizon), std::invalid_argument)
+        << horizon;
+  for (double bad : {nan, inf, -inf}) {
+    common::Vec hot = start;
+    hot[2] = bad;
+    EXPECT_THROW(budgeter.transient_power_headroom(hot, shape, 10.0), std::invalid_argument);
+    common::Vec odd = shape;
+    odd[0] = bad;
+    EXPECT_THROW(budgeter.transient_power_headroom(start, odd, 10.0), std::invalid_argument);
+    EXPECT_THROW(budgeter.max_sustainable_power(odd), std::invalid_argument);
+  }
+  EXPECT_THROW(transient_power_headroom(net, default_leak(), shape, nan), std::invalid_argument);
+  // A network whose 1 s tick needs more Euler substeps than an int holds.
+  const RcThermalNetwork stiff({{"a", 1e-12, 1.0}, {"b", 1.0, 1.0}}, {{0, 1, 0.5}});
+  LeakageModel two;
+  two.p0_w = {0.0, 0.0};
+  two.k_per_c = {0.0, 0.0};
+  EXPECT_THROW(PowerBudgeter(stiff, two), std::invalid_argument);
+}
+
+// ---- Every rc_probe variant == the sequential probe, bit for bit ----------
+
+/// The scalar probe reference::transient_power_headroom runs, reporting
+/// more: the 1-based tick on which constant power s * shape_w first crosses
+/// a limit (0 if it never does within the horizon), and the temperatures
+/// after `ticks` ticks (0 = the whole horizon), stepping on past a
+/// violation.
+struct ScalarProbe {
+  int violation_tick = 0;
+  common::Vec temp_c;
+};
+
+ScalarProbe reference_probe(RcThermalNetwork sim, const LeakageModel& leak,
+                            const common::Vec& shape_w, double s, double horizon_s,
+                            const PowerBudgetConfig& cfg, int ticks = 0) {
+  ScalarProbe out;
+  double t = 0.0;
+  for (int tick = 1; t < horizon_s && (ticks == 0 || tick <= ticks); ++tick) {
+    const double dt = std::min(1.0, horizon_s - t);
+    const common::Vec p_leak = leak.leakage(sim.temperatures());
+    common::Vec total(shape_w.size());
+    for (std::size_t i = 0; i < total.size(); ++i) total[i] = s * shape_w[i] + p_leak[i];
+    sim.step(total, dt);
+    for (std::size_t i = 0; i < sim.temperatures().size(); ++i)
+      if (out.violation_tick == 0 && sim.temperatures()[i] > reference::node_limit(cfg, i))
+        out.violation_tick = tick;
+    t += dt;
+  }
+  out.temp_c = sim.temperatures();
+  return out;
+}
+
+/// Runs one rc_probe variant on kProbeLanes scales from the network's
+/// current temperatures and checks it against kProbeLanes scalar probes:
+/// the violation mask, and every lane's temperatures, bit for bit, after
+/// the pass's last tick (the last lane's violation tick when every lane
+/// violates, else the horizon).  Returns the scalar violation ticks.
+std::vector<int> expect_probe_matches_reference(const common::kernels::KernelTable& variant,
+                                                const RcThermalNetwork& net,
+                                                const LeakageModel& leak,
+                                                const common::Vec& shape_w, double horizon_s,
+                                                const PowerBudgetConfig& cfg,
+                                                const double* scale) {
+  constexpr std::size_t kLanes = common::kernels::kProbeLanes;
+  const std::size_t n = net.num_nodes();
+  common::Vec limits(n);
+  for (std::size_t i = 0; i < n; ++i) limits[i] = reference::node_limit(cfg, i);
+  std::vector<double> scratch(4 * n * kLanes);
+  const common::kernels::RcProbe probe{n,
+                                       net.conductance().raw(),
+                                       net.capacitances().data(),
+                                       net.ambient_c(),
+                                       leak.p0_w.data(),
+                                       leak.k_per_c.data(),
+                                       leak.t0_c,
+                                       limits.data(),
+                                       net.temperatures().data(),
+                                       shape_w.data(),
+                                       horizon_s,
+                                       net.max_substep_s(),
+                                       scratch.data()};
+  const unsigned mask = variant.rc_probe(probe, scale);
+  std::vector<int> ticks(kLanes);
+  unsigned want = 0;
+  int last = 0;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    ticks[l] = reference_probe(net, leak, shape_w, scale[l], horizon_s, cfg).violation_tick;
+    if (ticks[l] > 0) want |= 1u << l;
+    last = ticks[l] == 0 || last == -1 ? -1 : std::max(last, ticks[l]);
+  }
+  EXPECT_EQ(mask, want) << variant.name;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const common::Vec temp =
+        reference_probe(net, leak, shape_w, scale[l], horizon_s, cfg, std::max(last, 0)).temp_c;
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_TRUE(same_bits(scratch[i * kLanes + l], temp[i]))
+          << variant.name << " lane " << l << " node " << i << ": " << scratch[i * kLanes + l]
+          << " vs " << temp[i];
+  }
+  return ticks;
+}
+
+/// How many different ticks the violating lanes cross a limit on.
+std::size_t distinct_ticks(std::vector<int> ticks) {
+  ticks.erase(std::remove(ticks.begin(), ticks.end(), 0), ticks.end());
+  std::sort(ticks.begin(), ticks.end());
+  return static_cast<std::size_t>(std::unique(ticks.begin(), ticks.end()) - ticks.begin());
+}
+
+TEST(RcProbe, LanesThatViolateOnDifferentTicksMatchSequentialProbes) {
+  constexpr std::size_t kLanes = common::kernels::kProbeLanes;
+  const double ambient = 35.0;
+  const PowerBudgetConfig cfg = tight_limits();
+  auto net = RcThermalNetwork::mobile_soc(ambient);
+  net.set_temperatures({48.0, 46.0, 58.0, 45.0, 39.5});
+  const common::Vec shape{0.0, 0.0, 2.4, 1.1, 0.0};
+  const auto& variants = common::kernels::detail::supported_variants();
+  for (double horizon : {240.0, 37.3}) {
+    const double edge =
+        reference::transient_power_headroom(net, default_leak(), shape, horizon, cfg);
+    ASSERT_GT(edge, 0.0);
+    // Spread around the headroom edge: the lanes above it cross the limit
+    // on different ticks of the same pass, the lowest never does.
+    double scale[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) scale[l] = edge * (4.0 - 3.1 * l / (kLanes - 1));
+    for (const auto& variant : variants) {
+      const std::vector<int> ticks =
+          expect_probe_matches_reference(variant, net, default_leak(), shape, horizon, cfg, scale);
+      EXPECT_EQ(ticks[kLanes - 1], 0);
+      EXPECT_GE(distinct_ticks(ticks), 3u);
+    }
+    // Every lane violates, on different ticks: the pass ends early, after
+    // the last lane's violation tick.
+    for (std::size_t l = 0; l < kLanes; ++l) scale[l] = edge * (1.02 + 0.15 * l);
+    for (const auto& variant : variants) {
+      const std::vector<int> ticks =
+          expect_probe_matches_reference(variant, net, default_leak(), shape, horizon, cfg, scale);
+      EXPECT_EQ(std::count(ticks.begin(), ticks.end(), 0), 0);
+      EXPECT_GE(distinct_ticks(ticks), 3u);
+    }
+  }
+
+  // Random states, shapes and scales, lanes in any order (some violating
+  // early, some late, some never), over whole and partial ticks.
+  common::Rng rng(47);
+  for (double h : {0.5, 10.0, 37.3}) {
+    for (int k = 0; k < 8; ++k) {
+      net.set_temperatures(random_preheat(rng, ambient, cfg));
+      const common::Vec rshape = random_shape(rng);
+      const double redge = reference::transient_power_headroom(net, default_leak(), rshape, h, cfg);
+      double scale[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) scale[l] = redge * rng.uniform(0.5, 3.0);
+      for (const auto& variant : variants)
+        expect_probe_matches_reference(variant, net, default_leak(), rshape, h, cfg, scale);
+    }
+  }
+}
+
+TEST(PowerBudgeter, TransientHeadroomIsZeroAboveTheLimitLikeReference) {
+  // Already over the skin limit: every lane violates on tick 1.
+  const PowerBudgetConfig cfg = tight_limits();
+  auto net = RcThermalNetwork::mobile_soc(35.0);
+  net.set_temperatures({50.0, 50.0, 50.0, 45.0, cfg.t_max_skin_c + 1.0});
+  const common::Vec shape{0.55, 0.1, 0.35, 0.0, 0.0};
+  EXPECT_EQ(PowerBudgeter(net, default_leak(), cfg)
+                .transient_power_headroom(net.temperatures(), shape, 10.0),
+            0.0);
+  expect_variants_match_reference(net, default_leak(), shape, 10.0, cfg, "over the limit");
+}
+
+TEST(PowerBudgeter, EveryKernelVariantMatchesReferenceOnOtherNodeCounts) {
+  // 3 nodes (a register-resident instantiation other than the mobile SoC's
+  // 5) and a 12-node chain (past the register-resident sizes: the
+  // runtime-n form).
+  const RcThermalNetwork small({{"a", 6.0, 0.010}, {"b", 4.0, 0.010}, {"c", 120.0, 0.15}},
+                               {{0, 1, 0.80}, {0, 2, 0.45}, {1, 2, 0.40}}, 30.0);
+  std::vector<ThermalNodeSpec> nodes;
+  std::vector<ThermalCoupling> links;
+  for (std::size_t i = 0; i < 12; ++i) {
+    nodes.push_back({"n" + std::to_string(i), 3.0 + 2.0 * i, 0.01 + 0.02 * i});
+    if (i > 0) links.push_back({i - 1, i, 0.3 + 0.05 * i});
+  }
+  const RcThermalNetwork chain(nodes, links, 30.0);
+  common::Rng rng(59);
+  for (const RcThermalNetwork* base : {&small, &chain}) {
+    const std::size_t n = base->num_nodes();
+    LeakageModel leak;
+    leak.p0_w.assign(n, 0.0);
+    leak.k_per_c.assign(n, 0.0);
+    leak.p0_w[0] = 0.3;
+    leak.k_per_c[0] = 0.025;
+    PowerBudgetConfig cfg;
+    cfg.skin_node = n - 1;
+    cfg.t_max_skin_c = 40.0;
+    cfg.t_max_junction_c = 70.0;
+    RcThermalNetwork net = *base;
+    for (double horizon : {0.5, 37.3}) {
+      for (int k = 0; k < 3; ++k) {
+        common::Vec start(n), shape(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          start[i] = 30.0 + rng.uniform(0.0, 8.0);
+          shape[i] = rng.uniform(0.0, 1.0);
+        }
+        net.set_temperatures(start);
+        expect_variants_match_reference(net, leak, shape, horizon, cfg,
+                                        n == 3 ? "3 nodes" : "12 nodes");
+      }
+    }
+  }
 }
 
 TEST(RcNetwork, InPlaceStepMatchesFromScratchEulerBitwise) {
@@ -711,6 +961,41 @@ TEST(ThermalGpuAdapter, RejectsBadConstruction) {
   soc::ThermalGpuConstraintParams p;
   p.leakage.p0_w = {0.1};
   EXPECT_THROW(soc::ThermalGpuAdapter(plat, 1.0 / 30.0, p), std::invalid_argument);
+}
+
+TEST(ThermalAdapters, RejectNonFiniteTimingAndTemperatures) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  gpu::GpuPlatform gplat;
+  soc::BigLittlePlatform splat;
+  for (double period : {nan, inf})
+    EXPECT_THROW(soc::ThermalGpuAdapter(gplat, period), std::invalid_argument);
+  for (double bad : {nan, inf, -inf}) {
+    // A NaN horizon would select the steady-state budget; a NaN or infinite
+    // interval would never refresh it.
+    soc::ThermalGpuConstraintParams g;
+    soc::ThermalConstraintParams c;
+    g.horizon_s = c.horizon_s = bad;
+    EXPECT_THROW(soc::ThermalGpuAdapter(gplat, 1.0 / 30.0, g), std::invalid_argument);
+    EXPECT_THROW(soc::ThermalSocAdapter(splat, c), std::invalid_argument);
+    g = {};
+    c = {};
+    g.budget_interval_s = c.budget_interval_s = bad;
+    EXPECT_THROW(soc::ThermalGpuAdapter(gplat, 1.0 / 30.0, g), std::invalid_argument);
+    EXPECT_THROW(soc::ThermalSocAdapter(splat, c), std::invalid_argument);
+    g = {};
+    c = {};
+    g.ambient_c = c.ambient_c = bad;
+    EXPECT_THROW(soc::ThermalGpuAdapter(gplat, 1.0 / 30.0, g), std::invalid_argument);
+    EXPECT_THROW(soc::ThermalSocAdapter(splat, c), std::invalid_argument);
+    // Also under the steady-state budget, which never reads the temperatures.
+    g = {};
+    c = {};
+    g.horizon_s = c.horizon_s = 0.0;
+    g.initial_temperature_c = c.initial_temperature_c = {40.0, 40.0, bad, 40.0, 35.0};
+    EXPECT_THROW(soc::ThermalGpuAdapter(gplat, 1.0 / 30.0, g), std::invalid_argument);
+    EXPECT_THROW(soc::ThermalSocAdapter(splat, c), std::invalid_argument);
+  }
 }
 
 TEST(ThermalGpuAdapter, TelemetrySnapshotReflectsAdapterState) {
