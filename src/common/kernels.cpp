@@ -140,9 +140,10 @@ OAL_KERNEL_BODY void adam_body(std::size_t n, const AdamStep& p, bool weight_dec
 /// it violates, until the pass ends.
 ///
 /// The node-major lane state (temperatures, tick powers, rises, dT/dt)
-/// lives in a local array when the node count kN is a compile-time
-/// constant, so the compiler can unroll the loops fully and keep it in
-/// registers; kN == 0 is the runtime-n form, which keeps it in p.scratch.
+/// lives in p.scratch for a node count known only at run time (kN == 0).
+/// With kN fixed at compile time it is a local array in fully unrolled
+/// loops, which the compiler keeps in registers, and the final
+/// temperatures are copied to p.scratch at the end.
 template <std::size_t kW, std::size_t kN>
 OAL_KERNEL_BODY unsigned rc_probe_body(const RcProbe& p, const double* scale) {
   using V = typename Lanes<kW>::type;
@@ -202,16 +203,15 @@ OAL_KERNEL_BODY unsigned rc_probe_body(const RcProbe& p, const double* scale) {
   return mask;
 }
 
-/// Node counts up to kRegisterNodes get a register-resident instantiation.
-constexpr std::size_t kRegisterNodes = 8;
+/// Node count of thermal::RcThermalNetwork::mobile_soc, the network every
+/// benchmark and example runs: the one size with a register-resident body
+/// (README.md, "Thermal budgeter", has the measured gain).
+constexpr std::size_t kMobileSocNodes = 5;
 
-template <std::size_t kW, std::size_t kN = kRegisterNodes>
-OAL_KERNEL_BODY unsigned rc_probe_any(const RcProbe& p, const double* scale) {
-  if constexpr (kN == 0) {
-    return rc_probe_body<kW, 0>(p, scale);
-  } else {
-    return p.n == kN ? rc_probe_body<kW, kN>(p, scale) : rc_probe_any<kW, kN - 1>(p, scale);
-  }
+template <std::size_t kW>
+OAL_KERNEL_BODY unsigned rc_probe_sized(const RcProbe& p, const double* scale) {
+  return p.n == kMobileSocNodes ? rc_probe_body<kW, kMobileSocNodes>(p, scale)
+                                : rc_probe_body<kW, 0>(p, scale);
 }
 // oal-lint: hot-path-end
 
@@ -228,7 +228,7 @@ void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* w, double
           const double* g) {
   adam_body(n, p, weight_decay, w, m, v, g);
 }
-unsigned rc_probe(const RcProbe& p, const double* scale) { return rc_probe_any<2>(p, scale); }
+unsigned rc_probe(const RcProbe& p, const double* scale) { return rc_probe_sized<2>(p, scale); }
 constexpr KernelTable kTable{"baseline", gemm_nn, gemm_tn, col_sums, adam, rc_probe};
 }  // namespace baseline
 
@@ -248,7 +248,7 @@ OAL_AVX2 void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* 
   adam_body(n, p, weight_decay, w, m, v, g);
 }
 OAL_AVX2 unsigned rc_probe(const RcProbe& p, const double* scale) {
-  return rc_probe_any<4>(p, scale);
+  return rc_probe_sized<4>(p, scale);
 }
 constexpr KernelTable kTable{"avx2", gemm_nn, gemm_tn, col_sums, adam, rc_probe};
 }  // namespace avx2

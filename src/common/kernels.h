@@ -81,7 +81,8 @@ struct RcProbe {
   double max_substep_s;   ///< > 0, with ceil(1 / max_substep_s) an int
   /// 4 * n * kProbeLanes doubles, any alignment.  On return the first
   /// n * kProbeLanes hold the temperatures after the last simulated tick,
-  /// node i of lane l at [i * kProbeLanes + l].
+  /// node i of lane l at [i * kProbeLanes + l].  Only the parity tests read
+  /// them; the budget search uses the returned mask alone.
   double* scratch;
 };
 

@@ -13,9 +13,6 @@ PowerBudgeter::PowerBudgeter(const RcThermalNetwork& net, LeakageModel leak, Pow
   const std::size_t n = net.num_nodes();
   if (leak_.p0_w.size() != n || leak_.k_per_c.size() != n)
     throw std::invalid_argument("PowerBudgeter: leakage size mismatch");
-  // rc_probe casts ceil(dt / max_substep) to int for dt <= 1 s.
-  if (!(std::ceil(1.0 / net_.max_substep_s()) <= std::numeric_limits<int>::max()))
-    throw std::invalid_argument("PowerBudgeter: a 1 s tick needs more substeps than an int holds");
   dyn_.assign(n, 0.0);
   fp_temp_.assign(n, 0.0);
   limit_c_.resize(n);
@@ -52,14 +49,6 @@ namespace {
 void check_finite(const common::Vec& v, const char* what) {
   for (double x : v)
     if (!std::isfinite(x)) throw std::invalid_argument(what);
-}
-
-/// Bisection levels one probe of `lanes` scales covers: the depth of the
-/// largest complete subtree (2^k - 1 nodes) that fits.
-constexpr int subtree_levels(std::size_t lanes) {
-  int k = 0;
-  while ((std::size_t{2} << k) - 1 <= lanes) ++k;
-  return k;
 }
 
 }  // namespace
@@ -109,11 +98,16 @@ double PowerBudgeter::transient_power_headroom(const common::Vec& start_temp_c,
                                                const common::Vec& shape_w, double horizon_s,
                                                const common::kernels::KernelTable& kernels) {
   constexpr std::size_t kLanes = common::kernels::kProbeLanes;
-  constexpr int kLevels = subtree_levels(kLanes);
   constexpr int kIterations = 40;
+  static_assert(kLanes == 4 && kIterations % 2 == 0,
+                "each probe covers two whole bisection iterations in four lanes");
   const std::size_t n = net_.num_nodes();
   if (!(horizon_s > 0.0 && horizon_s <= 0x1p53))
     throw std::invalid_argument("transient_power_headroom: horizon must be in (0, 2^53] s");
+  // rc_probe casts ceil(dt / max_substep) to int for dt <= 1 s.
+  if (!(std::ceil(1.0 / net_.max_substep_s()) <= std::numeric_limits<int>::max()))
+    throw std::invalid_argument(
+        "transient_power_headroom: a 1 s tick needs more substeps than an int holds");
   if (shape_w.size() != n || start_temp_c.size() != n)
     throw std::invalid_argument("transient_power_headroom: size mismatch");
   check_finite(start_temp_c, "transient_power_headroom: non-finite start temperature");
@@ -150,41 +144,21 @@ double PowerBudgeter::transient_power_headroom(const common::Vec& start_temp_c,
     hi = 2.0 * scale[kLanes - 1];
   }
 
-  // Bisection, kLevels iterations per probe.  Lane k is node k of the
-  // heap-ordered subtree below the current bracket: node 0 bisects
-  // [lo, hi], and the children 2k+1 and 2k+2 bisect the brackets node k
-  // leaves when it violates ([lo_k, mid_k]) and when it does not
-  // ([mid_k, hi_k]).  Spare lanes repeat node 0, so they never lengthen
-  // the pass.
+  // Bisection, two iterations per probe.  Lane 0 bisects [lo, hi]; lane 1
+  // bisects [lo, mid], the bracket lane 0 leaves when it violates, and
+  // lane 2 bisects [mid, hi], the one it leaves when it does not.  Lane 3
+  // repeats lane 0, so it never lengthens the pass.
   double lo = 0.0;
-  double node_lo[kLanes] = {}, node_hi[kLanes] = {};
-  for (int it = 0; it < kIterations;) {
-    const int levels = std::min(kLevels, kIterations - it);
-    const std::size_t nodes = (std::size_t{1} << levels) - 1;
-    node_lo[0] = lo;
-    node_hi[0] = hi;
-    for (std::size_t k = 0; k < nodes; ++k) {
-      if (k > 0) {
-        const std::size_t parent = (k - 1) / 2;
-        const bool left = k % 2 == 1;
-        node_lo[k] = left ? node_lo[parent] : scale[parent];
-        node_hi[k] = left ? scale[parent] : node_hi[parent];
-      }
-      scale[k] = 0.5 * (node_lo[k] + node_hi[k]);
-    }
-    for (std::size_t k = nodes; k < kLanes; ++k) scale[k] = scale[0];
+  for (int it = 0; it < kIterations; it += 2) {
+    const double mid = 0.5 * (lo + hi);
+    scale[0] = mid;
+    scale[1] = 0.5 * (lo + mid);
+    scale[2] = 0.5 * (mid + hi);
+    scale[3] = mid;
     const unsigned violated = kernels.rc_probe(probe, scale);
-    std::size_t k = 0;
-    for (int level = 0; level < levels; ++level) {
-      if (violated >> k & 1u) {
-        hi = scale[k];
-        k = 2 * k + 1;
-      } else {
-        lo = scale[k];
-        k = 2 * k + 2;
-      }
-    }
-    it += levels;
+    const std::size_t next = (violated & 1u) != 0 ? 1 : 2;
+    ((violated & 1u) != 0 ? hi : lo) = mid;
+    ((violated >> next & 1u) != 0 ? hi : lo) = scale[next];
   }
   return lo;
 }

@@ -55,8 +55,7 @@ class PowerBudgeter {
  public:
   /// Copies the network (its G, capacities and ambient; the temperatures
   /// are supplied per transient call).  Throws std::invalid_argument if the
-  /// leakage vectors do not match the network's node count, or if a 1 s
-  /// tick would need more Euler substeps than an int holds.
+  /// leakage vectors do not match the network's node count.
   PowerBudgeter(const RcThermalNetwork& net, LeakageModel leak, PowerBudgetConfig cfg = {});
 
   /// Steady-state budget (see max_sustainable_power).  Throws
@@ -66,9 +65,10 @@ class PowerBudgeter {
 
   /// Transient headroom scale from the temperatures `start_temp_c` (see
   /// transient_power_headroom).  Throws std::invalid_argument on a size
-  /// mismatch, a non-finite start temperature or shape entry, or a horizon
+  /// mismatch, a non-finite start temperature or shape entry, a horizon
   /// that is not in (0, 2^53] s (past 2^53 the 1 s ticks stop advancing
-  /// the clock).
+  /// the clock), or a network whose 1 s tick needs more Euler substeps
+  /// than an int holds.
   double transient_power_headroom(const common::Vec& start_temp_c, const common::Vec& shape_w,
                                   double horizon_s);
   /// The same search through one given kernel variant; the overload above

@@ -538,12 +538,20 @@ TEST(PowerBudgeter, RejectsNonFiniteInputs) {
     EXPECT_THROW(budgeter.max_sustainable_power(odd), std::invalid_argument);
   }
   EXPECT_THROW(transient_power_headroom(net, default_leak(), shape, nan), std::invalid_argument);
-  // A network whose 1 s tick needs more Euler substeps than an int holds.
+  // A network whose 1 s tick needs more Euler substeps than an int holds:
+  // the transient search rejects it, the steady-state budget never steps
+  // the network and still answers.
   const RcThermalNetwork stiff({{"a", 1e-12, 1.0}, {"b", 1.0, 1.0}}, {{0, 1, 0.5}});
   LeakageModel two;
   two.p0_w = {0.0, 0.0};
   two.k_per_c = {0.0, 0.0};
-  EXPECT_THROW(PowerBudgeter(stiff, two), std::invalid_argument);
+  PowerBudgeter stiff_budgeter(stiff, two);
+  const common::Vec even{1.0, 1.0};
+  EXPECT_THROW(stiff_budgeter.transient_power_headroom(stiff.temperatures(), even, 10.0),
+               std::invalid_argument);
+  // G is [[1.5, -0.5], [-0.5, 1.5]]: each node rises by the scale itself,
+  // so the 85 C junction limit binds at 85 - 25.
+  EXPECT_NEAR(stiff_budgeter.max_sustainable_power(even).scale, 60.0, 1e-9);
 }
 
 // ---- Every rc_probe variant == the sequential probe, bit for bit ----------
@@ -697,9 +705,8 @@ TEST(PowerBudgeter, TransientHeadroomIsZeroAboveTheLimitLikeReference) {
 }
 
 TEST(PowerBudgeter, EveryKernelVariantMatchesReferenceOnOtherNodeCounts) {
-  // 3 nodes (a register-resident instantiation other than the mobile SoC's
-  // 5) and a 12-node chain (past the register-resident sizes: the
-  // runtime-n form).
+  // 3 nodes and a 12-node chain: node counts other than the mobile SoC's
+  // 5, so both run the kernel's runtime-n form.
   const RcThermalNetwork small({{"a", 6.0, 0.010}, {"b", 4.0, 0.010}, {"c", 120.0, 0.15}},
                                {{0, 1, 0.80}, {0, 2, 0.45}, {1, 2, 0.40}}, 30.0);
   std::vector<ThermalNodeSpec> nodes;
