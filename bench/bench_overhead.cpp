@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "tests/alloc_guard.h"
@@ -171,17 +172,38 @@ static void BM_IlRetrain1600x15(benchmark::State& state) {
 }
 BENCHMARK(BM_IlRetrain1600x15)->Unit(benchmark::kMillisecond);
 
-// One candidate score as the online-IL neighborhood sweep runs it: the phi
-// overload with one reused feature buffer.
-static void BM_ModelCandidateEval(benchmark::State& state) {
+// One decision's runtime-Oracle scoring as OnlineIlController::step runs it
+// between the model update and exploration: every candidate (the radius-1
+// neighborhood, both cluster sweeps and a policy suggestion: 376 configs at
+// the fixture's interior operating point) scored once from the decision's
+// basis tables, argmin included.
+static void BM_OnlineIlCandidateScoring(benchmark::State& state) {
   auto& f = cpu_fixture();
   const WorkloadFeatures w = workload_features(f.result.counters, f.config);
-  common::Vec phi;
+  DecisionBasis decision(f.plat.space());
+  f.models->tabulate(w, decision);
+  std::vector<soc::SocConfig> candidates = f.plat.space().neighborhood(f.config, 1, 4);
+  const std::vector<soc::SocConfig> sweeps = f.plat.space().cluster_sweeps(f.config);
+  candidates.insert(candidates.end(), sweeps.begin(), sweeps.end());
+  candidates.push_back(f.config);
+  std::vector<DecisionBasis::Score> scores(candidates.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.models->predict_log_cost(w, f.config, phi));
+    std::size_t best = 0;
+    double best_cost = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      scores[i] = decision.score(candidates[i]);
+      const double cost = scores[i].log_time + scores[i].log_power;
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = i;
+      }
+    }
+    benchmark::DoNotOptimize(best);
+    benchmark::DoNotOptimize(scores.data());
   }
+  state.counters["candidates"] = static_cast<double>(candidates.size());
 }
-BENCHMARK(BM_ModelCandidateEval)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_OnlineIlCandidateScoring)->Unit(benchmark::kMicrosecond);
 
 static void BM_NmpcSlowSolve(benchmark::State& state) {
   gpu::GpuPlatform plat;
@@ -281,6 +303,17 @@ void run_decide_section() {
   IlPolicy::Scratch scratch;
   decide_row(table, "offline IL policy (scratch)",
              [&] { benchmark::DoNotOptimize(f.policy->decide(state, scratch)); });
+
+  // The online-IL step between retrains: model update, policy decide and the
+  // runtime-Oracle candidate scoring.  A buffer longer than the loop keeps
+  // the amortized retrain out of the timed distribution.
+  OnlineSocModels il_models = *f.models;
+  IlPolicy il_policy = *f.policy;
+  OnlineIlConfig il_cfg;
+  il_cfg.buffer_capacity = 4096;
+  OnlineIlController online_il(f.plat.space(), il_policy, il_models, il_cfg);
+  decide_row(table, "online IL step (between retrains)",
+             [&] { benchmark::DoNotOptimize(online_il.step(f.result, f.config)); });
 
   QLearningController ql(f.plat.space());
   ql.begin_run(f.config);

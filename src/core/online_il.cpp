@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "soc/thermal_platform.h"
@@ -11,9 +12,11 @@ namespace oal::core {
 OnlineIlController::OnlineIlController(const soc::ConfigSpace& space, IlPolicy& policy,
                                        OnlineSocModels& models, OnlineIlConfig cfg)
     : space_(&space), policy_(&policy), models_(&models), fx_(space, cfg.thermal_aware),
-      cfg_(cfg), rng_(cfg.seed), explore_(cfg.explore_init) {
-  buffer_states_.reserve(cfg_.buffer_capacity);
-  buffer_labels_.reserve(cfg_.buffer_capacity);
+      cfg_(cfg), rng_(cfg.seed), explore_(cfg.explore_init), decision_(space) {
+  // A zero capacity retrains after every decision, so one row suffices.
+  const std::size_t rows = std::max<std::size_t>(cfg_.buffer_capacity, 1);
+  buffer_states_.assign(rows * fx_.policy_dim(), 0.0);
+  buffer_labels_.resize(rows);
 }
 
 void OnlineIlController::observe_telemetry(const soc::ThermalTelemetry& telemetry) {
@@ -24,6 +27,7 @@ void OnlineIlController::begin_run(const soc::SocConfig& /*initial*/) {
   telemetry_ = soc::ThermalTelemetry{};
 }
 
+// oal-lint: hot-path
 soc::SocConfig OnlineIlController::step(const soc::SnippetResult& result,
                                         const soc::SocConfig& executed) {
   const soc::PerfCounters& k = result.counters;
@@ -33,10 +37,12 @@ soc::SocConfig OnlineIlController::step(const soc::SnippetResult& result,
   //    innovation signals a workload change: re-arm exploration.  Innovation
   //    from a deliberately exploratory configuration is expected (the model
   //    has not seen that region) and must NOT re-arm, or exploration becomes
-  //    self-sustaining.
+  //    self-sustaining.  The update also leaves this decision's basis and
+  //    the updated models' product tables in decision_, from which every
+  //    candidate below is scored.
   const double innovation = models_->update(
       ModelSample{w, executed, result.exec_time_s, k.instructions_retired, result.avg_power_w},
-      phi_buf_);
+      decision_);
   if (!last_was_exploratory_) {
     innov_ewma_ = 0.7 * innov_ewma_ + 0.3 * std::abs(innovation);
     if (innov_ewma_ > cfg_.innovation_reset_threshold) {
@@ -53,14 +59,17 @@ soc::SocConfig OnlineIlController::step(const soc::SnippetResult& result,
 
   // 3. Runtime Oracle approximation: models score the local neighborhood,
   //    the per-cluster sweeps, and the policy's suggestion (so a converged
-  //    policy can jump directly).
+  //    policy can jump directly).  The candidate buffers keep their capacity
+  //    across steps, so appending does not allocate once warmed up.
   std::vector<soc::SocConfig>& candidates = candidates_;
   space_->neighborhood_into(executed, cfg_.neighborhood_radius, cfg_.max_changed_knobs,
                             candidates);
   if (cfg_.include_cluster_sweeps) {
     space_->cluster_sweeps_into(executed, sweeps_);
+    // oal-lint: allow(hot-path-alloc)
     candidates.insert(candidates.end(), sweeps_.begin(), sweeps_.end());
   }
+  // oal-lint: allow(hot-path-alloc)
   if (cfg_.include_policy_candidate) candidates.push_back(policy_cfg);
 
   // Thermal-aware mode under an active budget: internalize the budgeter.
@@ -89,12 +98,12 @@ soc::SocConfig OnlineIlController::step(const soc::SnippetResult& result,
     // lets an over-budget config execute, so purely feasible exploration
     // would lock model errors in place.
     explore_pool.assign(candidates.begin(), candidates.end());
-    const double anchor_pred_w = models_->predict_power_w(w, executed, phi_buf_);
+    const double anchor_pred_w = std::exp(decision_.score(executed).log_power);
     const double anchor_scale =
         (anchor_pred_w > 1e-9 && result.avg_power_w > 0.0) ? result.avg_power_w / anchor_pred_w
                                                            : 1.0;
     const auto candidate_power_w = [&](const soc::SocConfig& c) {
-      return models_->predict_power_w(w, c, phi_buf_) * anchor_scale;
+      return std::exp(decision_.score(c).log_power) * anchor_scale;
     };
     for (soc::SocConfig& c : candidates) {
       while (candidate_power_w(c) > telemetry_.budget_w) {
@@ -103,27 +112,34 @@ soc::SocConfig OnlineIlController::step(const soc::SnippetResult& result,
     }
   }
 
-  soc::SocConfig best = executed;
+  // Each candidate is scored once; the near-tie pass reads the same scores.
+  // oal-lint: allow(hot-path-alloc)
+  scores_.resize(candidates.size());
+  const std::size_t n = candidates.size();
+  std::size_t best_i = n;  // n: no finite-cost candidate, keep `executed`
   double best_cost = std::numeric_limits<double>::infinity();
-  for (const soc::SocConfig& c : candidates) {
-    const double cost = models_->predict_log_cost(w, c, phi_buf_);
+  for (std::size_t i = 0; i < n; ++i) {
+    scores_[i] = decision_.score(candidates[i]);
+    const double cost = scores_[i].log_time + scores_[i].log_power;
     if (cost < best_cost) {
       best_cost = cost;
-      best = c;
+      best_i = i;
     }
   }
   // Near-ties (within ~1% predicted energy) are resolved toward the lowest
   // predicted power: among equal-energy configurations the cooler one is
   // preferable, and deterministic tie-breaking stabilizes the supervision
   // labels the policy is trained on.
+  soc::SocConfig best = best_i < n ? candidates[best_i] : executed;
   {
-    double best_power = models_->predict_power_w(w, best, phi_buf_);
-    for (const soc::SocConfig& c : candidates) {
-      if (models_->predict_log_cost(w, c, phi_buf_) > best_cost + 0.01) continue;
-      const double p = models_->predict_power_w(w, c, phi_buf_);
+    double best_power =
+        std::exp((best_i < n ? scores_[best_i] : decision_.score(executed)).log_power);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (scores_[i].log_time + scores_[i].log_power > best_cost + 0.01) continue;
+      const double p = std::exp(scores_[i].log_power);
       if (p < best_power) {
         best_power = p;
-        best = c;
+        best = candidates[i];
       }
     }
   }
@@ -140,27 +156,32 @@ soc::SocConfig OnlineIlController::step(const soc::SnippetResult& result,
   }
   explore_ = std::max(cfg_.explore_min, explore_ * cfg_.explore_decay);
 
-  // 4. Aggregate supervision and periodically retrain the policy.
-  buffer_states_.push_back(state);
-  buffer_labels_.push_back(best);
-  if (buffer_states_.size() >= cfg_.buffer_capacity) {
-    for (std::size_t i = 0; i < buffer_states_.size(); ++i) {
-      agg_states_.push_back(buffer_states_[i]);
-      agg_labels_.push_back(buffer_labels_[i]);
-    }
-    while (agg_states_.size() > cfg_.aggregate_capacity) {
-      agg_states_.pop_front();
-      agg_labels_.pop_front();
-    }
-    PolicyDataset ds;
-    ds.states.assign(agg_states_.begin(), agg_states_.end());
-    ds.labels.assign(agg_labels_.begin(), agg_labels_.end());
-    policy_->train_incremental(ds, cfg_.update_epochs, rng_);
-    ++policy_updates_;
-    buffer_states_.clear();
-    buffer_labels_.clear();
-  }
+  // 4. Buffer the supervision; a full buffer retrains the policy.
+  std::copy(state.begin(), state.end(),
+            buffer_states_.begin() + static_cast<std::ptrdiff_t>(buffer_fill_ * state.size()));
+  buffer_labels_[buffer_fill_++] = best;
+  if (buffer_fill_ >= cfg_.buffer_capacity) retrain_policy();
   return applied;
+}
+// oal-lint: hot-path-end
+
+void OnlineIlController::retrain_policy() {
+  const std::size_t dim = fx_.policy_dim();
+  for (std::size_t i = 0; i < buffer_fill_; ++i) {
+    const auto row = buffer_states_.begin() + static_cast<std::ptrdiff_t>(i * dim);
+    agg_states_.emplace_back(row, row + static_cast<std::ptrdiff_t>(dim));
+    agg_labels_.push_back(buffer_labels_[i]);
+  }
+  while (agg_states_.size() > cfg_.aggregate_capacity) {
+    agg_states_.pop_front();
+    agg_labels_.pop_front();
+  }
+  PolicyDataset ds;
+  ds.states.assign(agg_states_.begin(), agg_states_.end());
+  ds.labels.assign(agg_labels_.begin(), agg_labels_.end());
+  policy_->train_incremental(ds, cfg_.update_epochs, rng_);
+  ++policy_updates_;
+  buffer_fill_ = 0;
 }
 
 OfflineIlController::OfflineIlController(const soc::ConfigSpace& space, const IlPolicy& policy)

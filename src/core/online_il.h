@@ -80,7 +80,7 @@ class OnlineIlController : public DrmController {
   void begin_run(const soc::SocConfig& initial) override;
 
   std::size_t policy_updates() const { return policy_updates_; }
-  std::size_t buffer_fill() const { return buffer_states_.size(); }
+  std::size_t buffer_fill() const { return buffer_fill_; }
   double exploration_rate() const { return explore_; }
   /// Wall-time the injected policy has spent in backprop so far (seconds).
   double policy_train_time_s() const { return policy_->train_time_s(); }
@@ -88,6 +88,10 @@ class OnlineIlController : public DrmController {
   double policy_train_loss() const { return policy_->last_train_loss(); }
 
  private:
+  /// Appends the buffered decisions to the aggregate and retrains the
+  /// policy on it: the amortized work outside the per-decision hot path.
+  void retrain_policy();
+
   const soc::ConfigSpace* space_;
   IlPolicy* policy_;
   OnlineSocModels* models_;
@@ -95,8 +99,11 @@ class OnlineIlController : public DrmController {
   OnlineIlConfig cfg_;
   common::Rng rng_;
 
-  std::vector<common::Vec> buffer_states_;
+  // Supervision since the last retrain: buffer_fill_ rows of policy_dim()
+  // states (row-major, preallocated) and their labels.
+  common::Vec buffer_states_;
   std::vector<soc::SocConfig> buffer_labels_;
+  std::size_t buffer_fill_ = 0;
   std::deque<common::Vec> agg_states_;
   std::deque<soc::SocConfig> agg_labels_;
   std::optional<soc::SocConfig> last_policy_;
@@ -106,16 +113,15 @@ class OnlineIlController : public DrmController {
   double innov_ewma_ = 0.0;
   soc::ThermalTelemetry telemetry_;  ///< latest runner snapshot (neutral until published)
 
-  // Per-decision scratch, sized on the first step and reused after.  The
-  // periodic retrain still allocates (it is amortized over buffer_capacity
-  // decisions), but the per-step feature extraction, policy inference, and
-  // candidate search run out of these buffers.
+  // Per-decision scratch, sized on the first step and reused after, so a
+  // step between retrains performs no heap allocation.
+  DecisionBasis decision_;  ///< this decision's basis and model products
   common::Vec state_buf_;
-  common::Vec phi_buf_;
   IlPolicy::Scratch policy_scratch_;
   std::vector<soc::SocConfig> candidates_;
   std::vector<soc::SocConfig> sweeps_;
   std::vector<soc::SocConfig> explore_pool_;
+  std::vector<DecisionBasis::Score> scores_;  ///< per candidate, scored once
 };
 
 /// Pure offline-IL controller: applies the frozen policy with no adaptation

@@ -13,9 +13,10 @@ ConfigSpace::ConfigSpace() {
 }
 
 bool ConfigSpace::valid(const SocConfig& c) const {
-  return c.num_little >= 1 && c.num_little <= 4 && c.num_big >= 0 && c.num_big <= 4 &&
-         c.little_freq_idx >= 0 && c.little_freq_idx < static_cast<int>(little_freqs_.size()) &&
-         c.big_freq_idx >= 0 && c.big_freq_idx < static_cast<int>(big_freqs_.size());
+  return c.num_little >= 1 && c.num_little <= kMaxLittleCores && c.num_big >= 0 &&
+         c.num_big <= kMaxBigCores && c.little_freq_idx >= 0 &&
+         c.little_freq_idx < static_cast<int>(little_freqs_.size()) && c.big_freq_idx >= 0 &&
+         c.big_freq_idx < static_cast<int>(big_freqs_.size());
 }
 
 std::size_t ConfigSpace::index_of(const SocConfig& c) const {

@@ -34,6 +34,10 @@ struct SocConfig {
 
 class ConfigSpace {
  public:
+  /// Core-count knob ranges: LITTLE 1..kMaxLittleCores, big 0..kMaxBigCores.
+  static constexpr int kMaxLittleCores = 4;
+  static constexpr int kMaxBigCores = 4;
+
   ConfigSpace();
 
   std::size_t size() const { return size_; }

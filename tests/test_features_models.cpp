@@ -1,8 +1,17 @@
 // Tests for feature extraction and the online power/performance models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/matrix.h"
+#include "common/rng.h"
 #include "core/features.h"
 #include "core/models.h"
 #include "core/oracle.h"
@@ -261,6 +270,233 @@ TEST(OnlineSocModels, RejectsBadSamples) {
   s.instructions = 1.0;
   s.power_w = 1.0;
   EXPECT_THROW(m.update(s), std::invalid_argument);
+}
+
+TEST(OnlineSocModels, RejectsNonFiniteSamplesAndLeavesModelsUntouched) {
+  soc::BigLittlePlatform plat;
+  const auto snip = sample_snippet();
+  std::vector<ModelSample> boot;
+  for (const soc::SocConfig& c : plat.space().neighborhood({2, 2, 6, 9}, 1, 2)) {
+    const auto r = plat.execute_ideal(snip, c);
+    boot.push_back({workload_features(r.counters, c), c, r.exec_time_s, snip.instructions,
+                    r.avg_power_w});
+  }
+  OnlineSocModels m(plat.space());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  // A NaN/Inf sample must not bootstrap either.
+  std::vector<ModelSample> poisoned_boot = boot;
+  poisoned_boot[3].time_s = nan;
+  EXPECT_THROW(m.bootstrap(poisoned_boot), std::invalid_argument);
+  EXPECT_FALSE(m.bootstrapped());
+  m.bootstrap(boot);
+  OnlineSocModels twin = m;  // never sees a poisoned sample
+
+  const ModelSample good = boot.front();
+  std::vector<ModelSample> bad;
+  for (const double v : {nan, inf, -inf}) {
+    ModelSample s = good;
+    s.time_s = v;
+    bad.push_back(s);
+    s = good;
+    s.power_w = v;
+    bad.push_back(s);
+    s = good;
+    s.instructions = v;
+    bad.push_back(s);
+    for (double WorkloadFeatures::*f :
+         {&WorkloadFeatures::mpki, &WorkloadFeatures::bmpki, &WorkloadFeatures::mem_ai,
+          &WorkloadFeatures::ext_per_inst, &WorkloadFeatures::pf_proxy,
+          &WorkloadFeatures::cpi_obs, &WorkloadFeatures::runnable}) {
+      s = good;
+      s.workload.*f = v;
+      bad.push_back(s);
+    }
+  }
+  // Finite inputs whose log targets are not: time per instruction underflows.
+  ModelSample tiny = good;
+  tiny.time_s = 1e-300;
+  tiny.instructions = 1e300;
+  bad.push_back(tiny);
+
+  DecisionBasis d(plat.space());
+  for (const ModelSample& s : bad) {
+    EXPECT_THROW(m.update(s), std::invalid_argument);
+    EXPECT_THROW(m.update(s, d), std::invalid_argument);
+  }
+  EXPECT_EQ(m.online_updates(), 0u);
+  // Weights and covariance untouched: the next valid update of both models
+  // agrees bitwise with the twin's.
+  const double e1 = m.update(good);
+  const double e2 = twin.update(good);
+  EXPECT_EQ(std::memcmp(&e1, &e2, sizeof e1), 0);
+  for (std::size_t j = 0; j < m.time_weights().size(); ++j) {
+    EXPECT_EQ(std::memcmp(&m.time_weights()[j], &twin.time_weights()[j], sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&m.power_weights()[j], &twin.power_weights()[j], sizeof(double)), 0);
+  }
+}
+
+// ---- Bit parity of the per-decision basis with the per-candidate basis ------
+// The model basis exactly as FeatureExtractor::model_features_into built it
+// for every candidate before the per-decision tables existed: three logs and
+// the 23 terms per call.  It lives only here, as the oracle the tabulated
+// basis (ModelBasis), its gather, and the product-table sums must reproduce
+// bit for bit; everything is compared with memcmp, so even a flipped zero
+// sign or one reassociated sum fails.
+common::Vec reference_phi(const soc::ConfigSpace& space, const WorkloadFeatures& w,
+                          const soc::SocConfig& c) {
+  const double f_l = space.little_freq_mhz(c) / 1000.0;
+  const double f_b = space.big_freq_mhz(c) / 1000.0;
+  const double n_l = static_cast<double>(c.num_little);
+  const double n_b = static_cast<double>(c.num_big);
+  const bool big_on = c.num_big >= 1;
+  const double log_fl = std::log(f_l);
+  const double log_fb = big_on ? std::log(f_b) : 0.0;
+  const double mpki = w.mpki;
+  const double pf = w.runnable > 1.0 ? std::clamp((w.runnable - 1.0) / w.runnable, 0.0, 1.0)
+                                     : w.pf_proxy;
+  const double w_eff = std::min(std::max(w.runnable, 1.0), n_l + (big_on ? n_b : 0.0));
+  const double width = std::log(std::max(w_eff, 1.0));
+  return {1.0,
+          log_fl,
+          log_fb,
+          big_on ? 1.0 : 0.0,
+          mpki,
+          mpki * f_l,
+          mpki * (big_on ? f_b : 0.0),
+          w.bmpki,
+          pf,
+          pf * width,
+          n_l,
+          big_on ? n_b : 0.0,
+          f_l,
+          big_on ? f_b : 0.0,
+          f_l * f_l,
+          big_on ? f_b * f_b : 0.0,
+          pf * log_fl,
+          pf * log_fb,
+          w.mem_ai,
+          w.ext_per_inst,
+          w_eff,
+          pf * w_eff,
+          pf / std::max(w_eff, 1.0)};
+}
+
+/// Counts bitwise mismatches and remembers the first for the failure text.
+struct BitDiff {
+  std::size_t mismatches = 0;
+  std::string first;
+  void check(double got, double want, const std::string& what) {
+    if (std::memcmp(&got, &want, sizeof got) == 0) return;
+    if (mismatches++ == 0) {
+      std::ostringstream os;
+      os << what << ": " << std::setprecision(17) << got << " vs " << want;
+      first = os.str();
+    }
+  }
+};
+
+/// Edge workloads of the basis: run-queue depths below, at and above one
+/// core and above the 8-core width, the utilization-proxy branch (runnable
+/// <= 1), zero memory intensity, and an observed workload.
+std::vector<WorkloadFeatures> edge_workloads(const WorkloadFeatures& observed) {
+  std::vector<WorkloadFeatures> ws{observed};
+  for (const double runnable : {0.5, 1.0, 2.5, 8.0, 12.0}) {
+    WorkloadFeatures w = observed;
+    w.runnable = runnable;
+    w.pf_proxy = 0.37;
+    ws.push_back(w);
+  }
+  WorkloadFeatures no_misses = observed;
+  no_misses.mpki = 0.0;
+  no_misses.runnable = 3.0;
+  ws.push_back(no_misses);
+  return ws;
+}
+
+TEST_F(ModelFixture, DecisionBasisMatchesReferenceBitwiseOnEveryConfig) {
+  // Online updates move the weights off the ridge fit, as in a run.
+  const auto& s0 = data_.model_samples.front();
+  for (std::size_t i = 0; i < 40; i += 7) models_.update(data_.model_samples[i]);
+  const soc::ConfigSpace& space = plat_.space();
+  const FeatureExtractor fx(space);
+  const common::Vec& theta_t = models_.time_weights();
+  const common::Vec& theta_p = models_.power_weights();
+  // Weights of comparable magnitude make the sums sensitive to the order in
+  // which terms are added: a fitted model's tiny weights alone can let a
+  // reordered sum round identically on every configuration.
+  common::Rng rng(29);
+  common::Vec theta_u(ModelBasis::kDim), theta_v(ModelBasis::kDim);
+  for (double& v : theta_u) v = rng.uniform(-1.0, 1.0);
+  for (double& v : theta_v) v = rng.uniform(-1.0, 1.0);
+  const std::vector<soc::SocConfig> configs = space.enumerate();
+  DecisionBasis d(space);
+  ModelBasis basis(space);
+  std::vector<double> weighed_u;
+  common::Vec phi;
+  BitDiff diff;
+  for (const WorkloadFeatures& w : edge_workloads(s0.workload)) {
+    models_.tabulate(w, d);
+    basis.build(w);
+    basis.weigh_into(theta_u, theta_v, weighed_u);
+    for (const soc::SocConfig& c : configs) {
+      const std::string at = soc::ConfigSpace::to_string(c) + " runnable " +
+                             std::to_string(w.runnable) + " mpki " + std::to_string(w.mpki);
+      const common::Vec ref = reference_phi(space, w, c);
+      fx.model_features_into(w, c, phi);
+      for (std::size_t j = 0; j < ref.size(); ++j)
+        diff.check(phi[j], ref[j], "model_features " + at + " term " + std::to_string(j));
+      basis.phi_into(basis.rows(c), phi);
+      for (std::size_t j = 0; j < ref.size(); ++j)
+        diff.check(phi[j], ref[j], "phi_into " + at + " term " + std::to_string(j));
+      const auto [sum_u, sum_v] = ModelBasis::sum(weighed_u, basis.rows(c));
+      diff.check(sum_u, common::dot(theta_u, ref), "uniform-weight sum a " + at);
+      diff.check(sum_v, common::dot(theta_v, ref), "uniform-weight sum b " + at);
+      const double log_time = common::dot(theta_t, ref);
+      const double log_power = common::dot(theta_p, ref);
+      const DecisionBasis::Score sc = d.score(c);
+      diff.check(sc.log_time, log_time, "log_time " + at);
+      diff.check(sc.log_power, log_power, "log_power " + at);
+      diff.check(sc.log_time + sc.log_power, log_time + log_power, "log_cost " + at);
+      diff.check(models_.predict_log_cost(w, c), log_time + log_power, "predict_log_cost " + at);
+      diff.check(models_.predict_power_w(w, c), std::exp(log_power), "predict_power_w " + at);
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u) << "first: " << diff.first;
+}
+
+TEST_F(ModelFixture, DecisionUpdateMatchesByValueUpdateBitwise) {
+  // The per-decision update gathers its phi from the tables; a twin model
+  // updated through the by-value path must stay bitwise identical, and the
+  // product tables must score like the by-value predictors after each step.
+  OnlineSocModels twin = models_;
+  DecisionBasis d(plat_.space());
+  BitDiff diff;
+  for (std::size_t i = 0; i < data_.model_samples.size(); i += 11) {
+    const ModelSample& s = data_.model_samples[i];
+    const std::string at = "sample " + std::to_string(i);
+    diff.check(models_.update(s, d), twin.update(s), "innovation " + at);
+    for (std::size_t j = 0; j < twin.time_weights().size(); ++j) {
+      diff.check(models_.time_weights()[j], twin.time_weights()[j], "theta_t " + at);
+      diff.check(models_.power_weights()[j], twin.power_weights()[j], "theta_p " + at);
+    }
+    const DecisionBasis::Score sc = d.score(s.config);
+    diff.check(sc.log_time + sc.log_power, twin.predict_log_cost(s.workload, s.config),
+               "log_cost " + at);
+    diff.check(std::exp(sc.log_power), twin.predict_power_w(s.workload, s.config),
+               "power " + at);
+  }
+  EXPECT_EQ(diff.mismatches, 0u) << "first: " << diff.first;
+}
+
+TEST(ModelBasis, RejectsInvalidConfigurations) {
+  const ModelBasis basis{soc::ConfigSpace{}};
+  for (const soc::SocConfig& c : {soc::SocConfig{0, 2, 0, 0}, soc::SocConfig{5, 2, 0, 0},
+                                  soc::SocConfig{2, -1, 0, 0}, soc::SocConfig{2, 5, 0, 0},
+                                  soc::SocConfig{2, 2, 13, 0}, soc::SocConfig{2, 2, -1, 0},
+                                  soc::SocConfig{2, 0, 0, 19}})
+    EXPECT_THROW(basis.rows(c), std::invalid_argument) << soc::ConfigSpace::to_string(c);
 }
 
 }  // namespace

@@ -22,7 +22,9 @@
 
 #include "core/governors.h"
 #include "core/il_policy.h"
+#include "core/models.h"
 #include "core/nmpc.h"
+#include "core/online_il.h"
 #include "core/rl_controller.h"
 #include "ml/mlp.h"
 #include "ml/qlearn.h"
@@ -405,6 +407,65 @@ TEST(HotPathAlloc, ThermalSocAdapterObserveIsAllocFreeIncludingRefresh) {
     }
     EXPECT_EQ(probe.delta(), 0u) << "horizon " << horizon;
     EXPECT_GT(budget_changes, 0u) << "horizon " << horizon << ": refresh never ran";
+  }
+}
+
+TEST(HotPathAlloc, OnlineIlStepIsAllocFreeBetweenRetrains) {
+  // The paper's core loop: model update, policy decide, candidate
+  // generation and scoring, exploration and supervision buffering.  Only the
+  // periodic retrain (every buffer_capacity decisions) may allocate.
+  soc::BigLittlePlatform plat;
+  common::Rng rng(21);
+  const auto trace =
+      workloads::CpuBenchmarks::trace(workloads::CpuBenchmarks::by_name("Kmeans"), 60, rng);
+  std::vector<ModelSample> boot;
+  for (const soc::SocConfig& c : plat.space().neighborhood({2, 2, 6, 9}, 1, 2)) {
+    const soc::SnippetResult r = plat.execute_ideal(trace[0], c);
+    boot.push_back({workload_features(r.counters, c), c, r.exec_time_s,
+                    r.counters.instructions_retired, r.avg_power_w});
+  }
+  // Recorded stimulus at interior configurations, so the first steps already
+  // grow the candidate buffers to their largest size.
+  std::vector<Recorded> rec;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const soc::SocConfig c{2 + static_cast<int>(i % 2), 2, 5 + static_cast<int>(i % 3),
+                           8 + static_cast<int>(i % 4)};
+    rec.push_back({plat.execute(trace[i], c), c});
+  }
+
+  for (const bool thermal_aware : {false, true}) {
+    OnlineSocModels models(plat.space());
+    models.bootstrap(boot);
+    IlPolicyConfig pcfg;
+    pcfg.thermal_aware = thermal_aware;
+    IlPolicy pol(plat.space(), pcfg);
+    PolicyDataset ds = synthetic_dataset(plat.space(), 300, rng);
+    const std::size_t dim = FeatureExtractor(plat.space(), thermal_aware).policy_dim();
+    for (common::Vec& st : ds.states) st.resize(dim, 0.5);
+    pol.train_offline(ds, rng);
+    OnlineIlConfig cfg;
+    cfg.buffer_capacity = 40;
+    cfg.thermal_aware = thermal_aware;
+    OnlineIlController ctl(plat.space(), pol, models, cfg);
+    if (thermal_aware) {
+      // A budget tight enough that the throttle ladder runs.
+      soc::ThermalTelemetry t;
+      t.constrained = true;
+      t.budget_w = 1.0;
+      ctl.observe_telemetry(t);
+    }
+    // Step past the first retrain so every lazily sized buffer has grown.
+    std::size_t i = 0;
+    for (; ctl.policy_updates() == 0; ++i) (void)ctl.step(rec[i].result, rec[i].executed);
+    const std::size_t fill = ctl.buffer_fill();
+    std::size_t steps = 0;
+    AllocationProbe probe;
+    for (; ctl.buffer_fill() + 1 < cfg.buffer_capacity; ++i, ++steps)
+      (void)ctl.step(rec[i % rec.size()].result, rec[i % rec.size()].executed);
+    EXPECT_EQ(probe.delta(), 0u) << "thermal_aware " << thermal_aware;
+    EXPECT_EQ(ctl.policy_updates(), 1u);
+    EXPECT_GT(steps, 30u);
+    EXPECT_EQ(ctl.buffer_fill(), fill + steps);
   }
 }
 
