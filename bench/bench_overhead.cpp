@@ -179,9 +179,14 @@ BENCHMARK(BM_IlRetrain1600x15)->Unit(benchmark::kMillisecond);
 // basis tables, argmin included.
 static void BM_OnlineIlCandidateScoring(benchmark::State& state) {
   auto& f = cpu_fixture();
-  const WorkloadFeatures w = workload_features(f.result.counters, f.config);
+  // The decision's tables come from its model update, on a copy so the
+  // shared fixture's models stay as bootstrapped.
+  OnlineSocModels models = *f.models;
   DecisionBasis decision(f.plat.space());
-  f.models->tabulate(w, decision);
+  models.update(ModelSample{workload_features(f.result.counters, f.config), f.config,
+                            f.result.exec_time_s, f.result.counters.instructions_retired,
+                            f.result.avg_power_w},
+                decision);
   std::vector<soc::SocConfig> candidates = f.plat.space().neighborhood(f.config, 1, 4);
   const std::vector<soc::SocConfig> sweeps = f.plat.space().cluster_sweeps(f.config);
   candidates.insert(candidates.end(), sweeps.begin(), sweeps.end());

@@ -179,7 +179,7 @@ void FeatureExtractor::model_features_into(const WorkloadFeatures& w, const soc:
 
 std::size_t FeatureExtractor::model_dim() const { return ModelBasis::kDim; }
 
-ModelBasis::ModelBasis(const soc::ConfigSpace& space) {
+ModelBasis::ModelBasis(const soc::ConfigSpace& space) : space_(space) {
   for (const double mhz : space.little_freqs()) {
     little_ghz_.push_back(mhz / 1000.0);
     little_log_.push_back(std::log(little_ghz_.back()));

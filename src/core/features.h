@@ -147,14 +147,10 @@ class ModelBasis {
   /// Where configuration c's terms sit; throws std::invalid_argument if c
   /// is not a valid configuration.
   Rows rows(const soc::SocConfig& c) const {
-    if (c.num_little < 1 || c.num_little > soc::ConfigSpace::kMaxLittleCores || c.num_big < 0 ||
-        c.num_big > soc::ConfigSpace::kMaxBigCores || c.little_freq_idx < 0 ||
-        static_cast<std::size_t>(c.little_freq_idx) >= little_ghz_.size() || c.big_freq_idx < 0 ||
-        static_cast<std::size_t>(c.big_freq_idx) >= big_ghz_.size())
-      throw std::invalid_argument("ModelBasis::rows: invalid configuration");
+    if (!space_.valid(c)) throw std::invalid_argument("ModelBasis::rows: invalid configuration");
     const std::size_t little_row = static_cast<std::size_t>(c.little_freq_idx);
     const std::size_t big_row =
-        c.num_big >= 1 ? static_cast<std::size_t>(c.big_freq_idx) : big_ghz_.size();
+        c.num_big >= 1 ? static_cast<std::size_t>(c.big_freq_idx) : space_.big_freqs().size();
     const std::size_t cores_row = static_cast<std::size_t>(
         (c.num_little - 1) * (soc::ConfigSpace::kMaxBigCores + 1) + c.num_big);
     return {{0, static_cast<std::uint32_t>(kWidth[kWorkload] + kWidth[kLittle] * little_row),
@@ -188,6 +184,7 @@ class ModelBasis {
   }
 
  private:
+  soc::ConfigSpace space_;                       ///< by value, as in FeatureExtractor
   std::vector<double> little_ghz_, little_log_;  ///< per LITTLE level: f_l, log f_l
   std::vector<double> big_ghz_, big_log_;        ///< per big level: f_b, log f_b
   std::size_t big_start_ = 0;    ///< first big row (the "big off" row is last)

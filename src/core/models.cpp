@@ -83,18 +83,13 @@ double OnlineSocModels::predict_log_cost(const WorkloadFeatures& w, const soc::S
   return time_model_.predict(phi) + power_model_.predict(phi);
 }
 
-void OnlineSocModels::tabulate(const WorkloadFeatures& w, DecisionBasis& d) const {
-  d.basis_.build(w);
-  weigh(d);
-}
-
 // oal-lint: hot-path
 double OnlineSocModels::update(const ModelSample& s, DecisionBasis& d) {
   const Targets t = targets(s, "OnlineSocModels::update");
   d.basis_.build(s.workload);
   d.basis_.phi_into(d.basis_.rows(s.config), d.phi_);
   const double innovation = fit(t.log_tpi, t.log_p, d.phi_);
-  weigh(d);
+  d.basis_.weigh_into(time_model_.weights(), power_model_.weights(), d.products_);
   return innovation;
 }
 
@@ -102,10 +97,6 @@ double OnlineSocModels::fit(double log_tpi, double log_p, const common::Vec& phi
   const double innovation = time_model_.update(phi, log_tpi, rls_scratch_);
   power_model_.update(phi, log_p, rls_scratch_);
   return innovation;
-}
-
-void OnlineSocModels::weigh(DecisionBasis& d) const {
-  d.basis_.weigh_into(time_model_.weights(), power_model_.weights(), d.products_);
 }
 // oal-lint: hot-path-end
 

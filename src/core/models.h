@@ -85,8 +85,6 @@ class OnlineSocModels {
   /// updates from the phi gathered out of it, then forms d's product tables
   /// from the updated weights.  Allocation-free once `d` has been used.
   double update(const ModelSample& observed, DecisionBasis& d);
-  /// Builds `d` for workload w from the current weights, without updating.
-  void tabulate(const WorkloadFeatures& w, DecisionBasis& d) const;
 
   double predict_time_s(const WorkloadFeatures& w, const soc::SocConfig& candidate,
                         double instructions) const;
@@ -98,13 +96,10 @@ class OnlineSocModels {
 
   bool bootstrapped() const { return bootstrapped_; }
   std::size_t online_updates() const { return time_model_.updates(); }
-  const common::Vec& time_weights() const { return time_model_.weights(); }
-  const common::Vec& power_weights() const { return power_model_.weights(); }
 
  private:
   /// Both RLS steps from validated targets.
   double fit(double log_tpi, double log_p, const common::Vec& phi);
-  void weigh(DecisionBasis& d) const;
 
   FeatureExtractor fx_;
   ml::RecursiveLeastSquares time_model_;   // target: log(time per instruction)

@@ -12,13 +12,6 @@ ConfigSpace::ConfigSpace() {
   size_ = 4ull * 5ull * little_freqs_.size() * big_freqs_.size();
 }
 
-bool ConfigSpace::valid(const SocConfig& c) const {
-  return c.num_little >= 1 && c.num_little <= kMaxLittleCores && c.num_big >= 0 &&
-         c.num_big <= kMaxBigCores && c.little_freq_idx >= 0 &&
-         c.little_freq_idx < static_cast<int>(little_freqs_.size()) && c.big_freq_idx >= 0 &&
-         c.big_freq_idx < static_cast<int>(big_freqs_.size());
-}
-
 std::size_t ConfigSpace::index_of(const SocConfig& c) const {
   if (!valid(c)) throw std::invalid_argument("ConfigSpace::index_of: invalid config");
   const std::size_t nl = static_cast<std::size_t>(c.num_little - 1);  // 0..3

@@ -53,8 +53,14 @@ class ConfigSpace {
   std::size_t index_of(const SocConfig& c) const;
   SocConfig config_at(std::size_t index) const;
 
-  /// True if every knob is within its legal range.
-  bool valid(const SocConfig& c) const;
+  /// True if every knob is within its legal range.  Inline: the online-IL
+  /// decision checks every candidate it scores.
+  bool valid(const SocConfig& c) const {
+    return c.num_little >= 1 && c.num_little <= kMaxLittleCores && c.num_big >= 0 &&
+           c.num_big <= kMaxBigCores && c.little_freq_idx >= 0 &&
+           c.little_freq_idx < static_cast<int>(little_freqs_.size()) && c.big_freq_idx >= 0 &&
+           c.big_freq_idx < static_cast<int>(big_freqs_.size());
+  }
 
   /// All configurations (size() == 4940 entries).
   std::vector<SocConfig> enumerate() const;

@@ -326,14 +326,21 @@ TEST(OnlineSocModels, RejectsNonFiniteSamplesAndLeavesModelsUntouched) {
     EXPECT_THROW(m.update(s, d), std::invalid_argument);
   }
   EXPECT_EQ(m.online_updates(), 0u);
-  // Weights and covariance untouched: the next valid update of both models
-  // agrees bitwise with the twin's.
-  const double e1 = m.update(good);
-  const double e2 = twin.update(good);
-  EXPECT_EQ(std::memcmp(&e1, &e2, sizeof e1), 0);
-  for (std::size_t j = 0; j < m.time_weights().size(); ++j) {
-    EXPECT_EQ(std::memcmp(&m.time_weights()[j], &twin.time_weights()[j], sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&m.power_weights()[j], &twin.power_weights()[j], sizeof(double)), 0);
+  // Weights and covariance untouched: two more valid updates agree bitwise
+  // with the twin's (the second innovation depends on the first update's
+  // covariance), and so do both models' predictions afterwards.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const double e1 = m.update(boot[i]);
+    const double e2 = twin.update(boot[i]);
+    EXPECT_EQ(std::memcmp(&e1, &e2, sizeof e1), 0) << "update " << i;
+  }
+  for (const ModelSample& s : boot) {
+    const double c1 = m.predict_log_cost(s.workload, s.config);
+    const double c2 = twin.predict_log_cost(s.workload, s.config);
+    const double p1 = m.predict_power_w(s.workload, s.config);
+    const double p2 = twin.predict_power_w(s.workload, s.config);
+    EXPECT_EQ(std::memcmp(&c1, &c2, sizeof c1), 0);
+    EXPECT_EQ(std::memcmp(&p1, &p2, sizeof p1), 0);
   }
 }
 
@@ -421,8 +428,6 @@ TEST_F(ModelFixture, DecisionBasisMatchesReferenceBitwiseOnEveryConfig) {
   for (std::size_t i = 0; i < 40; i += 7) models_.update(data_.model_samples[i]);
   const soc::ConfigSpace& space = plat_.space();
   const FeatureExtractor fx(space);
-  const common::Vec& theta_t = models_.time_weights();
-  const common::Vec& theta_p = models_.power_weights();
   // Weights of comparable magnitude make the sums sensitive to the order in
   // which terms are added: a fitted model's tiny weights alone can let a
   // reordered sum round identically on every configuration.
@@ -437,7 +442,12 @@ TEST_F(ModelFixture, DecisionBasisMatchesReferenceBitwiseOnEveryConfig) {
   common::Vec phi;
   BitDiff diff;
   for (const WorkloadFeatures& w : edge_workloads(s0.workload)) {
-    models_.tabulate(w, d);
+    // The controller's path: one update from a sample of workload w fills
+    // d for w; the updated model's by-value predictors are the reference.
+    OnlineSocModels m = models_;
+    ModelSample observed = s0;
+    observed.workload = w;
+    m.update(observed, d);
     basis.build(w);
     basis.weigh_into(theta_u, theta_v, weighed_u);
     for (const soc::SocConfig& c : configs) {
@@ -453,14 +463,12 @@ TEST_F(ModelFixture, DecisionBasisMatchesReferenceBitwiseOnEveryConfig) {
       const auto [sum_u, sum_v] = ModelBasis::sum(weighed_u, basis.rows(c));
       diff.check(sum_u, common::dot(theta_u, ref), "uniform-weight sum a " + at);
       diff.check(sum_v, common::dot(theta_v, ref), "uniform-weight sum b " + at);
-      const double log_time = common::dot(theta_t, ref);
-      const double log_power = common::dot(theta_p, ref);
+      // With phi bitwise equal to the reference, the by-value predictors
+      // are theta' phi_ref; the tables' sums must match them exactly.
       const DecisionBasis::Score sc = d.score(c);
-      diff.check(sc.log_time, log_time, "log_time " + at);
-      diff.check(sc.log_power, log_power, "log_power " + at);
-      diff.check(sc.log_time + sc.log_power, log_time + log_power, "log_cost " + at);
-      diff.check(models_.predict_log_cost(w, c), log_time + log_power, "predict_log_cost " + at);
-      diff.check(models_.predict_power_w(w, c), std::exp(log_power), "predict_power_w " + at);
+      diff.check(sc.log_time + sc.log_power, m.predict_log_cost(w, c), "log_cost " + at);
+      diff.check(std::exp(sc.log_time), m.predict_time_s(w, c, 1.0), "time " + at);
+      diff.check(std::exp(sc.log_power), m.predict_power_w(w, c), "power " + at);
     }
   }
   EXPECT_EQ(diff.mismatches, 0u) << "first: " << diff.first;
@@ -468,8 +476,10 @@ TEST_F(ModelFixture, DecisionBasisMatchesReferenceBitwiseOnEveryConfig) {
 
 TEST_F(ModelFixture, DecisionUpdateMatchesByValueUpdateBitwise) {
   // The per-decision update gathers its phi from the tables; a twin model
-  // updated through the by-value path must stay bitwise identical, and the
-  // product tables must score like the by-value predictors after each step.
+  // updated through the by-value path must stay bitwise identical (equal
+  // innovations, which depend on the previous steps' weights and
+  // covariance), and the product tables must score like the twin's
+  // by-value predictors after each step.
   OnlineSocModels twin = models_;
   DecisionBasis d(plat_.space());
   BitDiff diff;
@@ -477,13 +487,11 @@ TEST_F(ModelFixture, DecisionUpdateMatchesByValueUpdateBitwise) {
     const ModelSample& s = data_.model_samples[i];
     const std::string at = "sample " + std::to_string(i);
     diff.check(models_.update(s, d), twin.update(s), "innovation " + at);
-    for (std::size_t j = 0; j < twin.time_weights().size(); ++j) {
-      diff.check(models_.time_weights()[j], twin.time_weights()[j], "theta_t " + at);
-      diff.check(models_.power_weights()[j], twin.power_weights()[j], "theta_p " + at);
-    }
     const DecisionBasis::Score sc = d.score(s.config);
     diff.check(sc.log_time + sc.log_power, twin.predict_log_cost(s.workload, s.config),
                "log_cost " + at);
+    diff.check(std::exp(sc.log_time), twin.predict_time_s(s.workload, s.config, 1.0),
+               "time " + at);
     diff.check(std::exp(sc.log_power), twin.predict_power_w(s.workload, s.config),
                "power " + at);
   }

@@ -2,15 +2,14 @@
 """Alternating parent/change perfbench runs folded into one BENCH_<n>.json.
 
     python3 tools/bench_trajectory.py --parent <rev> --out BENCH_<n>.json \\
-        [--change <rev>] [--pairs 10] [--seconds 30] [--seed-base 0] \\
-        [--workloads online_il_adapt,gpu_enmpc_thermal,fleet_warm] \\
-        [--pairs-for online_il_adapt=10,fleet_warm=4] [--workdir <dir>]
+        [--pairs 10] [--workdir <dir>]
 
-Run from anywhere inside the repository.  The parent revision is exported
-with `git archive` into a fresh checkout under --workdir (default: a new
-temporary directory); the change is the working tree, or --change <rev>
-exported the same way.  For every workload, pair i runs
-`perfbench/run.py --workload W --seed <seed-base + i> --seconds S --trace 0`
+Run from anywhere inside the repository.  The change is the working tree;
+the parent revision is exported with `git archive` into a new directory
+under --workdir (default: the system temp dir), so reusing a workdir never
+collides with an earlier export.  For each of the three BENCHMARK.json
+workloads, pair i runs
+`perfbench/run.py --workload W --seed i --seconds <run_seconds> --trace 0`
 once in each tree, parent first on even pairs and change first on odd ones,
 so slow drift in host load hits both sides alike.  Each tree builds its own
 perfbench once (the first run of each tree pays the build).
@@ -33,8 +32,6 @@ import sys
 import tempfile
 import time
 
-ALL_WORKLOADS = ("online_il_adapt", "gpu_enmpc_thermal", "fleet_warm")
-
 
 def log(msg):
     print(msg, file=sys.stderr, flush=True)
@@ -45,13 +42,16 @@ def git(root, *args):
                           text=True).stdout.strip()
 
 
-def export_tree(root, rev, dest):
-    """Writes revision `rev` of the repository at `root` into `dest`."""
-    os.makedirs(dest)
+def export_tree(root, rev, workdir):
+    """Writes revision `rev` of the repository at `root` into a new directory
+    under `workdir` and returns its path."""
+    os.makedirs(workdir, exist_ok=True)
+    dest = tempfile.mkdtemp(prefix="parent-", dir=workdir)
     archive = subprocess.Popen(["git", "-C", root, "archive", rev], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {rev} failed")
+    return dest
 
 
 def cpu_model():
@@ -100,69 +100,45 @@ def summarize(runs, metrics):
     return out
 
 
-def parse_pairs_for(text, default):
-    pairs = {w: default for w in ALL_WORKLOADS}
-    for item in filter(None, (text or "").split(",")):
-        name, _, count = item.partition("=")
-        if name not in pairs or not count.isdigit() or int(count) < 1:
-            raise SystemExit(f"bench_trajectory: bad --pairs-for entry '{item}'")
-        pairs[name] = int(count)
-    return pairs
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
-    ap.add_argument("--change", help="git revision of the change (default: the working tree)")
     ap.add_argument("--out", required=True, help="output JSON path")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--pairs-for", help="per-workload pair counts, e.g. fleet_warm=4")
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--seed-base", type=int, default=0)
-    ap.add_argument("--workloads", default=",".join(ALL_WORKLOADS))
-    ap.add_argument("--workdir", help="where the exported trees go (default: a new temp dir)")
+    ap.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
+    ap.add_argument("--workdir", help="where the parent export goes (default: the temp dir)")
     args = ap.parse_args()
-    workloads = [w for w in args.workloads.split(",") if w]
-    if not workloads or any(w not in ALL_WORKLOADS for w in workloads):
-        ap.error(f"--workloads must name some of {', '.join(ALL_WORKLOADS)}")
-    if args.pairs < 1 or args.seconds < 1 or args.seed_base < 0:
-        ap.error("--pairs and --seconds must be >= 1 and --seed-base >= 0")
-    pairs_for = parse_pairs_for(args.pairs_for, args.pairs)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
 
     root = git(os.getcwd(), "rev-parse", "--show-toplevel")
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench_trajectory-")
-    os.makedirs(workdir, exist_ok=True)
-    trees = {"parent": os.path.join(workdir, "parent")}
-    export_tree(root, args.parent, trees["parent"])
-    if args.change:
-        trees["change"] = os.path.join(workdir, "change")
-        export_tree(root, args.change, trees["change"])
-    else:
-        trees["change"] = root
     with open(os.path.join(root, "BENCHMARK.json")) as f:
-        declared = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        benchmark = json.load(f)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    declared = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
+    trees = {"parent": export_tree(root, args.parent, args.workdir or tempfile.gettempdir()),
+             "change": root}
 
     report = {
         "parent": git(root, "rev-parse", args.parent),
-        "change": git(root, "rev-parse", args.change) if args.change else "working tree",
+        "change": "working tree",
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "cpu": cpu_model()},
-        "seconds": args.seconds,
+        "seconds": seconds,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
     for workload in workloads:
-        n = pairs_for[workload]
         runs = {"parent": [], "change": []}
         loads = {"parent": [], "change": []}
-        seeds = [args.seed_base + i for i in range(n)]
+        seeds = list(range(args.pairs))
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                log(f"bench_trajectory: {workload} pair {i + 1}/{n} seed {seed}: {side}")
-                result, load = run_perfbench(trees[side], workload, seed, args.seconds)
+                log(f"bench_trajectory: {workload} pair {i + 1}/{args.pairs} seed {seed}: {side}")
+                result, load = run_perfbench(trees[side], workload, seed, seconds)
                 runs[side].append(result)
                 loads[side].append(load)
-        entry = {"seeds": seeds, "repetitions": n}
+        entry = {"seeds": seeds, "repetitions": args.pairs}
         for side in ("parent", "change"):
             entry[side] = {
                 "metrics": summarize(runs[side], declared),
