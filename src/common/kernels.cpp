@@ -215,6 +215,193 @@ OAL_KERNEL_BODY unsigned rc_probe_sized(const RcProbe& p, const double* scale) {
 }
 // oal-lint: hot-path-end
 
+// ---- Transcendental row kernels ---------------------------------------------
+//
+// tanh, exp and log of every element of a row, for the training activations
+// and the softmax cross-entropy (ml/mlp.cpp).  Each is a fixed sequence of
+// IEEE additions, multiplications and divisions per lane (no FMA, no
+// table lookups, no libm call), so a result depends only on this file: the
+// vector lanes, the one-element tail and the scalar entry points all run the
+// same lane body (Lanes<1> for the tail and the scalar entries) and agree bit
+// for bit.  Range reduction is Cody-Waite: x = n ln2 + r with ln2 split into
+// a 32-bit head (n * kLn2Hi is exact for |n| < 2^21) and a tail.  The
+// polynomials are plain Taylor series with correctly rounded coefficients,
+// long enough that truncation stays far below rounding.  The error bounds in
+// kernels.h are checked by tests/test_kernels.cpp against long double.
+
+template <std::size_t kW>
+struct LaneBits {
+  typedef long long type __attribute__((vector_size(kW * sizeof(long long))));
+  typedef unsigned long long utype __attribute__((vector_size(kW * sizeof(long long))));
+};
+
+constexpr double kLog2e = 0x1.71547652b82fep0;
+constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
+constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+/// Adding 1.5 * 2^52 to a double of magnitude below 2^51 rounds it to the
+/// nearest integer (ties to even), and the low bits of the sum then hold
+/// that integer in two's complement.
+constexpr double kShifter = 0x1.8p52;
+constexpr long long kShifterBits = 0x4338000000000000LL;
+constexpr long long kSignBit = static_cast<long long>(0x8000000000000000ULL);
+
+// The lane bodies take and return their vectors by reference: a 256-bit
+// vector passed by value would cross the (baseline) function ABI, even though
+// every body is inlined into an entry point of the vector's ISA.
+
+/// out = 2^k for integral k in [-1022, 1023], built from its exponent bits.
+template <std::size_t kW>
+OAL_KERNEL_BODY void pow2_lanes(const typename Lanes<kW>::type& k, typename Lanes<kW>::type& out) {
+  using V = typename Lanes<kW>::type;
+  using I = typename LaneBits<kW>::type;
+  out = (V)((((I)(k + kShifter) - kShifterBits) + 1023) << 52);
+}
+
+/// x = n ln2 + r + rlo with n integral.
+template <std::size_t kW>
+OAL_KERNEL_BODY void reduce_ln2(const typename Lanes<kW>::type& x, typename Lanes<kW>::type& n,
+                                typename Lanes<kW>::type& r, typename Lanes<kW>::type& rlo) {
+  using V = typename Lanes<kW>::type;
+  n = (x * kLog2e + kShifter) - kShifter;
+  const V hi = x - n * kLn2Hi, c = n * kLn2Lo;
+  r = hi - c;
+  rlo = (hi - r) - c;
+}
+
+/// out = exp(r) - 1 = r + r^2 q(r) for |r| <= ln2 / 2 (plus rounding), q
+/// the Taylor series 1/2! + r/3! + ... + r^11/13! in Estrin form.  The first
+/// omitted term, r^14/14!, is below 2^-60 relative.
+template <std::size_t kW>
+OAL_KERNEL_BODY void expm1_reduced(const typename Lanes<kW>::type& r,
+                                   const typename Lanes<kW>::type& rlo,
+                                   typename Lanes<kW>::type& out) {
+  using V = typename Lanes<kW>::type;
+  const V r2 = r * r, r4 = r2 * r2, r8 = r4 * r4;
+  const V a0 = 1.0 / 2.0 + r * (1.0 / 6.0);
+  const V a1 = 1.0 / 24.0 + r * (1.0 / 120.0);
+  const V a2 = 1.0 / 720.0 + r * (1.0 / 5040.0);
+  const V a3 = 1.0 / 40320.0 + r * (1.0 / 362880.0);
+  const V a4 = 1.0 / 3628800.0 + r * (1.0 / 39916800.0);
+  const V a5 = 1.0 / 479001600.0 + r * (1.0 / 6227020800.0);
+  const V q = (a0 + r2 * a1) + r4 * (a2 + r2 * a3) + r8 * (a4 + r2 * a5);
+  out = r + (r2 * q + rlo);
+}
+
+template <std::size_t kW>
+OAL_KERNEL_BODY void exp_lanes(typename Lanes<kW>::type& x) {
+  using V = typename Lanes<kW>::type;
+  // Below -746 every result rounds to +0, above 710 to +inf; clamping keeps
+  // n inside the exponent range.  A NaN fails both tests and propagates.
+  const V zero = {};
+  x = x < -746.0 ? zero - 746.0 : x;
+  x = x > 710.0 ? zero + 710.0 : x;
+  V n, r, rlo, pm, lo, hi;
+  reduce_ln2<kW>(x, n, r, rlo);
+  expm1_reduced<kW>(r, rlo, pm);
+  // 2^n as two factors, so near-overflow and subnormal results still scale
+  // with a single rounding (the first product is exact).
+  const V h = (n * 0.5 + kShifter) - kShifter;
+  pow2_lanes<kW>(h, lo);
+  pow2_lanes<kW>(n - h, hi);
+  x = (1.0 + pm) * lo * hi;
+}
+
+/// tanh|x| = t / (t + 2) with t = expm1(2|x|), then x's sign.  With t >= 0
+/// the quotient scales t's relative error by 2 / (t + 2) <= 1 and keeps +0.
+/// From |x| = 22 on, tanh rounds to 1; the clamp keeps t finite.
+template <std::size_t kW>
+OAL_KERNEL_BODY void tanh_lanes(typename Lanes<kW>::type& x) {
+  using V = typename Lanes<kW>::type;
+  using I = typename LaneBits<kW>::type;
+  const V zero = {};
+  const I sign = (I)x & kSignBit;
+  const V ax = (V)((I)x & ~kSignBit);
+  V y = 2.0 * ax;
+  y = y > 44.0 ? zero + 44.0 : y;
+  V n, r, rlo, pm, scale;
+  reduce_ln2<kW>(y, n, r, rlo);
+  expm1_reduced<kW>(r, rlo, pm);
+  pow2_lanes<kW>(n, scale);
+  const V t = scale * pm + (scale - 1.0);
+  V m = t / (t + 2.0);
+  m = ax >= 22.0 ? zero + 1.0 : m;
+  x = (V)((I)m | sign);
+}
+
+/// log x = e ln2 + log m with x = 2^e m, m in [sqrt(1/2), sqrt(2)).  With
+/// f = m - 1 and s = f / (2 + f), log m = 2 atanh s = f - (f^2/2 - s (f^2/2
+/// + R)), R = sum over k of 2 s^2k / (2k + 1), k = 1..10 (the omitted rest is
+/// below 2^-62 relative), split into its even and odd powers of s^2.
+template <std::size_t kW>
+OAL_KERNEL_BODY void log_lanes(typename Lanes<kW>::type& x) {
+  using V = typename Lanes<kW>::type;
+  using I = typename LaneBits<kW>::type;
+  using Ui = typename LaneBits<kW>::utype;
+  const V zero = {};
+  const I subnormal = x < 0x1p-1022;
+  const V xs = subnormal ? x * 0x1p54 : x;
+  const Ui bits = (Ui)xs;
+  V m = (V)((bits & 0x000fffffffffffffULL) | 0x3ff0000000000000ULL);
+  const I high = m > 0x1.6a09e667f3bcdp0;  // sqrt(2)
+  m = high ? m * 0.5 : m;
+  // high and subnormal are all-ones (-1) masks.
+  const I e = (I)(bits >> 52) - 1023 - high - (subnormal & 54);
+  const V k = (V)(e + kShifterBits) - kShifter;
+  const V f = m - 1.0;
+  const V s = f / (2.0 + f);
+  const V z = s * s, w = z * z;
+  const V odd =
+      z * (2.0 / 3 + w * (2.0 / 7 + w * (2.0 / 11 + w * (2.0 / 15 + w * (2.0 / 19)))));
+  const V even =
+      w * (2.0 / 5 + w * (2.0 / 9 + w * (2.0 / 13 + w * (2.0 / 17 + w * (2.0 / 21)))));
+  const V hfsq = 0.5 * f * f;
+  V out = k * kLn2Hi - ((hfsq - (s * (hfsq + (odd + even)) + k * kLn2Lo)) - f);
+  const V inf = zero + __builtin_inf();
+  out = x == inf ? inf : out;
+  x = x > 0.0 ? out : (x == 0.0 ? -inf : zero + __builtin_nan(""));
+}
+
+struct TanhOp {
+  template <std::size_t kW>
+  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) { tanh_lanes<kW>(x); }
+};
+struct ExpOp {
+  template <std::size_t kW>
+  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) { exp_lanes<kW>(x); }
+};
+struct LogOp {
+  template <std::size_t kW>
+  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) { log_lanes<kW>(x); }
+};
+
+/// y[i] = Op(x[i]): whole vectors of kW, then the tail one element at a time
+/// through the same body at width 1.  y may be x.
+template <class Op, std::size_t kW>
+OAL_KERNEL_BODY void map_row(std::size_t n, const double* x, double* y) {
+  using V = typename Lanes<kW>::type;
+  using U = typename Lanes<kW>::unaligned;
+  using V1 = typename Lanes<1>::type;
+  std::size_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    V v = *reinterpret_cast<const U*>(x + i);
+    Op::template lanes<kW>(v);
+    *reinterpret_cast<U*>(y + i) = v;
+  }
+  for (; i < n; ++i) {
+    V1 v = {x[i]};
+    Op::template lanes<1>(v);
+    y[i] = v[0];
+  }
+}
+
+/// One element through Op's width-1 body (the scalar entry points).
+template <class Op>
+double map_one(double x) {
+  typename Lanes<1>::type v = {x};
+  Op::template lanes<1>(v);
+  return v[0];
+}
+
 // Each variant's out-of-line entry points carry its target attribute, and
 // the force-inlined bodies are compiled for that ISA inside them.
 
@@ -229,7 +416,11 @@ void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* w, double
   adam_body(n, p, weight_decay, w, m, v, g);
 }
 unsigned rc_probe(const RcProbe& p, const double* scale) { return rc_probe_sized<2>(p, scale); }
-constexpr KernelTable kTable{"baseline", gemm_nn, gemm_tn, col_sums, adam, rc_probe};
+void tanh_row(std::size_t n, const double* x, double* y) { map_row<TanhOp, 2>(n, x, y); }
+void exp_row(std::size_t n, const double* x, double* y) { map_row<ExpOp, 2>(n, x, y); }
+void log_row(std::size_t n, const double* x, double* y) { map_row<LogOp, 2>(n, x, y); }
+constexpr KernelTable kTable{"baseline", gemm_nn, gemm_tn, col_sums, adam,
+                             rc_probe, tanh_row, exp_row, log_row};
 }  // namespace baseline
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -250,7 +441,11 @@ OAL_AVX2 void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* 
 OAL_AVX2 unsigned rc_probe(const RcProbe& p, const double* scale) {
   return rc_probe_sized<4>(p, scale);
 }
-constexpr KernelTable kTable{"avx2", gemm_nn, gemm_tn, col_sums, adam, rc_probe};
+OAL_AVX2 void tanh_row(std::size_t n, const double* x, double* y) { map_row<TanhOp, 4>(n, x, y); }
+OAL_AVX2 void exp_row(std::size_t n, const double* x, double* y) { map_row<ExpOp, 4>(n, x, y); }
+OAL_AVX2 void log_row(std::size_t n, const double* x, double* y) { map_row<LogOp, 4>(n, x, y); }
+constexpr KernelTable kTable{"avx2", gemm_nn, gemm_tn, col_sums, adam,
+                             rc_probe, tanh_row, exp_row, log_row};
 }  // namespace avx2
 #undef OAL_AVX2
 #endif
@@ -279,5 +474,9 @@ const KernelTable& active() {
   static const KernelTable& table = detail::supported_variants().back();
   return table;
 }
+
+double tanh_scalar(double x) { return map_one<TanhOp>(x); }
+double exp_scalar(double x) { return map_one<ExpOp>(x); }
+double log_scalar(double x) { return map_one<LogOp>(x); }
 
 }  // namespace oal::common::kernels

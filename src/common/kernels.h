@@ -1,8 +1,11 @@
 // Raw-pointer numeric kernels with runtime ISA dispatch.
 //
 // Two hot paths run through this table.  The minibatch trainers
-// (ml/mlp.cpp) and the Adam optimizer spend their time in four small loops:
-// two GEMM shapes, a column-sum reduction and Adam's per-parameter update.
+// (ml/mlp.cpp) and the Adam optimizer spend their time in seven small loops:
+// two GEMM shapes, a column-sum reduction, Adam's per-parameter update and
+// the tanh/exp/log rows of the activations and the softmax cross-entropy
+// (the repo's own polynomials, so trained bits do not depend on the host
+// libm).
 // The transient thermal budget (thermal/power_budget.cpp) spends its time
 // simulating an RC network at several candidate power scales at once
 // (rc_probe).  Each kernel is compiled in two ISA variants (baseline x86-64
@@ -19,7 +22,8 @@
 //     CMakeLists.txt), because a contracted a*b+c rounds once instead of
 //     twice.
 // tests/test_kernels.cpp runs every supported variant of the training
-// kernels on ragged shapes and asserts bit equality with the baseline;
+// kernels on ragged shapes and asserts bit equality with the baseline, and
+// holds the tanh/exp/log rows to their documented ULP bounds;
 // tests/test_thermal.cpp holds every variant of rc_probe to the scalar
 // transient budget bit for bit.
 #pragma once
@@ -106,10 +110,31 @@ struct KernelTable {
   /// horizon.  The call ends after the tick on which the last lane
   /// violates, or at the horizon; every lane steps every tick until then.
   unsigned (*rc_probe)(const RcProbe& p, const double* scale);
+  /// y[i] = tanh(x[i]) for i < n; y may be x.  Error at most 3 ULP against
+  /// a long double reference (2.45 ULP is the largest seen in 2 * 10^7
+  /// samples on [-0.6, 0.6], where it peaks); |x| >= 22 gives exactly +-1,
+  /// the sign of zero is kept and NaN propagates.
+  void (*tanh_row)(std::size_t n, const double* x, double* y);
+  /// y[i] = exp(x[i]); y may be x.  Error at most 1 ULP (0.93 largest seen
+  /// in 2 * 10^7 samples), subnormal results included; +0 below
+  /// ln(2^-1075) ~ -745.133, +inf above ln(DBL_MAX) ~ 709.78, NaN
+  /// propagates.
+  void (*exp_row)(std::size_t n, const double* x, double* y);
+  /// y[i] = log(x[i]); y may be x.  Error at most 1 ULP (0.85 largest seen
+  /// in 2 * 10^7 samples), subnormal inputs included; log(+-0) = -inf,
+  /// log(+inf) = +inf, log(x < 0) and log(NaN) are NaN.
+  void (*log_row)(std::size_t n, const double* x, double* y);
 };
 
 /// The variant every caller uses: the widest one the host supports.
 const KernelTable& active();
+
+/// One element of tanh_row / exp_row / log_row: the same lane body, so the
+/// result is bit-identical to the row kernels of every variant.  For
+/// by-element reference code (tests/test_train_reference.cpp).
+double tanh_scalar(double x);
+double exp_scalar(double x);
+double log_scalar(double x);
 
 namespace detail {
 /// Every variant this host can run, baseline first and active() last.

@@ -75,6 +75,7 @@ soc::SocConfig IlPolicy::decide(const common::Vec& state, Scratch& s) const {
 
 std::vector<double> IlPolicy::export_artifact() const {
   std::vector<double> out;
+  out.push_back(kTrainingMathRevision);
   out.push_back(trained_ ? 1.0 : 0.0);
   out.push_back(train_time_s_);
   out.push_back(last_train_loss_);
@@ -84,23 +85,25 @@ std::vector<double> IlPolicy::export_artifact() const {
 }
 
 bool IlPolicy::import_artifact(const std::vector<double>& in) {
-  if (in.size() < 3) return false;
-  // Header: trained flag, train_time_s, last_train_loss.
-  if ((in[0] != 0.0 && in[0] != 1.0) || !std::isfinite(in[1]) || in[1] < 0.0 ||
-      !std::isfinite(in[2]))
+  if (in.size() < 4) return false;
+  // Header: training-math revision, trained flag, train_time_s,
+  // last_train_loss.
+  if (in[0] != kTrainingMathRevision) return false;
+  if ((in[1] != 0.0 && in[1] != 1.0) || !std::isfinite(in[2]) || in[2] < 0.0 ||
+      !std::isfinite(in[3]))
     return false;
   // Stage into copies so a truncated/mismatched artifact leaves *this intact.
   ml::StandardScaler scaler = scaler_;
   ml::MultiHeadClassifier net = net_;
-  std::size_t pos = 3;
+  std::size_t pos = 4;
   if (!scaler.import_state(in, pos)) return false;
   if (!net.import_params(in, pos)) return false;
   if (pos != in.size()) return false;  // trailing garbage: not our artifact
   // A trained policy scales exactly the network's input features.
-  if (in[0] != 0.0 && scaler.dim() != net.input_dim()) return false;
-  trained_ = in[0] != 0.0;
-  train_time_s_ = in[1];
-  last_train_loss_ = in[2];
+  if (in[1] != 0.0 && scaler.dim() != net.input_dim()) return false;
+  trained_ = in[1] != 0.0;
+  train_time_s_ = in[2];
+  last_train_loss_ = in[3];
   scaler_ = std::move(scaler);
   net_ = std::move(net);
   return true;

@@ -84,14 +84,25 @@ class IlPolicy {
   /// Mean cross-entropy of the most recent training call's final epoch.
   double last_train_loss() const { return last_train_loss_; }
 
-  /// Flattens everything a warm process needs to skip train_offline: scaler
-  /// state, network weights, and the training bookkeeping (train_time_s,
-  /// last_train_loss — preserved so JSONL records emitted from a restored
-  /// policy bitwise-match the cold run that stored it).
+  /// Revision of the training arithmetic (activations, softmax, optimizer)
+  /// that produced an artifact's weights, stored first in every artifact.
+  /// Bump it whenever a change alters trained bits: the store keys hash only
+  /// the platform, objective and collect geometry, so without it a warm
+  /// store would restore weights the current code would not train.
+  /// Revision 2: the common::kernels tanh/exp/log rows and Adam without pow.
+  /// Revision-1 blobs start with the trained flag (0 or 1) instead.
+  static constexpr double kTrainingMathRevision = 2.0;
+
+  /// Flattens everything a warm process needs to skip train_offline: the
+  /// training-math revision, scaler state, network weights, and the training
+  /// bookkeeping (train_time_s, last_train_loss — preserved so JSONL records
+  /// emitted from a restored policy bitwise-match the cold run that stored
+  /// it).
   std::vector<double> export_artifact() const;
   /// Restores what export_artifact produced into an identically-configured
-  /// policy; false (policy unchanged) on shape mismatch, truncation, trailing
-  /// data, a malformed header, or any non-finite parameter.
+  /// policy; false (policy unchanged) on another training-math revision,
+  /// shape mismatch, truncation, trailing data, a malformed header, or any
+  /// non-finite parameter.
   bool import_artifact(const std::vector<double>& in);
 
  private:

@@ -12,9 +12,12 @@ namespace oal::ml {
 
 namespace {
 
+/// The same activation functions the trainer applies (tanh through the
+/// kernel table's tanh_row), so the deployed network evaluates exactly the
+/// function it was trained as.
 void activate_inplace(Activation act, common::Vec& a) {
   if (act == Activation::kTanh) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::tanh(a[i]);
+    common::kernels::active().tanh_row(a.size(), a.data(), a.data());
   } else {
     for (std::size_t i = 0; i < a.size(); ++i) a[i] = a[i] > 0.0 ? a[i] : 0.0;
   }
@@ -134,16 +137,16 @@ double* forward_batch_into(const NetView& net, const common::Mat& x, TrainWorksp
     transpose_into(layer.weights(), wt, out);
     k.gemm_nn({bsz, out, in_dim, in, in_dim, wt, out, a, out});
     const double* b = layer.bias().data();
-    for (std::size_t r = 0; r < bsz; ++r) {
-      double* row = a + r * out;
-      if (net.act == Activation::kTanh) {
-        for (std::size_t c = 0; c < out; ++c) row[c] = std::tanh(row[c] + b[c]);
-      } else {
+    if (net.act == Activation::kTanh) {
+      for (std::size_t r = 0; r < bsz; ++r)
+        for (std::size_t c = 0; c < out; ++c) a[r * out + c] += b[c];
+      k.tanh_row(bsz * out, a, a);
+    } else {
+      for (std::size_t r = 0; r < bsz; ++r)
         for (std::size_t c = 0; c < out; ++c) {
-          const double z = row[c] + b[c];
-          row[c] = z < 0.0 ? 0.0 : z;
+          const double z = a[r * out + c] + b[c];
+          a[r * out + c] = z < 0.0 ? 0.0 : z;
         }
-      }
     }
     wt += in_dim * out;
     in = a;
@@ -549,32 +552,42 @@ double MultiHeadClassifier::train_batch(const common::Mat& x,
   const NetView net(trunk_.data(), trunk_.size(), heads_.data(), heads_.size(), cfg_.activation);
   const std::size_t bsz = x.rows();
   reserve_workspace(net, bsz, ws_);
+  grow(ws_.label_p, bsz * heads_.size());
   const auto& k = common::kernels::active();
   double* z = forward_batch_into(net, x, ws_, k);
 
   // Each head's logits become dL/dz in place: a max-shifted softmax of each
-  // row, then subtract the one-hot label.  The loss
-  // keeps the shard, head, row summation order.
+  // row, then subtract the one-hot label.  The exp runs once over the whole
+  // shifted B x out_dim block and the log once over the B x heads
+  // label probabilities; the loss keeps the shard, head, row summation
+  // order.
+  const std::size_t nheads = heads_.size();
+  for (std::size_t i = 0; i < bsz; ++i)
+    for (std::size_t h = 0, col = 0; h < nheads; col += head_sizes_[h++]) {
+      double* dz = z + i * net.out_dim + col;
+      double mx = dz[0];
+      for (std::size_t j = 0; j < head_sizes_[h]; ++j) mx = std::max(mx, dz[j]);
+      for (std::size_t j = 0; j < head_sizes_[h]; ++j) dz[j] -= mx;
+    }
+  k.exp_row(bsz * net.out_dim, z, z);
+  double* label_p = ws_.label_p.data();
+  for (std::size_t i = 0; i < bsz; ++i)
+    for (std::size_t h = 0, col = 0; h < nheads; col += head_sizes_[h++]) {
+      double* dz = z + i * net.out_dim + col;
+      double sum = 0.0;
+      for (std::size_t j = 0; j < head_sizes_[h]; ++j) sum += dz[j];
+      for (std::size_t j = 0; j < head_sizes_[h]; ++j) dz[j] /= sum;
+      const std::size_t label = labels[i][h];
+      label_p[i * nheads + h] = std::max(dz[label], 1e-12);
+      dz[label] -= 1.0;
+    }
+  k.log_row(bsz * nheads, label_p, label_p);
   double loss = 0.0;
   for (std::size_t r0 = 0; r0 < bsz; r0 += kGradShardRows) {
     double shard_loss = 0.0;
-    for (std::size_t h = 0, col = 0; h < heads_.size(); col += head_sizes_[h++]) {
-      const std::size_t classes = head_sizes_[h];
-      for (std::size_t i = r0; i < std::min(bsz, r0 + kGradShardRows); ++i) {
-        double* dz = z + i * net.out_dim + col;
-        double mx = dz[0];
-        for (std::size_t j = 0; j < classes; ++j) mx = std::max(mx, dz[j]);
-        double sum = 0.0;
-        for (std::size_t j = 0; j < classes; ++j) {
-          dz[j] = std::exp(dz[j] - mx);
-          sum += dz[j];
-        }
-        for (std::size_t j = 0; j < classes; ++j) dz[j] /= sum;
-        const std::size_t label = labels[i][h];
-        shard_loss += -std::log(std::max(dz[label], 1e-12));
-        dz[label] -= 1.0;
-      }
-    }
+    for (std::size_t h = 0; h < nheads; ++h)
+      for (std::size_t i = r0; i < std::min(bsz, r0 + kGradShardRows); ++i)
+        shard_loss += -label_p[i * nheads + h];
     loss += shard_loss;
   }
 

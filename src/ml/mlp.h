@@ -85,7 +85,8 @@ class DenseLayer {
 /// Scratch for one network's train_batch and forward_batch, reused across
 /// calls: the transposed weights the forward pass reads, every layer's
 /// activations and output deltas for the whole minibatch, the per-head
-/// input-gradient partial sums, and one flat gradient buffer per 8-row shard.  Buffers only
+/// input-gradient partial sums, one flat gradient buffer per 8-row shard, and
+/// the classifier's label probabilities.  Buffers only
 /// grow, so once a network has trained on its largest batch size, train_batch
 /// performs no heap allocation.  Nothing in it carries over from one call to
 /// the next.
@@ -95,6 +96,7 @@ struct TrainWorkspace {
   std::vector<double> deltas;   ///< dL/d(pre-activation) of the hidden layers
   std::vector<double> partial;  ///< one output part's input-gradient partial sum
   std::vector<double> grads;    ///< per-shard gradients, num_params() per shard
+  std::vector<double> label_p;  ///< the classifier's label probabilities (B x heads)
 };
 
 struct MlpConfig {

@@ -1,6 +1,5 @@
 #include "ml/optimizer.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "common/kernels.h"
@@ -53,10 +52,11 @@ void Adam::apply(common::Mat& w, common::Vec& b, const double* gw, const double*
     mb_.assign(b.size(), 0.0);
     vb_.assign(b.size(), 0.0);
   }
-  ++t_;
+  beta1_t_ *= beta1_;
+  beta2_t_ *= beta2_;
   const double omb1 = 1.0 - beta1_, omb2 = 1.0 - beta2_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bc1 = 1.0 - beta1_t_;
+  const double bc2 = 1.0 - beta2_t_;
   const common::kernels::AdamStep p{lr_, l2_, beta1_, beta2_, omb1, omb2, bc1, bc2, eps_};
   // Flat loops over the row-major storage: every element's update is
   // independent, so this is bit-identical to the nested (row, col) loops,

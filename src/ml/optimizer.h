@@ -3,7 +3,7 @@
 // The batch training engine (ml/mlp.h) reduces minibatch gradients into one
 // (gw, gb) pair per layer and hands them to an Optimizer for the actual
 // parameter step.  Each layer owns one Optimizer instance, so per-layer
-// state (momentum buffers, Adam moments, the bias-correction step count)
+// state (momentum buffers, Adam moments, the bias-correction products)
 // lives inside the optimizer and copies with the network (DQN target syncs
 // clone optimizer state along with the weights, exactly as the pre-refactor
 // per-layer Adam buffers did).
@@ -32,7 +32,7 @@ class Optimizer {
   /// buffers without copying.
   virtual void apply(common::Mat& w, common::Vec& b, const double* gw, const double* gb) = 0;
 
-  /// Deep copy including accumulated state (moments, step counts).
+  /// Deep copy including accumulated state (moments, bias-correction products).
   virtual std::unique_ptr<Optimizer> clone() const = 0;
 };
 
@@ -70,10 +70,9 @@ class Sgd : public Optimizer {
 };
 
 /// Adam (Kingma & Ba) with bias correction and L2 weight decay folded into
-/// the gradient.  The arithmetic and parameter traversal order match the
-/// pre-refactor DenseLayer::apply_adam exactly, so a default-configured
-/// network trains bitwise-identically to the old implementation.  The element
-/// loop is the runtime-dispatched common::kernels adam kernel.
+/// the gradient.  The bias corrections use running products beta^t, so the
+/// whole step is repo code with no libm call.  The element loop is the
+/// runtime-dispatched common::kernels adam kernel.
 class Adam : public Optimizer {
  public:
   Adam(double learning_rate, double l2, double beta1 = 0.9, double beta2 = 0.999,
@@ -88,7 +87,10 @@ class Adam : public Optimizer {
   double beta1_;
   double beta2_;
   double eps_;
-  std::size_t t_ = 0;       ///< step count for bias correction
+  /// beta^t after t steps, kept as running products (one multiply per
+  /// step, no libm pow) for the bias corrections 1 - beta^t.
+  double beta1_t_ = 1.0;
+  double beta2_t_ = 1.0;
   common::Mat mw_, vw_;     ///< first/second moments, lazily sized
   common::Vec mb_, vb_;
 };

@@ -325,17 +325,21 @@ TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
   const std::vector<double> before = target.export_artifact();
   ASSERT_NE(before, good);
 
-  // Layout: [trained, train_time_s, last_loss, dim, count, mean[dim],
-  // m2[dim], network params...].
-  const std::size_t kDim = 3, kCount = 4, kMean = 5;
+  // Layout: [revision, trained, train_time_s, last_loss, dim, count,
+  // mean[dim], m2[dim], network params...].
+  const std::size_t kDim = 4, kCount = 5, kMean = 6;
   const std::size_t dim = static_cast<std::size_t>(good[kDim]);
   const std::size_t kM2 = kMean + dim, kNet = kM2 + dim;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const Corruption cases[] = {
-      {"trained flag not 0/1", 0, 0.5},
-      {"NaN train time", 1, nan},
-      {"infinite loss", 2, inf},
+      // A warm store may hold a policy trained by older arithmetic under the
+      // same key: it must be recomputed, not restored.
+      {"revision-1 blob", 0, 1.0},
+      {"NaN revision", 0, nan},
+      {"trained flag not 0/1", 1, 0.5},
+      {"NaN train time", 2, nan},
+      {"infinite loss", 3, inf},
       {"NaN dim", kDim, nan},
       {"infinite dim", kDim, inf},
       {"non-integral dim", kDim, static_cast<double>(dim) + 0.5},
@@ -369,6 +373,12 @@ TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
   narrow.push_back(0.0);
   ASSERT_EQ(narrow.size(), good.size());
   EXPECT_FALSE(target.import_artifact(narrow));
+  EXPECT_EQ(target.export_artifact(), before);
+
+  // The revision-1 layout had no revision field: it starts with the trained
+  // flag.
+  const std::vector<double> revision1_layout(good.begin() + 1, good.end());
+  EXPECT_FALSE(target.import_artifact(revision1_layout));
   EXPECT_EQ(target.export_artifact(), before);
 
   // The untouched artifact still imports.

@@ -3,10 +3,15 @@
 // plain ascending-index scalar loops.  Shapes are ragged on purpose: 1-16
 // rows and 1-41 columns (every width, so the IL policy's 4/5/13/19-class
 // heads, its 24-wide trunk and the 41-wide fused head block are all
-// covered), with row strides wider than the logical widths.  The transient
-// probe kernel (rc_probe) is held to the scalar probe in test_thermal.cpp.
+// covered), with row strides wider than the logical widths.  The
+// transcendental rows (tanh/exp/log) are held to the baseline bit for bit on
+// every length from 1 to 41 and on 10^6 inputs over the ranges training
+// feeds them, and to a long double reference at the ULP bounds kernels.h
+// documents.  The transient probe kernel (rc_probe) is held to the scalar
+// probe in test_thermal.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -152,10 +157,12 @@ TEST(Kernels, EveryVariantAdamIsBitIdenticalToBaseline) {
       std::vector<double> want_w, want_m, want_v;
       for (const KernelTable& v : detail::supported_variants()) {
         std::vector<double> w = w0, mom(n, 0.0), var(n, 0.0);
+        double beta1_t = 1.0, beta2_t = 1.0;
         for (std::size_t t = 1; t <= grads.size(); ++t) {
-          const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
-          const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
-          const AdamStep p{2.5e-2, 1e-5, beta1, beta2, 1.0 - beta1, 1.0 - beta2, bc1, bc2, 1e-8};
+          beta1_t *= beta1;
+          beta2_t *= beta2;
+          const AdamStep p{2.5e-2, 1e-5, beta1, beta2, 1.0 - beta1, 1.0 - beta2,
+                           1.0 - beta1_t, 1.0 - beta2_t, 1e-8};
           v.adam(n, p, decay, w.data(), mom.data(), var.data(), grads[t - 1].data());
         }
         if (&v == &baseline()) {
@@ -169,6 +176,148 @@ TEST(Kernels, EveryVariantAdamIsBitIdenticalToBaseline) {
         ASSERT_TRUE(bits_equal(var, want_v)) << v.name << " adam v, n " << n;
       }
     }
+}
+
+// ---- Transcendental rows ----------------------------------------------------
+
+using RowKernel = void (*KernelTable::*)(std::size_t, const double*, double*);
+
+struct Transcendental {
+  const char* name;
+  RowKernel row;
+  double (*scalar)(double);
+  long double (*reference)(long double);
+  double max_ulp;  ///< the bound documented in kernels.h
+  /// The inputs training feeds the kernel: hidden pre-activations, shifted
+  /// logits (<= 0), clamped label probabilities.
+  double train_lo, train_hi;
+};
+
+const Transcendental kTranscendentals[] = {
+    {"tanh", &KernelTable::tanh_row, tanh_scalar, [](long double x) { return tanhl(x); }, 3.0,
+     -30.0, 30.0},
+    {"exp", &KernelTable::exp_row, exp_scalar, [](long double x) { return expl(x); }, 1.0, -60.0,
+     0.0},
+    {"log", &KernelTable::log_row, log_scalar, [](long double x) { return logl(x); }, 1.0, 1e-12,
+     1.0},
+};
+
+/// |got - ref| in units of the last place of ref's binade (subnormal
+/// spacing below 2^-1022).
+long double ulp_error(double got, long double ref) {
+  int e = 0;
+  std::frexp(ref, &e);
+  const long double ulp = std::max(std::ldexp(1.0L, e - 53), std::ldexp(1.0L, -1074));
+  return std::fabs(static_cast<long double>(got) - ref) / ulp;
+}
+
+TEST(Kernels, EveryVariantTranscendentalRowIsBitIdenticalToBaseline) {
+  Rng rng(13);
+  for (const Transcendental& f : kTranscendentals) {
+    // Every length up to the 41-wide logits row, so every vector/tail split
+    // is exercised; written out of place and in place.
+    for (std::size_t n = 1; n <= kMaxCols; ++n) {
+      std::vector<double> x(n);
+      for (double& v : x) v = rng.uniform(f.train_lo, f.train_hi);
+      std::vector<double> want(n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = f.scalar(x[i]);
+      for (const KernelTable& v : detail::supported_variants()) {
+        std::vector<double> y(n, -1.0), inplace = x;
+        (v.*f.row)(n, x.data(), y.data());
+        (v.*f.row)(n, inplace.data(), inplace.data());
+        ASSERT_TRUE(bits_equal(y, want)) << v.name << " " << f.name << ", n " << n;
+        ASSERT_TRUE(bits_equal(inplace, want)) << v.name << " in-place " << f.name << ", n " << n;
+      }
+    }
+    constexpr std::size_t kSamples = 1000000;
+    std::vector<double> x(kSamples), want(kSamples);
+    for (double& v : x) v = rng.uniform(f.train_lo, f.train_hi);
+    (baseline().*f.row)(kSamples, x.data(), want.data());
+    for (const KernelTable& v : detail::supported_variants()) {
+      std::vector<double> y(kSamples);
+      (v.*f.row)(kSamples, x.data(), y.data());
+      ASSERT_TRUE(bits_equal(y, want)) << v.name << " " << f.name << " on training inputs";
+    }
+  }
+}
+
+TEST(Kernels, TranscendentalRowsStayWithinDocumentedUlpBounds) {
+  // Each kernel on 10^6 training-range inputs and 10^6 inputs over its whole
+  // finite domain: tanh on +-2^[-1000, 5], exp on [-745, 709.7], log on
+  // 2^[-1074, 1023] (subnormals included).
+  Rng rng(17);
+  for (const Transcendental& f : kTranscendentals) {
+    constexpr std::size_t kSamples = 1000000;
+    const std::string name = f.name;
+    std::vector<double> x(2 * kSamples), y(2 * kSamples);
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      x[i] = rng.uniform(f.train_lo, f.train_hi);
+      const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+      x[kSamples + i] = name == "tanh"  ? sign * std::exp2(rng.uniform(-1000.0, 5.0))
+                        : name == "exp" ? rng.uniform(-745.0, 709.7)
+                                        : std::exp2(rng.uniform(-1074.0, 1023.0));
+    }
+    (active().*f.row)(x.size(), x.data(), y.data());
+    long double worst = 0.0L;
+    double worst_x = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const long double err = ulp_error(y[i], f.reference(x[i]));
+      if (err > worst) {
+        worst = err;
+        worst_x = x[i];
+      }
+    }
+    std::printf("%s: max error %.3Lf ULP at %.17g (bound %.1f)\n", f.name, worst, worst_x,
+                f.max_ulp);
+    EXPECT_LE(worst, f.max_ulp) << f.name << " at " << worst_x;
+  }
+}
+
+TEST(Kernels, TranscendentalRowsHandleSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; };
+  for (const KernelTable& v : detail::supported_variants()) {
+    // Every case runs as lane 0 of a full vector and as a tail element.
+    const auto run = [&](RowKernel row, double x) {
+      std::vector<double> in(5, x), out(5);
+      (v.*row)(in.size(), in.data(), out.data());
+      for (double o : out) EXPECT_TRUE(same(o, out[0]) || (std::isnan(o) && std::isnan(out[0])));
+      return out[0];
+    };
+    SCOPED_TRACE(v.name);
+    const RowKernel th = &KernelTable::tanh_row, ex = &KernelTable::exp_row,
+                    lg = &KernelTable::log_row;
+    EXPECT_TRUE(same(run(th, 0.0), 0.0));
+    EXPECT_TRUE(same(run(th, -0.0), -0.0));
+    EXPECT_TRUE(same(run(th, 1e-300), 1e-300));
+    EXPECT_TRUE(same(run(th, -denorm_min), -denorm_min));
+    for (double x : {22.0, 22.5, 40.0, 1e300, inf}) {
+      EXPECT_TRUE(same(run(th, x), 1.0)) << x;
+      EXPECT_TRUE(same(run(th, -x), -1.0)) << -x;
+    }
+    EXPECT_TRUE(std::isnan(run(th, nan)));
+    EXPECT_TRUE(same(run(ex, 0.0), 1.0));
+    EXPECT_TRUE(same(run(ex, -0.0), 1.0));
+    EXPECT_TRUE(same(run(ex, inf), inf));
+    EXPECT_TRUE(same(run(ex, 709.8), inf));
+    const double near_max = run(ex, 709.78);  // just below ln(DBL_MAX): finite
+    EXPECT_TRUE(std::isfinite(near_max) && near_max > 1.79e308) << near_max;
+    EXPECT_TRUE(same(run(ex, -745.0), denorm_min));
+    // Below ln(2^-1075) ~ -745.1332 every result rounds to +0.
+    for (double x : {-745.14, -745.2, -746.0, -800.0, -1e300, -inf})
+      EXPECT_TRUE(same(run(ex, x), 0.0)) << x;
+    EXPECT_TRUE(std::isnan(run(ex, nan)));
+    EXPECT_TRUE(same(run(lg, 1.0), 0.0));
+    EXPECT_TRUE(same(run(lg, 0.0), -inf));
+    EXPECT_TRUE(same(run(lg, -0.0), -inf));
+    EXPECT_TRUE(same(run(lg, inf), inf));
+    EXPECT_TRUE(std::isnan(run(lg, -1.0)));
+    EXPECT_TRUE(std::isnan(run(lg, -inf)));
+    EXPECT_TRUE(std::isnan(run(lg, nan)));
+    EXPECT_NEAR(run(lg, denorm_min), -744.44007192138126, 1e-12);
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/kernels.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -76,7 +77,8 @@ Mat ref_slice_rows(const Mat& m, std::size_t r0, std::size_t r1) {
 void ref_activate(Activation act, Mat& z) {
   for (std::size_t r = 0; r < z.rows(); ++r)
     for (std::size_t c = 0; c < z.cols(); ++c)
-      z(r, c) = act == Activation::kTanh ? std::tanh(z(r, c)) : (z(r, c) < 0.0 ? 0.0 : z(r, c));
+      z(r, c) = act == Activation::kTanh ? common::kernels::tanh_scalar(z(r, c))
+                                         : (z(r, c) < 0.0 ? 0.0 : z(r, c));
 }
 
 void ref_scale_by_activation_grad(Activation act, const Mat& post, Mat& g) {
@@ -92,7 +94,7 @@ void ref_scale_by_activation_grad(Activation act, const Mat& post, Mat& g) {
 struct RefOptimizer {
   OptimizerConfig cfg;
   double lr = 0.0, l2 = 0.0;
-  std::size_t t = 0;
+  double beta1_t = 1.0, beta2_t = 1.0;  // beta^t, as running products
   Mat mw, vw;  // Adam moments / Sgd momentum (vw unused by Sgd)
   Vec mb, vb;
 
@@ -124,9 +126,10 @@ struct RefOptimizer {
       }
       return;
     }
-    ++t;
-    const double bc1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(t));
-    const double bc2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(t));
+    beta1_t *= cfg.beta1;
+    beta2_t *= cfg.beta2;
+    const double bc1 = 1.0 - beta1_t;
+    const double bc2 = 1.0 - beta2_t;
     const double omb1 = 1.0 - cfg.beta1, omb2 = 1.0 - cfg.beta2;
     for (std::size_t r = 0; r < w.rows(); ++r)
       for (std::size_t c = 0; c < w.cols(); ++c) {
@@ -298,12 +301,12 @@ struct RefMultiHead {
         for (std::size_t j = 0; j < dz.cols(); ++j) mx = std::max(mx, dz(i, j));
         double sum = 0.0;
         for (std::size_t j = 0; j < dz.cols(); ++j) {
-          dz(i, j) = std::exp(dz(i, j) - mx);
+          dz(i, j) = common::kernels::exp_scalar(dz(i, j) - mx);
           sum += dz(i, j);
         }
         for (std::size_t j = 0; j < dz.cols(); ++j) dz(i, j) /= sum;
         const std::size_t label = labels[r0 + i][h - trunk_depth];
-        sg.loss += -std::log(std::max(dz(i, label), 1e-12));
+        sg.loss += -common::kernels::log_scalar(std::max(dz(i, label), 1e-12));
         dz(i, label) -= 1.0;
       }
       sg.gw[h] = ref_matmul_tn(dz, feat);
