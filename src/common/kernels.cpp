@@ -249,12 +249,14 @@ constexpr long long kSignBit = static_cast<long long>(0x8000000000000000ULL);
 // vector passed by value would cross the (baseline) function ABI, even though
 // every body is inlined into an entry point of the vector's ISA.
 
-/// out = 2^k for integral k in [-1022, 1023], built from its exponent bits.
+/// out = 2^k for integral k in [-1022, 1023], built from its exponent bits
+/// (unsigned lanes: a NaN k wraps instead of overflowing a signed shift, and
+/// the NaN reaches the result through the other factor).
 template <std::size_t kW>
 OAL_KERNEL_BODY void pow2_lanes(const typename Lanes<kW>::type& k, typename Lanes<kW>::type& out) {
   using V = typename Lanes<kW>::type;
-  using I = typename LaneBits<kW>::type;
-  out = (V)((((I)(k + kShifter) - kShifterBits) + 1023) << 52);
+  using Ui = typename LaneBits<kW>::utype;
+  out = (V)((((Ui)(k + kShifter) - static_cast<unsigned long long>(kShifterBits)) + 1023) << 52);
 }
 
 /// x = n ln2 + r + rlo with n integral.
@@ -287,91 +289,85 @@ OAL_KERNEL_BODY void expm1_reduced(const typename Lanes<kW>::type& r,
   out = r + (r2 * q + rlo);
 }
 
-template <std::size_t kW>
-OAL_KERNEL_BODY void exp_lanes(typename Lanes<kW>::type& x) {
-  using V = typename Lanes<kW>::type;
-  // Below -746 every result rounds to +0, above 710 to +inf; clamping keeps
-  // n inside the exponent range.  A NaN fails both tests and propagates.
-  const V zero = {};
-  x = x < -746.0 ? zero - 746.0 : x;
-  x = x > 710.0 ? zero + 710.0 : x;
-  V n, r, rlo, pm, lo, hi;
-  reduce_ln2<kW>(x, n, r, rlo);
-  expm1_reduced<kW>(r, rlo, pm);
-  // 2^n as two factors, so near-overflow and subnormal results still scale
-  // with a single rounding (the first product is exact).
-  const V h = (n * 0.5 + kShifter) - kShifter;
-  pow2_lanes<kW>(h, lo);
-  pow2_lanes<kW>(n - h, hi);
-  x = (1.0 + pm) * lo * hi;
-}
+/// exp x = 2^n (1 + expm1(r)) with x = n ln2 + r.
+struct ExpOp {
+  template <std::size_t kW>
+  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) {
+    using V = typename Lanes<kW>::type;
+    // Below -746 every result rounds to +0, above 710 to +inf; clamping keeps
+    // n inside the exponent range.  A NaN fails both tests and propagates.
+    const V zero = {};
+    x = x < -746.0 ? zero - 746.0 : x;
+    x = x > 710.0 ? zero + 710.0 : x;
+    V n, r, rlo, pm, lo, hi;
+    reduce_ln2<kW>(x, n, r, rlo);
+    expm1_reduced<kW>(r, rlo, pm);
+    // 2^n as two factors, so near-overflow and subnormal results still scale
+    // with a single rounding (the first product is exact).
+    const V h = (n * 0.5 + kShifter) - kShifter;
+    pow2_lanes<kW>(h, lo);
+    pow2_lanes<kW>(n - h, hi);
+    x = (1.0 + pm) * lo * hi;
+  }
+};
 
 /// tanh|x| = t / (t + 2) with t = expm1(2|x|), then x's sign.  With t >= 0
 /// the quotient scales t's relative error by 2 / (t + 2) <= 1 and keeps +0.
 /// From |x| = 22 on, tanh rounds to 1; the clamp keeps t finite.
-template <std::size_t kW>
-OAL_KERNEL_BODY void tanh_lanes(typename Lanes<kW>::type& x) {
-  using V = typename Lanes<kW>::type;
-  using I = typename LaneBits<kW>::type;
-  const V zero = {};
-  const I sign = (I)x & kSignBit;
-  const V ax = (V)((I)x & ~kSignBit);
-  V y = 2.0 * ax;
-  y = y > 44.0 ? zero + 44.0 : y;
-  V n, r, rlo, pm, scale;
-  reduce_ln2<kW>(y, n, r, rlo);
-  expm1_reduced<kW>(r, rlo, pm);
-  pow2_lanes<kW>(n, scale);
-  const V t = scale * pm + (scale - 1.0);
-  V m = t / (t + 2.0);
-  m = ax >= 22.0 ? zero + 1.0 : m;
-  x = (V)((I)m | sign);
-}
+struct TanhOp {
+  template <std::size_t kW>
+  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) {
+    using V = typename Lanes<kW>::type;
+    using I = typename LaneBits<kW>::type;
+    const V zero = {};
+    const I sign = (I)x & kSignBit;
+    const V ax = (V)((I)x & ~kSignBit);
+    V y = 2.0 * ax;
+    y = y > 44.0 ? zero + 44.0 : y;
+    V n, r, rlo, pm, scale;
+    reduce_ln2<kW>(y, n, r, rlo);
+    expm1_reduced<kW>(r, rlo, pm);
+    pow2_lanes<kW>(n, scale);
+    const V t = scale * pm + (scale - 1.0);
+    V m = t / (t + 2.0);
+    m = ax >= 22.0 ? zero + 1.0 : m;
+    x = (V)((I)m | sign);
+  }
+};
 
 /// log x = e ln2 + log m with x = 2^e m, m in [sqrt(1/2), sqrt(2)).  With
 /// f = m - 1 and s = f / (2 + f), log m = 2 atanh s = f - (f^2/2 - s (f^2/2
 /// + R)), R = sum over k of 2 s^2k / (2k + 1), k = 1..10 (the omitted rest is
 /// below 2^-62 relative), split into its even and odd powers of s^2.
-template <std::size_t kW>
-OAL_KERNEL_BODY void log_lanes(typename Lanes<kW>::type& x) {
-  using V = typename Lanes<kW>::type;
-  using I = typename LaneBits<kW>::type;
-  using Ui = typename LaneBits<kW>::utype;
-  const V zero = {};
-  const I subnormal = x < 0x1p-1022;
-  const V xs = subnormal ? x * 0x1p54 : x;
-  const Ui bits = (Ui)xs;
-  V m = (V)((bits & 0x000fffffffffffffULL) | 0x3ff0000000000000ULL);
-  const I high = m > 0x1.6a09e667f3bcdp0;  // sqrt(2)
-  m = high ? m * 0.5 : m;
-  // high and subnormal are all-ones (-1) masks.
-  const I e = (I)(bits >> 52) - 1023 - high - (subnormal & 54);
-  const V k = (V)(e + kShifterBits) - kShifter;
-  const V f = m - 1.0;
-  const V s = f / (2.0 + f);
-  const V z = s * s, w = z * z;
-  const V odd =
-      z * (2.0 / 3 + w * (2.0 / 7 + w * (2.0 / 11 + w * (2.0 / 15 + w * (2.0 / 19)))));
-  const V even =
-      w * (2.0 / 5 + w * (2.0 / 9 + w * (2.0 / 13 + w * (2.0 / 17 + w * (2.0 / 21)))));
-  const V hfsq = 0.5 * f * f;
-  V out = k * kLn2Hi - ((hfsq - (s * (hfsq + (odd + even)) + k * kLn2Lo)) - f);
-  const V inf = zero + __builtin_inf();
-  out = x == inf ? inf : out;
-  x = x > 0.0 ? out : (x == 0.0 ? -inf : zero + __builtin_nan(""));
-}
-
-struct TanhOp {
-  template <std::size_t kW>
-  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) { tanh_lanes<kW>(x); }
-};
-struct ExpOp {
-  template <std::size_t kW>
-  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) { exp_lanes<kW>(x); }
-};
 struct LogOp {
   template <std::size_t kW>
-  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) { log_lanes<kW>(x); }
+  static OAL_KERNEL_BODY void lanes(typename Lanes<kW>::type& x) {
+    using V = typename Lanes<kW>::type;
+    using I = typename LaneBits<kW>::type;
+    using Ui = typename LaneBits<kW>::utype;
+    const V zero = {};
+    const I subnormal = x < 0x1p-1022;
+    const V xs = subnormal ? x * 0x1p54 : x;
+    const Ui bits = (Ui)xs;
+    V m = (V)((bits & 0x000fffffffffffffULL) | 0x3ff0000000000000ULL);
+    const I high = m > 0x1.6a09e667f3bcdp0;  // sqrt(2)
+    m = high ? m * 0.5 : m;
+    // high and subnormal are all-ones (-1) masks.
+    const I e = (I)(bits >> 52) - 1023 - high - (subnormal & 54);
+    const V k = (V)(e + kShifterBits) - kShifter;
+    const V f = m - 1.0;
+    const V s = f / (2.0 + f);
+    const V z = s * s, w = z * z;
+    const V odd =
+        z * (2.0 / 3 + w * (2.0 / 7 + w * (2.0 / 11 + w * (2.0 / 15 + w * (2.0 / 19)))));
+    const V even =
+        w * (2.0 / 5 + w * (2.0 / 9 + w * (2.0 / 13 + w * (2.0 / 17 + w * (2.0 / 21)))));
+    const V hfsq = 0.5 * f * f;
+    V out = k * kLn2Hi - ((hfsq - (s * (hfsq + (odd + even)) + k * kLn2Lo)) - f);
+    const V inf = zero + __builtin_inf();
+    out = x == inf ? inf : out;
+    x = x > 0.0 ? out : (x == 0.0 ? -inf : zero + __builtin_nan(""));
+  }
 };
 
 /// y[i] = Op(x[i]): whole vectors of kW, then the tail one element at a time
@@ -392,14 +388,6 @@ OAL_KERNEL_BODY void map_row(std::size_t n, const double* x, double* y) {
     Op::template lanes<1>(v);
     y[i] = v[0];
   }
-}
-
-/// One element through Op's width-1 body (the scalar entry points).
-template <class Op>
-double map_one(double x) {
-  typename Lanes<1>::type v = {x};
-  Op::template lanes<1>(v);
-  return v[0];
 }
 
 // Each variant's out-of-line entry points carry its target attribute, and
@@ -475,8 +463,18 @@ const KernelTable& active() {
   return table;
 }
 
-double tanh_scalar(double x) { return map_one<TanhOp>(x); }
-double exp_scalar(double x) { return map_one<ExpOp>(x); }
-double log_scalar(double x) { return map_one<LogOp>(x); }
+// The scalar entries are rows of one element at width 1: the tail body.
+double tanh_scalar(double x) {
+  map_row<TanhOp, 1>(1, &x, &x);
+  return x;
+}
+double exp_scalar(double x) {
+  map_row<ExpOp, 1>(1, &x, &x);
+  return x;
+}
+double log_scalar(double x) {
+  map_row<LogOp, 1>(1, &x, &x);
+  return x;
+}
 
 }  // namespace oal::common::kernels

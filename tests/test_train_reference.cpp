@@ -9,7 +9,9 @@
 // optimizer steps with the scalar element loops.  It lives only here, as the
 // oracle the workspace trainers (ml/mlp.cpp) must reproduce bit for bit:
 // exported parameters and per-step losses are compared with memcmp, so even
-// a flipped zero sign fails.
+// a flipped zero sign fails.  Its tanh, exp and log are the kernels' scalar
+// entries (common::kernels::tanh_scalar etc.), which run the row kernels'
+// lane bodies one element at a time, so neither side calls libm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
