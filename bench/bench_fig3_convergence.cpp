@@ -11,12 +11,14 @@
 // sharing the same trace and offline dataset; each arm trains its own
 // policy copy and the RL arm pre-trains through the Scenario warmup trace.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 
 #include "bench/driver.h"
 #include "common/table.h"
+#include "core/artifact_store.h"
 #include "core/online_il.h"
 #include "core/rl_controller.h"
 #include "core/scenario_factories.h"
@@ -95,39 +97,24 @@ int main(int argc, char** argv) {
   // Both arms evaluate the same trace, so the exhaustive Oracle search runs
   // once per snippet instead of once per arm.  The engine's pool shards each
   // cold search and labels the collection trace in parallel; --store makes
-  // the searches persistent across invocations.  The offline dataset is only
-  // collected when the IL arm actually runs.
+  // the searches and the offline dataset persistent across invocations.  The
+  // dataset is only collected (or restored) when the IL arm actually runs.
   ExperimentEngine engine;
   const auto selected = driver.selection(registry);
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   for (const std::string& name : selected) {
     if (name != "fig3/il") continue;
     soc::BigLittlePlatform plat;
-    // The dataset is a pure function of what offline_data_key hashes, so a
-    // warm store restores it bitwise instead of re-executing the platform
-    // model over every (snippet, config) observation.  Restoring is
-    // unconditionally safe here: the collect rng is scoped to this block and
-    // nothing after it draws from the stream.
     const std::uint64_t data_key =
         offline_data_key(plat.params(), Objective::kEnergy, /*snippets_per_app=*/40,
                          /*configs_per_snippet=*/6, /*collect_seed=*/7, /*thermal_aware=*/false);
-    auto off = std::make_shared<OfflineData>();
-    bool restored = false;
-    if (driver.store()) {
-      if (const auto blob = driver.store()->get_blob("offline-dataset", data_key))
-        restored = import_offline_data(*blob, *off);
-    }
-    if (!restored) {
-      common::Rng rng(7);
-      *off = collect_offline_data(plat, mibench, Objective::kEnergy, 40, 6, rng,
-                                  shared->cache.get(), /*thermal_aware=*/false, &engine.pool());
-      if (driver.store()) {
-        std::vector<double> blob;
-        export_offline_data(*off, blob);
-        driver.store()->put_blob("offline-dataset", data_key, blob);
-      }
-    }
-    shared->off = off;
+    shared->off = std::make_shared<const OfflineData>(get_or_compute(
+        driver.store().get(), "offline-dataset", data_key, OfflineData{}, [&](OfflineData& off) {
+          common::Rng rng(7);
+          off = collect_offline_data(plat, mibench, Objective::kEnergy, 40, 6, rng,
+                                     shared->cache.get(), /*thermal_aware=*/false,
+                                     &engine.pool());
+        }));
   }
   std::printf("Online sequence: %zu snippets (Cortex + PARSEC), offline training: MiBench\n",
               seq.size());

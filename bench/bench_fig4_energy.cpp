@@ -11,15 +11,18 @@
 // scenarios in a ScenarioRegistry selected through the shared bench driver
 // and executed as one parallel batch.  The offline dataset, the frozen IL
 // policy, and the pretrained RL table are shared read-only across arms and
-// are computed only when at least one arm actually runs (--list stays
-// free), through a context the builders dereference lazily.
+// are computed (or restored from --store) only when at least one arm
+// actually runs (--list stays free), through a context the builders
+// dereference lazily.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 
 #include "bench/driver.h"
 #include "common/table.h"
+#include "core/artifact_store.h"
 #include "core/online_il.h"
 #include "core/rl_controller.h"
 #include "core/scenario_factories.h"
@@ -30,6 +33,12 @@ using namespace oal;
 using namespace oal::core;
 
 namespace {
+
+/// Revision of the tabular-Q warmup behind the "fig4-pretrained-q" artifact,
+/// mixed into its store key.  Bump it whenever a change alters the
+/// pretrained table's bits, so a warm store recomputes the table instead of
+/// restoring the old one.  Revision 2: the warmup runs on its own platform.
+constexpr std::uint64_t kRlWarmupRevision = 2;
 
 /// Shared read-only artifacts, filled after the --list fast path (builders
 /// run at select() time, strictly later).
@@ -47,7 +56,7 @@ int main(int argc, char** argv) {
   bench::BenchDriver driver("fig4_energy");
   if (!driver.parse(argc, argv)) return driver.exit_code();
 
-  soc::BigLittlePlatform plat;  // outlives every batch (RL copies point at its space)
+  soc::BigLittlePlatform plat;  // outlives every batch (policies point at its space)
   const auto mibench = workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench);
   auto shared = std::make_shared<SharedArtifacts>();
   const auto make_rl = [shared](ScenarioContext&) {
@@ -127,99 +136,62 @@ int main(int argc, char** argv) {
   }
   ExperimentEngine engine;
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
-  // Blob keys: the artifacts below are pure functions of the platform, the
-  // objective, and the generation seeds/geometry, so that is exactly what
-  // the content address hashes.
-  std::uint64_t il_key = platform_fingerprint(plat.params());
-  fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
-  for (std::uint64_t v : {std::uint64_t{40}, std::uint64_t{6}, std::uint64_t{7},
-                          std::uint64_t{5}})  // collect geometry + collect/train seeds
-    fnv1a_mix(il_key, v);
-  std::uint64_t rl_key = platform_fingerprint(plat.params());
-  fnv1a_mix(rl_key, std::uint64_t{11});  // pretraining-sequence seed
-  // Restore the pretrained tabular-Q table up front (not just in the RL
-  // block below): whether the warmup run still has to execute decides
-  // whether the offline collect may be skipped.  The warmup consumes
-  // `plat`'s noise stream exactly where collect_offline_data leaves it, so
-  // restoring the dataset while the warmup still runs would shift every RL
-  // arm's pretrained table.
-  std::shared_ptr<QLearningController> restored_rl;
-  if (need_rl && driver.store()) {
-    if (const auto blob = driver.store()->get_blob("fig4-pretrained-q", rl_key)) {
-      auto rl = std::make_shared<QLearningController>(plat.space());
-      if (rl->import_state(*blob)) restored_rl = std::move(rl);
-    }
-  }
-  const bool rl_warmup_runs = need_rl && !restored_rl;
+  // Blob keys: each artifact below is a pure function of the platform, the
+  // objective, and its generation seeds/geometry, so that is exactly what
+  // its content address hashes.  Each compute runs on a fresh platform of
+  // its own, so no artifact depends on which others were computed.
   if (need_il) {
     // Every trace above is evaluated by both an IL and an RL arm; the shared
     // cache runs the exhaustive Oracle search once per snippet, not per arm.
-    // A warm store restores the dataset bitwise instead of re-executing the
-    // platform model (safe when the RL warmup is skipped too: the collect
-    // rng feeds nothing else — training draws from its own il_rng stream),
-    // under the same content address the other collection benches use, so
-    // they share one blob.
+    // The dataset's address is shared with fig3's identical collect.
     const std::uint64_t data_key =
         offline_data_key(plat.params(), Objective::kEnergy, /*snippets_per_app=*/40,
                          /*configs_per_snippet=*/6, /*collect_seed=*/7, /*thermal_aware=*/false);
-    auto off = std::make_shared<OfflineData>();
-    bool data_restored = false;
-    if (driver.store() && !rl_warmup_runs) {
-      if (const auto blob = driver.store()->get_blob("offline-dataset", data_key))
-        data_restored = import_offline_data(*blob, *off);
-    }
-    if (!data_restored) {
-      common::Rng rng(7);
-      *off = collect_offline_data(plat, mibench, Objective::kEnergy, 40, 6, rng,
-                                  shared->cache.get(), /*thermal_aware=*/false, &engine.pool());
-      if (driver.store()) {
-        std::vector<double> blob;
-        export_offline_data(*off, blob);
-        driver.store()->put_blob("offline-dataset", data_key, blob);
-      }
-    }
-    shared->off = off;
+    shared->off = std::make_shared<const OfflineData>(get_or_compute(
+        driver.store().get(), "offline-dataset", data_key, OfflineData{}, [&](OfflineData& off) {
+          soc::BigLittlePlatform collect_plat;
+          common::Rng rng(7);
+          off = collect_offline_data(collect_plat, mibench, Objective::kEnergy, 40, 6, rng,
+                                     shared->cache.get(), /*thermal_aware=*/false,
+                                     &engine.pool());
+        }));
 
     // Frozen offline policy, shared read-only by every Offline-IL scenario.
-    // A warm store restores it (weights + training bookkeeping, so the JSONL
-    // record below is bitwise identical to the cold run's) instead of
-    // retraining.
-    auto policy = std::make_shared<IlPolicy>(plat.space());
-    bool restored = false;
-    if (driver.store()) {
-      if (const auto blob = driver.store()->get_blob("fig4-il-policy", il_key))
-        restored = policy->import_artifact(*blob);
-    }
-    if (!restored) {
-      common::Rng il_rng(5);
-      policy->train_offline(shared->off->policy, il_rng);
-      if (driver.store()) driver.store()->put_blob("fig4-il-policy", il_key, policy->export_artifact());
-    }
+    // The artifact carries the training bookkeeping, so the record below is
+    // bitwise identical whether the policy was restored or trained.
+    std::uint64_t il_key = platform_fingerprint(plat.params());
+    fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
+    for (std::uint64_t v : {std::uint64_t{40}, std::uint64_t{6}, std::uint64_t{7},
+                            std::uint64_t{5}})  // collect geometry + collect/train seeds
+      fnv1a_mix(il_key, v);
+    shared->policy = std::make_shared<const IlPolicy>(get_or_compute(
+        driver.store().get(), "fig4-il-policy", il_key, IlPolicy(plat.space()),
+        [&](IlPolicy& policy) {
+          common::Rng il_rng(5);
+          policy.train_offline(shared->off->policy, il_rng);
+        }));
     driver.json().write_metrics(driver.bench_name(), "fig4/offline_policy_training",
-                                {{"train_time_s", policy->train_time_s()},
-                                 {"final_loss", policy->last_train_loss()}});
-    shared->policy = policy;
+                                {{"train_time_s", shared->policy->train_time_s()},
+                                 {"final_loss", shared->policy->last_train_loss()}});
   }
   if (need_rl) {
     // The tabular-Q baseline pre-trains through the MiBench sequence once
     // (as in the paper); every RL scenario then starts from a copy of the
-    // trained table rather than redoing the identical warmup.  A warm store
-    // restores the table + exploration state instead — attempted above,
-    // before the collect decision (skipping the warmup run is safe: nothing
-    // downstream executes `plat`, so its noise stream position no longer
-    // matters).
-    shared->pretrained_rl = std::make_shared<const QLearningController>([&] {
-      if (restored_rl) return *restored_rl;
-      QLearningController rl(plat.space());
-      common::Rng pre_rng(11);
-      const auto pre = workloads::CpuBenchmarks::sequence(mibench, pre_rng);
-      RunnerOptions fast;
-      fast.compute_oracle = false;
-      DrmRunner pre_runner(plat, fast);
-      (void)pre_runner.run(pre, rl, {4, 4, 8, 10});
-      if (driver.store()) driver.store()->put_blob("fig4-pretrained-q", rl_key, rl.export_state());
-      return rl;
-    }());
+    // trained table rather than redoing the identical warmup.
+    std::uint64_t rl_key = platform_fingerprint(plat.params());
+    fnv1a_mix(rl_key, std::uint64_t{11});  // pretraining-sequence seed
+    fnv1a_mix(rl_key, kRlWarmupRevision);
+    shared->pretrained_rl = std::make_shared<const QLearningController>(get_or_compute(
+        driver.store().get(), "fig4-pretrained-q", rl_key, QLearningController(plat.space()),
+        [&](QLearningController& rl) {
+          soc::BigLittlePlatform warmup_plat;
+          common::Rng pre_rng(11);
+          RunnerOptions fast;
+          fast.compute_oracle = false;
+          DrmRunner pre_runner(warmup_plat, fast);
+          (void)pre_runner.run(workloads::CpuBenchmarks::sequence(mibench, pre_rng), rl,
+                               {4, 4, 8, 10});
+        }));
   }
 
   const auto results = engine.run_any(driver.select(registry));

@@ -11,12 +11,14 @@
 // trained once — after the --list fast path — and shared read-only across
 // scenarios (OfflineIlController never mutates it).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
 
 #include "bench/driver.h"
 #include "common/table.h"
+#include "core/artifact_store.h"
 #include "core/online_il.h"
 #include "core/scenario_factories.h"
 #include "core/scenario_registry.h"
@@ -80,50 +82,26 @@ int main(int argc, char** argv) {
   ExperimentEngine engine;
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   const auto mibench = workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench);
-  {
-    // Content address of the trained policy: platform + objective + collect
-    // geometry/seed.  The training rng continues the collect stream, so the
-    // collect seed pins it too; skipping train_offline on a warm hit is safe
-    // because nothing after this block draws from `rng`.
-    std::uint64_t il_key = platform_fingerprint(plat.params());
-    fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
-    for (std::uint64_t v : {std::uint64_t{40}, std::uint64_t{6}, std::uint64_t{7}})
-      fnv1a_mix(il_key, v);
-    auto policy = std::make_shared<IlPolicy>(plat.space());
-    bool restored = false;
-    if (driver.store()) {
-      if (const auto blob = driver.store()->get_blob("table2-il-policy", il_key))
-        restored = policy->import_artifact(*blob);
-    }
-    if (!restored) {
-      // Cold path only: the dataset cannot substitute for running collect
-      // here, because training continues the collect rng stream — a
-      // restored dataset would leave `rng` at the wrong position.  Collect
-      // runs, and the result is exported so the *other* collection benches
-      // (same content address) can skip their platform-model re-execution.
-      common::Rng rng(7);
-      const auto off =
-          collect_offline_data(plat, mibench, Objective::kEnergy,
-                               /*snippets_per_app=*/40, /*configs_per_snippet=*/6, rng,
-                               shared->cache.get(), /*thermal_aware=*/false, &engine.pool());
-      if (driver.store()) {
-        const std::uint64_t data_key =
-            offline_data_key(plat.params(), Objective::kEnergy, /*snippets_per_app=*/40,
-                             /*configs_per_snippet=*/6, /*collect_seed=*/7,
-                             /*thermal_aware=*/false);
-        std::vector<double> blob;
-        export_offline_data(off, blob);
-        driver.store()->put_blob("offline-dataset", data_key, blob);
-      }
-      policy->train_offline(off.policy, rng);
-      if (driver.store())
-        driver.store()->put_blob("table2-il-policy", il_key, policy->export_artifact());
-    }
-    driver.json().write_metrics(driver.bench_name(), "table2/offline_policy_training",
-                                {{"train_time_s", policy->train_time_s()},
-                                 {"final_loss", policy->last_train_loss()}});
-    shared->policy = policy;
-  }
+  // Content address of the trained policy: platform + objective + collect
+  // geometry/seed.  Training continues the collect rng, so the collect seed
+  // pins the training stream too.
+  std::uint64_t il_key = platform_fingerprint(plat.params());
+  fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
+  for (std::uint64_t v : {std::uint64_t{40}, std::uint64_t{6}, std::uint64_t{7}})
+    fnv1a_mix(il_key, v);
+  shared->policy = std::make_shared<const IlPolicy>(get_or_compute(
+      driver.store().get(), "table2-il-policy", il_key, IlPolicy(plat.space()),
+      [&](IlPolicy& policy) {
+        common::Rng rng(7);
+        const auto off =
+            collect_offline_data(plat, mibench, Objective::kEnergy,
+                                 /*snippets_per_app=*/40, /*configs_per_snippet=*/6, rng,
+                                 shared->cache.get(), /*thermal_aware=*/false, &engine.pool());
+        policy.train_offline(off.policy, rng);
+      }));
+  driver.json().write_metrics(driver.bench_name(), "table2/offline_policy_training",
+                              {{"train_time_s", shared->policy->train_time_s()},
+                               {"final_loss", shared->policy->last_train_loss()}});
   std::printf("\nOffline IL policy: %zu params, %zu bytes (paper budget: <20 KB)\n",
               shared->policy->num_params(), shared->policy->storage_bytes());
   // Wall-time goes to the JSONL record only: stdout must stay byte-identical

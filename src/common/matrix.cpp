@@ -122,22 +122,10 @@ void Mat::set_row(std::size_t r, const Vec& v) {
   for (std::size_t c = 0; c < cols_; ++c) (*this)(r, c) = v[c];
 }
 
-double Mat::norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 double Mat::trace() const {
   double s = 0.0;
   for (std::size_t i = 0; i < std::min(rows_, cols_); ++i) s += (*this)(i, i);
   return s;
-}
-
-double Mat::max_abs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
 }
 
 std::ostream& operator<<(std::ostream& os, const Mat& m) {
@@ -176,8 +164,6 @@ Vec scale(const Vec& a, double s) {
   return r;
 }
 
-double norm2(const Vec& a) { return std::sqrt(dot(a, a)); }
-
 void matvec_into(const Mat& a, const Vec& v, Vec& out) {
   if (a.cols() != v.size() || out.size() != a.rows() || &v == &out)
     throw std::invalid_argument("Mat*Vec size mismatch");
@@ -198,7 +184,7 @@ Mat outer(const Vec& a, const Vec& b) {
 LuFactors lu_factor(Mat a) {
   const std::size_t n = a.rows();
   if (a.cols() != n) throw std::invalid_argument("lu_factor: matrix not square");
-  LuFactors res{std::move(a), {}, 1.0};
+  LuFactors res{std::move(a), {}};
   res.piv.resize(n);
   for (std::size_t i = 0; i < n; ++i) res.piv[i] = i;
   Mat& m = res.lu;
@@ -216,7 +202,6 @@ LuFactors lu_factor(Mat a) {
     if (p != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(m(p, c), m(k, c));
       std::swap(res.piv[p], res.piv[k]);
-      res.sign = -res.sign;
     }
     for (std::size_t i = k + 1; i < n; ++i) {
       m(i, k) /= m(k, k);
@@ -242,33 +227,18 @@ void lu_apply(const LuFactors& f, const Vec& b, Vec& x) {
   }
 }
 
-Vec lu_solve(Mat a, Vec b) {
-  if (a.rows() != b.size()) throw std::invalid_argument("lu_solve size mismatch");
-  const LuFactors f = lu_factor(std::move(a));
-  Vec x(b.size());
-  lu_apply(f, b, x);
-  return x;
-}
-
-Mat lu_solve(Mat a, const Mat& b) {
-  if (a.rows() != b.rows()) throw std::invalid_argument("lu_solve size mismatch");
-  const LuFactors f = lu_factor(std::move(a));
-  Mat x(b.rows(), b.cols());
-  Vec xc(b.rows());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    lu_apply(f, b.col(c), xc);
-    for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = xc[r];
+Mat inverse(const Mat& a) {
+  const LuFactors f = lu_factor(a);
+  const std::size_t n = a.rows();
+  Mat inv(n, n);
+  Vec e(n, 0.0), x(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    e[c] = 1.0;
+    lu_apply(f, e, x);
+    e[c] = 0.0;
+    for (std::size_t r = 0; r < n; ++r) inv(r, c) = x[r];
   }
-  return x;
-}
-
-Mat inverse(const Mat& a) { return lu_solve(a, Mat::identity(a.rows())); }
-
-double determinant(Mat a) {
-  LuFactors f = lu_factor(std::move(a));
-  double d = f.sign;
-  for (std::size_t i = 0; i < f.lu.rows(); ++i) d *= f.lu(i, i);
-  return d;
+  return inv;
 }
 
 Mat cholesky(const Mat& a) {
@@ -320,7 +290,7 @@ void hessenberg(Mat& a) {
     Vec v(n, 0.0);
     v[k + 1] = a(k + 1, k) - alpha;
     for (std::size_t i = k + 2; i < n; ++i) v[i] = a(i, k);
-    double vnorm = norm2(v);
+    const double vnorm = std::sqrt(dot(v, v));
     if (vnorm < 1e-300) continue;
     for (double& x : v) x /= vnorm;
     // A <- (I - 2 v v^T) A (I - 2 v v^T)

@@ -61,12 +61,7 @@ class Mat {
   Vec col(std::size_t c) const;
   void set_row(std::size_t r, const Vec& v);
 
-  /// Frobenius norm.
-  double norm() const;
   double trace() const;
-
-  /// Maximum absolute element.
-  double max_abs() const;
 
  private:
   std::size_t rows_ = 0;
@@ -82,7 +77,6 @@ double dot(const Vec& a, const Vec& b);
 Vec add(const Vec& a, const Vec& b);
 Vec sub(const Vec& a, const Vec& b);
 Vec scale(const Vec& a, double s);
-double norm2(const Vec& a);
 /// Outer product a b^T.
 Mat outer(const Vec& a, const Vec& b);
 /// out = A v into a caller-sized buffer (out.size() == A.rows(), not aliasing
@@ -92,11 +86,10 @@ void matvec_into(const Mat& a, const Vec& v, Vec& out);
 // ---- Factorizations & solvers ---------------------------------------------
 
 /// LU factors with partial pivoting: P A = L U packed in `lu` (unit-diagonal
-/// L below the diagonal), row permutation `piv`, permutation sign `sign`.
+/// L below the diagonal), row permutation `piv`.
 struct LuFactors {
   Mat lu;
   std::vector<std::size_t> piv;
-  double sign = 1.0;
 };
 
 /// Factors a square A.  Throws std::runtime_error if A is (numerically)
@@ -108,14 +101,8 @@ LuFactors lu_factor(Mat a);
 /// right-hand sides costs only the two triangular sweeps per solve.
 void lu_apply(const LuFactors& f, const Vec& b, Vec& x);
 
-/// Solves A x = b by LU decomposition with partial pivoting.
-/// Throws std::runtime_error if A is (numerically) singular.
-Vec lu_solve(Mat a, Vec b);
-
-/// Solves A X = B column-by-column; returns X.
-Mat lu_solve(Mat a, const Mat& b);
-
-/// Inverse via LU.  Prefer lu_solve when possible.
+/// Inverse via LU, column by column.  Prefer lu_factor + lu_apply when
+/// only solves are needed.
 Mat inverse(const Mat& a);
 
 /// Cholesky factor L (lower) of a symmetric positive-definite matrix.
@@ -124,9 +111,6 @@ Mat cholesky(const Mat& a);
 
 /// Solves A x = b for SPD A via Cholesky.
 Vec cholesky_solve(const Mat& a, const Vec& b);
-
-/// Determinant via LU (sign-corrected).
-double determinant(Mat a);
 
 /// Eigenvalues of a general real matrix via the (shifted) QR algorithm on the
 /// Hessenberg form.  Returns real parts and imaginary parts.  Intended for

@@ -97,4 +97,24 @@ class ArtifactStore {
   std::string dir_;
 };
 
+/// The one restore-or-compute path for stored artifacts.  `value` arrives
+/// blank; on a valid hit `value.import_artifact(blob)` restores it and
+/// `compute` never runs.  With no store, on a miss, or when the import
+/// rejects the blob, `compute(value)` fills it and — given a store — its
+/// `export_artifact()` overwrites the blob.  import_artifact must leave a
+/// rejected `value` blank, so `compute` always starts from scratch.
+/// `compute` must depend on nothing but what `key` hashes: then a restore
+/// and a recompute are indistinguishable to every caller.
+template <class T, class Compute>
+T get_or_compute(ArtifactStore* store, const std::string& name, std::uint64_t key, T value,
+                 Compute&& compute) {
+  if (store) {
+    if (const auto blob = store->get_blob(name, key); blob && value.import_artifact(*blob))
+      return value;
+  }
+  compute(value);
+  if (store) store->put_blob(name, key, value.export_artifact());
+  return value;
+}
+
 }  // namespace oal::core

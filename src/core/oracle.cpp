@@ -290,17 +290,17 @@ soc::SocConfig read_config(const double* p) {
 
 }  // namespace
 
-void export_offline_data(const OfflineData& data, std::vector<double>& out) {
-  const std::size_t state_dim = data.policy.states.empty() ? 0 : data.policy.states[0].size();
-  out.clear();
-  out.reserve(3 + data.policy.states.size() * (state_dim + kConfigDoubles) +
-              data.model_samples.size() * kSampleDoubles);
+std::vector<double> OfflineData::export_artifact() const {
+  const std::size_t state_dim = policy.states.empty() ? 0 : policy.states[0].size();
+  std::vector<double> out;
+  out.reserve(3 + policy.states.size() * (state_dim + kConfigDoubles) +
+              model_samples.size() * kSampleDoubles);
   out.push_back(static_cast<double>(state_dim));
-  out.push_back(static_cast<double>(data.policy.states.size()));
-  out.push_back(static_cast<double>(data.model_samples.size()));
-  for (const common::Vec& s : data.policy.states) out.insert(out.end(), s.begin(), s.end());
-  for (const soc::SocConfig& c : data.policy.labels) push_config(c, out);
-  for (const ModelSample& m : data.model_samples) {
+  out.push_back(static_cast<double>(policy.states.size()));
+  out.push_back(static_cast<double>(model_samples.size()));
+  for (const common::Vec& s : policy.states) out.insert(out.end(), s.begin(), s.end());
+  for (const soc::SocConfig& c : policy.labels) push_config(c, out);
+  for (const ModelSample& m : model_samples) {
     out.push_back(m.workload.mpki);
     out.push_back(m.workload.bmpki);
     out.push_back(m.workload.mem_ai);
@@ -313,10 +313,11 @@ void export_offline_data(const OfflineData& data, std::vector<double>& out) {
     out.push_back(m.instructions);
     out.push_back(m.power_w);
   }
+  return out;
 }
 
-bool import_offline_data(const std::vector<double>& in, OfflineData& out) {
-  out = OfflineData{};
+bool OfflineData::import_artifact(const std::vector<double>& in) {
+  *this = OfflineData{};
   if (in.size() < 3) return false;
   const auto state_dim = static_cast<std::size_t>(in[0]);
   const auto num_states = static_cast<std::size_t>(in[1]);
@@ -324,13 +325,13 @@ bool import_offline_data(const std::vector<double>& in, OfflineData& out) {
   if (in.size() != 3 + num_states * (state_dim + kConfigDoubles) + num_samples * kSampleDoubles)
     return false;
   const double* p = in.data() + 3;
-  out.policy.states.reserve(num_states);
+  policy.states.reserve(num_states);
   for (std::size_t i = 0; i < num_states; ++i, p += state_dim)
-    out.policy.states.emplace_back(p, p + state_dim);
-  out.policy.labels.reserve(num_states);
+    policy.states.emplace_back(p, p + state_dim);
+  policy.labels.reserve(num_states);
   for (std::size_t i = 0; i < num_states; ++i, p += kConfigDoubles)
-    out.policy.labels.push_back(read_config(p));
-  out.model_samples.reserve(num_samples);
+    policy.labels.push_back(read_config(p));
+  model_samples.reserve(num_samples);
   for (std::size_t i = 0; i < num_samples; ++i, p += kSampleDoubles) {
     ModelSample m;
     m.workload.mpki = p[0];
@@ -344,7 +345,7 @@ bool import_offline_data(const std::vector<double>& in, OfflineData& out) {
     m.time_s = p[11];
     m.instructions = p[12];
     m.power_w = p[13];
-    out.model_samples.push_back(std::move(m));
+    model_samples.push_back(std::move(m));
   }
   return true;
 }

@@ -176,6 +176,18 @@ struct PolicyDataset {
 struct OfflineData {
   PolicyDataset policy;
   std::vector<ModelSample> model_samples;
+
+  /// Flattens the dataset into the double vector ArtifactStore blobs carry:
+  /// a 3-double header {state_dim, num_states, num_samples}, then the states
+  /// (row-major), the labels (4 config knobs per state), and the model
+  /// samples (7 workload features + 4 config knobs + time/instructions/
+  /// power).  Every field round-trips bitwise — doubles are stored verbatim
+  /// and the knob indices are small exact integers.
+  std::vector<double> export_artifact() const;
+  /// Inverse of export_artifact.  Returns false (leaving the dataset empty)
+  /// on any structural mismatch — the store is a cache, so the caller
+  /// recollects.
+  bool import_artifact(const std::vector<double>& in);
 };
 /// `cache`, when non-null, memoizes the per-snippet Oracle labeling — the
 /// dominant cost when several arms collect over identical traces (identical
@@ -197,23 +209,11 @@ OfflineData collect_offline_data(soc::BigLittlePlatform& plat,
 /// function of the platform parameterization, the objective, the collection
 /// geometry, the collect seed, and the feature space, so that is exactly
 /// what the key hashes.  Benches that collect with identical arguments
-/// (fig3/fig4/table2 all use MiBench, kEnergy, 40x6, seed 7, blind
+/// (fig3 and fig4 both use MiBench, kEnergy, 40x6, seed 7, blind
 /// features) share one blob.
 std::uint64_t offline_data_key(const soc::PlatformParams& params, Objective obj,
                                std::size_t snippets_per_app, std::size_t configs_per_snippet,
                                std::uint64_t collect_seed, bool thermal_aware);
-
-/// Flattens an offline dataset into the double vector ArtifactStore blobs
-/// carry: a 3-double header {state_dim, num_states, num_samples}, then the
-/// states (row-major), the labels (4 config knobs per state), and the model
-/// samples (7 workload features + 4 config knobs + time/instructions/power).
-/// Every field round-trips bitwise — doubles are stored verbatim and the
-/// knob indices are small exact integers.
-void export_offline_data(const OfflineData& data, std::vector<double>& out);
-
-/// Inverse of export_offline_data.  Returns false (leaving `out` empty) on
-/// any structural mismatch — the store is a cache, so the caller recollects.
-bool import_offline_data(const std::vector<double>& in, OfflineData& out);
 
 /// Knob-label encoding shared by the IL policy and dataset code:
 /// {num_little-1, num_big, little_freq_idx, big_freq_idx}.

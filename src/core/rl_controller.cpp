@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace oal::core {
 
@@ -98,15 +99,19 @@ soc::SocConfig QLearningController::step(const soc::SnippetResult& result,
 }
 // oal-lint: hot-path-end
 
-std::vector<double> QLearningController::export_state() const {
+std::vector<double> QLearningController::export_artifact() const {
   std::vector<double> out;
   q_.export_state(out);
   return out;
 }
 
-bool QLearningController::import_state(const std::vector<double>& in) {
+bool QLearningController::import_artifact(const std::vector<double>& in) {
+  // Stage into a copy so trailing data leaves the controller unchanged.
+  ml::TabularQ q = q_;
   std::size_t pos = 0;
-  return q_.import_state(in, pos) && pos == in.size();
+  if (!q.import_state(in, pos) || pos != in.size()) return false;
+  q_ = std::move(q);
+  return true;
 }
 
 DqnController::DqnController(const soc::ConfigSpace& space, ml::DqnConfig cfg, RlRewardScale scale,

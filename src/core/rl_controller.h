@@ -49,9 +49,10 @@ class QLearningController : public DrmController {
   /// ml::TabularQ wire format), letting a warm process skip a pretraining
   /// run: the restored controller's next run is bitwise identical to the
   /// original's.  Per-run state (prev state/action) is excluded — begin_run
-  /// resets it anyway.
-  std::vector<double> export_state() const;
-  bool import_state(const std::vector<double>& in);
+  /// resets it anyway.  A rejected import (malformed or trailing data)
+  /// leaves the controller unchanged.
+  std::vector<double> export_artifact() const;
+  bool import_artifact(const std::vector<double>& in);
 
  private:
   std::uint64_t discretize(const soc::PerfCounters& k, const soc::SocConfig& c) const;

@@ -1,6 +1,6 @@
-// Tests for the persistent artifact store, the store-backed OracleCache,
-// the sharded (pooled) Oracle search, and the weight-serialization round
-// trips the store's blobs carry.  The contract under test throughout:
+// Tests for the persistent artifact store, its get_or_compute helper, the
+// store-backed OracleCache, the sharded (pooled) Oracle search, and the
+// weight-serialization round trips the store's blobs carry.  The contract under test throughout:
 // warm reuse is bitwise identical to cold computation, and a damaged store
 // is silently recomputed, never a crash.
 #include <gtest/gtest.h>
@@ -111,6 +111,71 @@ TEST(ArtifactStoreBlob, RejectsChecksumCorruption) {
   ASSERT_EQ(files.size(), 1u);
   EXPECT_FALSE(files[0].valid);
   EXPECT_NE(files[0].detail.find("checksum"), std::string::npos);
+}
+
+/// Minimal stored artifact for the get_or_compute tests: one value, and an
+/// import that rejects negative values (leaving the artifact blank).
+struct OneValue {
+  double value = 0.0;
+  std::vector<double> export_artifact() const { return {value}; }
+  bool import_artifact(const std::vector<double>& in) {
+    if (in.size() != 1 || in[0] < 0.0) return false;
+    value = in[0];
+    return true;
+  }
+};
+
+/// get_or_compute with a compute that counts its calls, checks it starts
+/// from a blank artifact, and stores 3.
+OneValue get_or_compute_3(ArtifactStore* store, int& calls) {
+  return get_or_compute(store, "v", 1, OneValue{}, [&](OneValue& v) {
+    ++calls;
+    EXPECT_EQ(v.value, 0.0);
+    v.value = 3.0;
+  });
+}
+
+TEST(GetOrCompute, NullStoreComputes) {
+  int calls = 0;
+  EXPECT_EQ(get_or_compute_3(nullptr, calls).value, 3.0);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(GetOrCompute, MissComputesAndPuts) {
+  ArtifactStore store(fresh_dir("goc-miss").string());
+  int calls = 0;
+  EXPECT_EQ(get_or_compute_3(&store, calls).value, 3.0);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(store.get_blob("v", 1), std::vector<double>{3.0});
+}
+
+TEST(GetOrCompute, HitNeverComputes) {
+  ArtifactStore store(fresh_dir("goc-hit").string());
+  store.put_blob("v", 1, {5.0});
+  int calls = 0;
+  EXPECT_EQ(get_or_compute_3(&store, calls).value, 5.0);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(store.get_blob("v", 1), std::vector<double>{5.0});
+}
+
+TEST(GetOrCompute, CorruptBlobRecomputesAndOverwrites) {
+  const fs::path dir = fresh_dir("goc-corrupt");
+  ArtifactStore store(dir.string());
+  store.put_blob("v", 1, {5.0});
+  corrupt_byte(only_file(dir), 32 + 3);  // a payload byte past the header
+  int calls = 0;
+  EXPECT_EQ(get_or_compute_3(&store, calls).value, 3.0);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(store.get_blob("v", 1), std::vector<double>{3.0});
+}
+
+TEST(GetOrCompute, RejectedImportRecomputesAndOverwrites) {
+  ArtifactStore store(fresh_dir("goc-reject").string());
+  store.put_blob("v", 1, {-5.0});  // a valid blob the import rejects
+  int calls = 0;
+  EXPECT_EQ(get_or_compute_3(&store, calls).value, 3.0);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(store.get_blob("v", 1), std::vector<double>{3.0});
 }
 
 TEST(OracleStore, CrossProcessWarmReuse) {
@@ -561,27 +626,34 @@ TEST(Dqn, ImportRejectsMalformedParamsAndLeavesAgentUnchanged) {
 }
 
 TEST(QLearningController, StateRoundTripViaBlob) {
-  // The fig4 warm path: pretrained controller -> store blob -> fresh
-  // controller in another process.  Round trip through an actual store file.
+  // The fig4 warm path: the first process pretrains and stores the table,
+  // a second restores it through an actual store file without pretraining.
   soc::BigLittlePlatform plat;
-  QLearningController rl(plat.space());
-  DrmRunner runner(plat, [] {
+  const auto pretrain = [&](QLearningController& rl) {
     RunnerOptions fast;
     fast.compute_oracle = false;
-    return fast;
-  }());
-  (void)runner.run(test_trace("Dijkstra", 12, 23), rl, {4, 4, 8, 10});
-
+    DrmRunner runner(plat, fast);
+    (void)runner.run(test_trace("Dijkstra", 12, 23), rl, {4, 4, 8, 10});
+  };
   const fs::path dir = fresh_dir("qblob");
   ArtifactStore store(dir.string());
-  store.put_blob("q", 9, rl.export_state());
+  const QLearningController rl =
+      get_or_compute(&store, "q", 9, QLearningController(plat.space()), pretrain);
+  ASSERT_GT(rl.table_states(), 0u);
 
-  QLearningController restored(plat.space());
-  const auto blob = store.get_blob("q", 9);
-  ASSERT_TRUE(blob.has_value());
-  ASSERT_TRUE(restored.import_state(*blob));
-  EXPECT_EQ(restored.export_state(), rl.export_state());
+  const QLearningController restored =
+      get_or_compute(&store, "q", 9, QLearningController(plat.space()),
+                     [](QLearningController&) { ADD_FAILURE() << "pretrained on a hit"; });
+  EXPECT_EQ(restored.export_artifact(), rl.export_artifact());
   EXPECT_EQ(restored.table_states(), rl.table_states());
+
+  // Trailing data is not this controller's artifact: rejected, unchanged.
+  std::vector<double> padded = rl.export_artifact();
+  padded.push_back(0.0);
+  QLearningController target(plat.space());
+  const std::vector<double> blank = target.export_artifact();
+  EXPECT_FALSE(target.import_artifact(padded));
+  EXPECT_EQ(target.export_artifact(), blank);
 }
 
 }  // namespace

@@ -153,10 +153,9 @@ TEST_F(OfflineIlFixture, DatasetShape) {
 }
 
 TEST_F(OfflineIlFixture, DatasetBlobRoundTripsBitwise) {
-  std::vector<double> blob;
-  export_offline_data(data_, blob);
+  const std::vector<double> blob = data_.export_artifact();
   OfflineData back;
-  ASSERT_TRUE(import_offline_data(blob, back));
+  ASSERT_TRUE(back.import_artifact(blob));
   ASSERT_EQ(back.policy.states.size(), data_.policy.states.size());
   ASSERT_EQ(back.policy.labels.size(), data_.policy.labels.size());
   ASSERT_EQ(back.model_samples.size(), data_.model_samples.size());
@@ -183,11 +182,11 @@ TEST_F(OfflineIlFixture, DatasetBlobRoundTripsBitwise) {
   // cache, so import must reject it rather than guess.
   std::vector<double> bad = blob;
   bad.pop_back();
-  EXPECT_FALSE(import_offline_data(bad, back));
+  EXPECT_FALSE(back.import_artifact(bad));
   bad = blob;
   bad.push_back(0.0);
-  EXPECT_FALSE(import_offline_data(bad, back));
-  EXPECT_FALSE(import_offline_data({}, back));
+  EXPECT_FALSE(back.import_artifact(bad));
+  EXPECT_FALSE(back.import_artifact({}));
 }
 
 TEST(OfflineDataKey, SensitiveToEveryArgument) {

@@ -261,7 +261,8 @@ FixedPointResult thermal_fixed_point(const RcThermalNetwork& net, const LeakageM
     rhs_p[i] = dynamic_power_w[i] +
                leak.p0_w[i] * (1.0 + leak.k_per_c[i] * (net.ambient_c() - leak.t0_c));
   const common::Vec rhs = r * rhs_p;
-  const common::Vec dt = common::lu_solve(lhs, rhs);
+  common::Vec dt(n);
+  common::lu_apply(common::lu_factor(lhs), rhs, dt);
   res.temperature_c.resize(n);
   for (std::size_t i = 0; i < n; ++i) res.temperature_c[i] = net.ambient_c() + dt[i];
   const common::Vec p_leak = leak.leakage(res.temperature_c);
