@@ -165,7 +165,7 @@ std::vector<core::AnyScenario> BenchDriver::select(
 
 core::JsonlWriter& BenchDriver::json() {
   // Benches call this unconditionally; without --json the writer is a
-  // disabled sink (empty path), same as the old json_path_arg protocol.
+  // disabled sink (empty path).
   if (!json_) json_ = std::make_unique<core::JsonlWriter>("");
   return *json_;
 }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <complex>
-#include <ostream>
 #include <stdexcept>
 
 namespace oal::common {
@@ -28,50 +27,16 @@ Mat Mat::identity(std::size_t n) {
   return m;
 }
 
-Mat Mat::diag(const Vec& d) {
-  Mat m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
-}
-
-Mat Mat::from_rows(const std::vector<Vec>& rows) {
-  if (rows.empty()) throw std::invalid_argument("Mat::from_rows: no rows");
-  Mat m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != m.cols_) throw std::invalid_argument("Mat::from_rows: ragged rows");
-    for (std::size_t c = 0; c < m.cols_; ++c) m(r, c) = rows[r][c];
-  }
-  return m;
-}
-
-Mat Mat::transpose() const {
-  Mat t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Mat Mat::operator+(const Mat& o) const {
-  Mat r = *this;
-  r += o;
-  return r;
-}
-
 Mat Mat::operator-(const Mat& o) const {
+  if (rows_ != o.rows_ || cols_ != o.cols_) throw std::invalid_argument("Mat size mismatch in -");
   Mat r = *this;
-  r -= o;
+  for (std::size_t i = 0; i < data_.size(); ++i) r.data_[i] -= o.data_[i];
   return r;
 }
 
 Mat& Mat::operator+=(const Mat& o) {
   if (rows_ != o.rows_ || cols_ != o.cols_) throw std::invalid_argument("Mat size mismatch in +=");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];
-  return *this;
-}
-
-Mat& Mat::operator-=(const Mat& o) {
-  if (rows_ != o.rows_ || cols_ != o.cols_) throw std::invalid_argument("Mat size mismatch in -=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= o.data_[i];
   return *this;
 }
 
@@ -86,35 +51,10 @@ Mat Mat::operator*(double s) const {
   return r;
 }
 
-Mat Mat::operator*(const Mat& o) const {
-  if (cols_ != o.rows_) throw std::invalid_argument("Mat size mismatch in *");
-  Mat r(rows_, o.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < o.cols_; ++j) r(i, j) += aik * o(k, j);
-    }
-  }
-  return r;
-}
-
 Vec Mat::operator*(const Vec& v) const {
   Vec r(rows_, 0.0);
   matvec_into(*this, v, r);
   return r;
-}
-
-Vec Mat::row(std::size_t r) const {
-  Vec v(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) v[c] = (*this)(r, c);
-  return v;
-}
-
-Vec Mat::col(std::size_t c) const {
-  Vec v(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) v[r] = (*this)(r, c);
-  return v;
 }
 
 void Mat::set_row(std::size_t r, const Vec& v) {
@@ -128,40 +68,11 @@ double Mat::trace() const {
   return s;
 }
 
-std::ostream& operator<<(std::ostream& os, const Mat& m) {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < m.cols(); ++c) os << m(r, c) << (c + 1 == m.cols() ? "" : ", ");
-    os << (r + 1 == m.rows() ? "]" : ";\n");
-  }
-  return os;
-}
-
 double dot(const Vec& a, const Vec& b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot size mismatch");
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
-}
-
-Vec add(const Vec& a, const Vec& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("add size mismatch");
-  Vec r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] + b[i];
-  return r;
-}
-
-Vec sub(const Vec& a, const Vec& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("sub size mismatch");
-  Vec r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] - b[i];
-  return r;
-}
-
-Vec scale(const Vec& a, double s) {
-  Vec r(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] * s;
-  return r;
 }
 
 void matvec_into(const Mat& a, const Vec& v, Vec& out) {
@@ -172,13 +83,6 @@ void matvec_into(const Mat& a, const Vec& v, Vec& out) {
     for (std::size_t j = 0; j < a.cols(); ++j) s += a(i, j) * v[j];
     out[i] = s;
   }
-}
-
-Mat outer(const Vec& a, const Vec& b) {
-  Mat m(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    for (std::size_t j = 0; j < b.size(); ++j) m(i, j) = a[i] * b[j];
-  return m;
 }
 
 LuFactors lu_factor(Mat a) {

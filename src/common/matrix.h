@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <vector>
 
 namespace oal::common {
@@ -23,10 +22,6 @@ class Mat {
   Mat(std::initializer_list<std::initializer_list<double>> rows);
 
   static Mat identity(std::size_t n);
-  /// Diagonal matrix from a vector.
-  static Mat diag(const Vec& d);
-  /// Stacks equal-length vectors as rows (batch-matrix construction).
-  static Mat from_rows(const std::vector<Vec>& rows);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -44,21 +39,13 @@ class Mat {
   double* raw() { return data_.data(); }
   const double* raw() const { return data_.data(); }
 
-  Mat transpose() const;
-  Mat operator+(const Mat& o) const;
   Mat operator-(const Mat& o) const;
-  Mat operator*(const Mat& o) const;
   Mat operator*(double s) const;
   Mat& operator+=(const Mat& o);
-  Mat& operator-=(const Mat& o);
   Mat& operator*=(double s);
 
   Vec operator*(const Vec& v) const;
 
-  /// Extracts row r as a vector.
-  Vec row(std::size_t r) const;
-  /// Extracts column c as a vector.
-  Vec col(std::size_t c) const;
   void set_row(std::size_t r, const Vec& v);
 
   double trace() const;
@@ -69,16 +56,9 @@ class Mat {
   std::vector<double> data_;
 };
 
-std::ostream& operator<<(std::ostream& os, const Mat& m);
-
 // ---- Vector helpers -------------------------------------------------------
 
 double dot(const Vec& a, const Vec& b);
-Vec add(const Vec& a, const Vec& b);
-Vec sub(const Vec& a, const Vec& b);
-Vec scale(const Vec& a, double s);
-/// Outer product a b^T.
-Mat outer(const Vec& a, const Vec& b);
 /// out = A v into a caller-sized buffer (out.size() == A.rows(), not aliasing
 /// v); the same summation order as Mat::operator*(Vec), which wraps it.
 void matvec_into(const Mat& a, const Vec& v, Vec& out);

@@ -30,8 +30,6 @@ class Rng {
   double normal();
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
-  /// Log-normal: exp(normal(mu, sigma)).
-  double lognormal(double mu, double sigma);
   /// Bernoulli trial.
   bool bernoulli(double p);
   /// Exponential with given rate (lambda).

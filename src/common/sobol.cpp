@@ -87,15 +87,11 @@ std::vector<double> SobolSequence::next() {
   return p;
 }
 
-void SobolSequence::skip(std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) (void)next();
-}
-
 std::vector<std::vector<double>> sobol_grid(std::size_t n, const std::vector<double>& lo,
                                             const std::vector<double>& hi) {
   if (lo.size() != hi.size()) throw std::invalid_argument("sobol_grid: lo/hi size mismatch");
   SobolSequence seq(lo.size());
-  seq.skip(1);  // drop the all-zeros point
+  (void)seq.next();  // drop the all-zeros point
   std::vector<std::vector<double>> pts;
   pts.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

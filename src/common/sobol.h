@@ -20,9 +20,6 @@ class SobolSequence {
   /// Next point in [0,1)^dim.
   std::vector<double> next();
 
-  /// Skips ahead (useful to drop the degenerate all-zeros first point).
-  void skip(std::size_t n);
-
   std::size_t dimension() const { return dim_; }
 
  private:

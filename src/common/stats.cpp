@@ -40,24 +40,8 @@ double percentile_sorted(const double* xs, std::size_t n, double p) {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
-double min_of(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("min of empty vector");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("max of empty vector");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 bool is_count(double v, double max) {
   return std::isfinite(v) && v >= 0.0 && v <= max && v == std::floor(v);
-}
-
-double sum(const std::vector<double>& xs) {
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s;
 }
 
 double mape(const std::vector<double>& actual, const std::vector<double>& predicted, double eps) {

@@ -19,9 +19,6 @@ double percentile(std::vector<double> xs, double p);
 /// p50/p99 agrees bit-for-bit on the same samples.  Throws on n == 0 or
 /// p outside [0, 100].
 double percentile_sorted(const double* xs, std::size_t n, double p);
-double min_of(const std::vector<double>& xs);
-double max_of(const std::vector<double>& xs);
-double sum(const std::vector<double>& xs);
 
 /// True when `v`, a count field read from an untrusted blob, is finite,
 /// integral and in [0, max], so its cast to size_t is exact and defined.
@@ -37,28 +34,6 @@ double rmse(const std::vector<double>& actual, const std::vector<double>& predic
 
 /// Pearson correlation coefficient.
 double correlation(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Exponentially-weighted moving average tracker.
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-  double update(double x) {
-    if (!init_) {
-      value_ = x;
-      init_ = true;
-    } else {
-      value_ = alpha_ * x + (1.0 - alpha_) * value_;
-    }
-    return value_;
-  }
-  double value() const { return value_; }
-  bool initialized() const { return init_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool init_ = false;
-};
 
 /// Streaming mean / variance (Welford).
 class RunningStats {

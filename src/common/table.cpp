@@ -56,14 +56,4 @@ std::string Table::to_string() const {
 
 void Table::print(std::ostream& os) const { os << to_string(); }
 
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) os << row[c] << (c + 1 == row.size() ? "\n" : ",");
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 }  // namespace oal::common

@@ -16,14 +16,9 @@ class Table {
   /// Convenience: formats doubles with the given precision.
   void add_row(const std::string& label, const std::vector<double>& values, int precision = 3);
 
-  std::size_t num_rows() const { return rows_.size(); }
-
   /// Renders with aligned columns and a header separator.
   std::string to_string() const;
   void print(std::ostream& os) const;
-
-  /// Renders as CSV (for scripting / plotting).
-  std::string to_csv() const;
 
   static std::string fmt(double v, int precision = 3);
 

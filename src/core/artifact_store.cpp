@@ -220,6 +220,24 @@ void write_file_atomic(const std::string& path, std::uint32_t kind, std::uint64_
 /// so readers must never count it as a store file.
 bool is_temp_name(const std::string& name) { return name.find(".bin.tmp") != std::string::npos; }
 
+/// Whether `name` is one of the store's own file names: `oracle-<16 hex>.bin`,
+/// `blob-<name>-<16 hex>.bin`, or a temp file of either (`.bin.tmp.*`).
+/// Every other file in the directory belongs to someone else: it is never
+/// read, listed or collected.
+bool is_store_name(const std::string& name) {
+  const std::size_t tmp = name.find(".bin.tmp.");
+  const std::string file = tmp == std::string::npos ? name : name.substr(0, tmp + 4);
+  constexpr std::size_t kHex = 16, kExt = 4;  // "<16 hex>.bin"
+  if (file.size() < kHex + kExt || file.compare(file.size() - kExt, kExt, ".bin") != 0)
+    return false;
+  const std::string stem = file.substr(0, file.size() - kExt);
+  const std::string hex = stem.substr(stem.size() - kHex);
+  if (hex.find_first_not_of("0123456789abcdef") != std::string::npos) return false;
+  const std::string head = stem.substr(0, stem.size() - kHex);
+  return head == "oracle-" || (head.size() > 6 && head.compare(0, 5, "blob-") == 0 &&
+                               head.back() == '-');
+}
+
 }  // namespace
 
 ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {
@@ -243,7 +261,8 @@ std::vector<OracleStoreEntry> ArtifactStore::load_oracle_entries() const {
   std::vector<OracleStoreEntry> out;
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(dir_, ec)) {
-    if (!de.is_regular_file() || is_temp_name(de.path().filename().string())) continue;
+    const std::string name = de.path().filename().string();
+    if (!de.is_regular_file() || !is_store_name(name) || is_temp_name(name)) continue;
     const ParsedFile f = parse_file(de.path().string());
     if (!f.valid || f.kind != kKindOracle) continue;
     Reader r{f.payload.data(), f.payload.size()};
@@ -307,7 +326,7 @@ std::vector<ArtifactStore::FileInfo> ArtifactStore::inspect() const {
   std::vector<FileInfo> out;
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(dir_, ec)) {
-    if (!de.is_regular_file()) continue;
+    if (!de.is_regular_file() || !is_store_name(de.path().filename().string())) continue;
     FileInfo info;
     info.name = de.path().filename().string();
     std::error_code sec;

@@ -74,8 +74,12 @@ class ArtifactStore {
   /// Fetches a blob; nullopt when absent or invalid.
   std::optional<std::vector<double>> get_blob(const std::string& name, std::uint64_t key) const;
 
-  /// Per-file inventory for the inspect CLI and tests.  Temp files are
-  /// listed as invalid with a "temp file" detail, whatever their contents.
+  /// Per-file inventory of the store files, for the inspect CLI and tests.
+  /// Store files are the names the store writes: `oracle-<16 hex>.bin`,
+  /// `blob-<name>-<16 hex>.bin`, and their `.bin.tmp.*` temp files; any
+  /// other file in the directory is not the store's and is skipped.  Temp
+  /// files are listed as invalid with a "temp file" detail, whatever their
+  /// contents.
   struct FileInfo {
     std::string name;                  ///< basename within the store
     std::uint32_t kind = 0;            ///< kKindOracle / kKindBlob; 0 if unreadable
@@ -86,8 +90,9 @@ class ArtifactStore {
   };
   std::vector<FileInfo> inspect() const;
 
-  /// Deletes every invalid store file (leftover temp files included).
-  /// Returns the number of files removed.
+  /// Deletes every invalid store file (leftover temp files included); files
+  /// that are not store files are never touched.  Returns the number of
+  /// files removed.
   std::size_t gc();
 
  private:

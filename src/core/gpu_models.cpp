@@ -24,13 +24,6 @@ double GpuOnlineModels::slice_eff(int n) const {
   return nn / (1.0 + platform_->params().slice_sync_overhead * (nn - 1.0));
 }
 
-common::Vec GpuOnlineModels::time_features(const GpuWorkloadState& w,
-                                           const gpu::GpuConfig& c) const {
-  common::Vec phi;
-  time_features_into(w, c, phi);
-  return phi;
-}
-
 void GpuOnlineModels::time_features_into(const GpuWorkloadState& w, const gpu::GpuConfig& c,
                                          common::Vec& phi) const {
   const double f = platform_->freq_mhz(c.freq_idx) * 1e6;
@@ -40,13 +33,6 @@ void GpuOnlineModels::time_features_into(const GpuWorkloadState& w, const gpu::G
   phi.push_back(w.mem_bytes * 1e-9);
   phi.push_back(w.work_cycles * 1e-9);
   phi.push_back(1.0);
-}
-
-common::Vec GpuOnlineModels::energy_features(const GpuWorkloadState& w, const gpu::GpuConfig& c,
-                                             double period_s) const {
-  common::Vec phi;
-  energy_features_into(w, c, period_s, phi);
-  return phi;
 }
 
 void GpuOnlineModels::energy_features_into(const GpuWorkloadState& w, const gpu::GpuConfig& c,
@@ -69,7 +55,8 @@ void GpuOnlineModels::energy_features_into(const GpuWorkloadState& w, const gpu:
 
 double GpuOnlineModels::predict_frame_time_s(const GpuWorkloadState& w,
                                              const gpu::GpuConfig& c) const {
-  return std::max(time_model_.predict(time_features(w, c)), 1e-6);
+  common::Vec phi;
+  return predict_frame_time_s(w, c, phi);
 }
 
 double GpuOnlineModels::predict_frame_time_s(const GpuWorkloadState& w, const gpu::GpuConfig& c,
@@ -90,7 +77,8 @@ double GpuOnlineModels::frame_time_freq_sensitivity(const GpuWorkloadState& w,
 
 double GpuOnlineModels::predict_gpu_energy_j(const GpuWorkloadState& w, const gpu::GpuConfig& c,
                                              double period_s) const {
-  return std::max(energy_model_.predict(energy_features(w, c, period_s)), 1e-9);
+  common::Vec phi;
+  return predict_gpu_energy_j(w, c, period_s, phi);
 }
 
 double GpuOnlineModels::predict_gpu_energy_j(const GpuWorkloadState& w, const gpu::GpuConfig& c,

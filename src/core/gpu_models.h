@@ -80,18 +80,13 @@ class GpuOnlineModels {
   double predict_gpu_energy_j(const GpuWorkloadState& w, const gpu::GpuConfig& c, double period_s,
                               common::Vec& phi) const;
 
-  /// Feature maps (exposed for the explicit-NMPC sampler and tests).
-  common::Vec time_features(const GpuWorkloadState& w, const gpu::GpuConfig& c) const;
-  common::Vec energy_features(const GpuWorkloadState& w, const gpu::GpuConfig& c,
-                              double period_s) const;
-  /// Buffer-reusing forms of the feature maps (cleared, then filled in the
-  /// identical order — same values as the by-value forms).
+ private:
+  /// The models' feature maps, written into `phi` (cleared, then filled).
   void time_features_into(const GpuWorkloadState& w, const gpu::GpuConfig& c,
                           common::Vec& phi) const;
   void energy_features_into(const GpuWorkloadState& w, const gpu::GpuConfig& c, double period_s,
                             common::Vec& phi) const;
 
- private:
   const gpu::GpuPlatform* platform_;
   ml::RecursiveLeastSquares time_model_;    // target: frame time (s)
   ml::RecursiveLeastSquares energy_model_;  // target: GPU energy per period (J)

@@ -15,7 +15,6 @@ ml::MlpConfig make_net_config(const IlPolicyConfig& cfg) {
   m.l2 = cfg.l2;
   m.seed = cfg.seed;
   m.optimizer = cfg.optimizer;
-  m.pool = cfg.pool;
   return m;
 }
 }  // namespace

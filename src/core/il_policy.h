@@ -38,9 +38,6 @@ struct IlPolicyConfig {
   bool thermal_aware = false;
   /// Update rule (ml/optimizer.h); benches can swap it per arm.
   ml::OptimizerConfig optimizer{};
-  /// Optional pool for shard-parallel gradient computation (bitwise-identical
-  /// results; must not be a pool this policy is trained *on*).
-  common::ThreadPool* pool = nullptr;
 };
 
 class IlPolicy {

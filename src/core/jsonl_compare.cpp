@@ -271,6 +271,19 @@ JsonlCompareResult compare_jsonl(const std::vector<JsonlRecord>& baseline,
       if (!known_exact(name))
         res.issues.push_back("tolerance override for unknown metric '" + name + "'");
     }
+  // Every tolerance must be a finite number >= 0.  A NaN makes each
+  // `diff > tol` false and so passes any drift; an infinite one gates
+  // nothing; a negative one is no bound at all.
+  const auto check_tol = [&](const std::string& flag, double tol) {
+    if (std::isfinite(tol) && tol >= 0.0) return;
+    std::ostringstream os;
+    os << flag << tol << " is not a finite tolerance >= 0";
+    res.issues.push_back(os.str());
+  };
+  check_tol("--rel-tol ", opts.rel_tol);
+  check_tol("--abs-tol ", opts.abs_tol);
+  for (const auto& [name, tol] : opts.rel_tol_for) check_tol("--metric-rel-tol " + name + "=", tol);
+  for (const auto& [name, tol] : opts.abs_tol_for) check_tol("--metric-abs-tol " + name + "=", tol);
 
   const auto selected = [&](const std::string& name) {
     if (opts.metrics.empty()) return true;

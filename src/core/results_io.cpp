@@ -42,16 +42,6 @@ std::string json_number(double v) {
 
 }  // namespace
 
-std::string json_path_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      if (i + 1 >= argc) throw std::invalid_argument("--json requires a path argument");
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
 JsonlWriter::JsonlWriter(const std::string& path, Mode mode) {
   if (path.empty()) return;
   out_.open(path, std::ios::out | (mode == Mode::kAppend ? std::ios::app : std::ios::trunc));

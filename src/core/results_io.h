@@ -16,9 +16,6 @@
 
 namespace oal::core {
 
-/// Value of a "--json <path>" argument pair; empty string when absent.
-std::string json_path_arg(int argc, char** argv);
-
 /// Append-per-call JSONL sink.  Constructing with an empty path disables all
 /// writes (so benches can call it unconditionally); a bad path throws.
 ///

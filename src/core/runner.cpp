@@ -52,17 +52,6 @@ double RunResult::big_freq_accuracy(std::size_t begin, std::size_t end,
   return static_cast<double>(hits) / static_cast<double>(end - begin);
 }
 
-double RunResult::config_accuracy(std::size_t begin, std::size_t end) const {
-  if (begin >= end || end > records.size())
-    throw std::invalid_argument("config_accuracy: bad range");
-  std::size_t hits = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const soc::SocConfig d = records[i].policy_decision.value_or(records[i].applied);
-    if (d == records[i].oracle) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(end - begin);
-}
-
 DrmRunner::DrmRunner(soc::BigLittlePlatform& platform, RunnerOptions opts)
     : platform_(&platform), opts_(opts) {}
 

@@ -50,8 +50,6 @@ struct RunResult {
   /// Oracle on the big-cluster frequency (the Fig. 3 metric).  Records with
   /// no policy decision fall back to the applied configuration.
   double big_freq_accuracy(std::size_t begin, std::size_t end, int tolerance_steps = 0) const;
-  /// Same, over full configurations.
-  double config_accuracy(std::size_t begin, std::size_t end) const;
 };
 
 /// Hook invoked before each snippet executes; may veto/clamp the pending

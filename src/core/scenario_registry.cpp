@@ -39,10 +39,4 @@ AnyScenario ScenarioRegistry::build(const std::string& name) const {
   return it->second().renamed(name);
 }
 
-std::vector<AnyScenario> ScenarioRegistry::build_batch(const std::string& prefix) const {
-  std::vector<AnyScenario> out;
-  for (const std::string& name : names(prefix)) out.push_back(build(name));
-  return out;
-}
-
 }  // namespace oal::core

@@ -2,13 +2,13 @@
 //
 // Benches and examples describe their experiment arms as named scenario
 // builders ("fig4/offline/FFT/il", "fig5/SharkDash/enmpc",
-// "model/0/1", ...) registered here, then hand a prefix-selected batch to
-// ExperimentEngine.  Names use '/'-separated segments so one registry can
-// hold several scenario families and a batch can be cut by family prefix;
-// builders run lazily at build time so registering a large catalog stays
-// free (and --list never pays for a run).  Built scenarios get their
-// registry name as their id, which is also the deterministic result order
-// of ExperimentEngine::run_any.
+// "model/0/1", ...) registered here; the bench driver builds the names a
+// prefix selects and hands them to ExperimentEngine.  Names use
+// '/'-separated segments so one registry can hold several scenario families
+// and a batch can be cut by family prefix; builders run lazily at build time
+// so registering a large catalog stays free (and --list never pays for a
+// run).  Built scenarios get their registry name as their id, which is also
+// the deterministic result order of ExperimentEngine::run_any.
 //
 // A builder returns any scenario core/domain.h erases: DRM runs, GPU-ENMPC
 // frame loops, NoC traffic points, thermally-constrained runs, or custom
@@ -47,10 +47,6 @@ class ScenarioRegistry {
   /// Builds one scenario; its id is set to the registry name.  Throws
   /// std::invalid_argument for unknown names.
   AnyScenario build(const std::string& name) const;
-
-  /// Builds every scenario `prefix` selects (same segment-boundary rules as
-  /// names()), in name order — ready for ExperimentEngine::run_any.
-  std::vector<AnyScenario> build_batch(const std::string& prefix = "") const;
 
  private:
   std::map<std::string, AnyBuilder> builders_;

@@ -27,15 +27,8 @@ double StreamingMetric::percentile(double p) const {
   return common::percentile_sorted(sorted.data(), n, p);
 }
 
-CohortStats::CohortStats(std::size_t window_capacity)
-    : energy_ratio(window_capacity), clamp_rate(window_capacity), peak_skin_c(window_capacity) {}
-
-PopulationAggregator::PopulationAggregator(double t_max_skin_c, std::size_t worst_n,
-                                           std::size_t window_capacity)
-    : t_max_skin_c_(t_max_skin_c),
-      worst_n_(worst_n),
-      window_capacity_(window_capacity),
-      population_(window_capacity) {
+PopulationAggregator::PopulationAggregator(double t_max_skin_c, std::size_t worst_n)
+    : t_max_skin_c_(t_max_skin_c), worst_n_(worst_n) {
   worst_.reserve(worst_n_ + 1);
 }
 
@@ -62,9 +55,7 @@ void PopulationAggregator::add(const core::AnyResult& result) {
 
   fold(population_, snippets, clamped, energy_ratio, clamp_rate, peak_skin_c);
   const std::string cohort = DevicePopulation::cohort_of_id(result.id());
-  auto [it, inserted] = cohorts_.try_emplace(cohort, window_capacity_);
-  (void)inserted;
-  fold(it->second, snippets, clamped, energy_ratio, clamp_rate, peak_skin_c);
+  fold(cohorts_[cohort], snippets, clamped, energy_ratio, clamp_rate, peak_skin_c);
 
   if (worst_n_ == 0) return;
   // Insertion sort into the fixed-size tail table: worst first by energy

@@ -64,8 +64,6 @@ struct TailDevice {
 
 /// Distribution summary of one cohort (or of the whole population).
 struct CohortStats {
-  explicit CohortStats(std::size_t window_capacity = 4096);
-
   std::size_t devices = 0;          ///< exact
   std::size_t snippets = 0;         ///< exact total
   std::size_t clamped = 0;          ///< exact total clamped decisions
@@ -77,8 +75,7 @@ struct CohortStats {
 
 class PopulationAggregator {
  public:
-  explicit PopulationAggregator(double t_max_skin_c, std::size_t worst_n = 10,
-                                std::size_t window_capacity = 4096);
+  explicit PopulationAggregator(double t_max_skin_c, std::size_t worst_n = 10);
 
   /// Folds one device result (a fleet ThermalDrmScenario arm) in.  Call in
   /// the engine sink; delivery order is deterministic, so the aggregate is
@@ -98,7 +95,6 @@ class PopulationAggregator {
 
   double t_max_skin_c_;
   std::size_t worst_n_;
-  std::size_t window_capacity_;
   CohortStats population_;
   std::map<std::string, CohortStats> cohorts_;
   std::vector<TailDevice> worst_;  ///< sorted worst-first, <= worst_n_ rows

@@ -172,20 +172,4 @@ std::string DevicePopulation::cohort_of_id(const std::string& device_id) {
   return device_id.substr(root.size(), leaf - root.size());
 }
 
-const std::vector<std::string>& DevicePopulation::corner_names() {
-  static const std::vector<std::string> names{kCorners[0].name, kCorners[1].name,
-                                              kCorners[2].name};
-  return names;
-}
-
-const std::vector<std::string>& DevicePopulation::vbin_names() {
-  static const std::vector<std::string> names{kVbins[0].name, kVbins[1].name, kVbins[2].name};
-  return names;
-}
-
-const std::vector<std::string>& DevicePopulation::ambient_names() {
-  static const std::vector<std::string> names{"cool", "temperate", "hot"};
-  return names;
-}
-
 }  // namespace oal::fleet

@@ -61,8 +61,8 @@ struct DeviceSpec {
   std::size_t index = 0;
   std::string id;      ///< "fleet/<corner>/<vbin>/<ambient-bin>/dNNNNN"
   std::string cohort;  ///< "<corner>/<vbin>/<ambient-bin>"
-  std::size_t corner = 0;   ///< process-corner index (corner_names())
-  std::size_t vbin = 0;     ///< OPP voltage-bin index (vbin_names())
+  std::size_t corner = 0;   ///< process-corner index: slow, typ, fast
+  std::size_t vbin = 0;     ///< OPP voltage-bin index: vlow, vnom, vhigh
   double ambient_c = 25.0;  ///< continuous per-device draw
   soc::PlatformParams platform;  ///< quantized corner parameters
   std::vector<soc::SnippetDescriptor> trace;  ///< stitched app windows
@@ -97,10 +97,6 @@ class DevicePopulation {
   /// "/dNNNNN" leaf ("fleet/typ/vnom/hot/d00042" -> "typ/vnom/hot").
   /// Throws std::invalid_argument on ids outside the fleet scheme.
   static std::string cohort_of_id(const std::string& device_id);
-
-  static const std::vector<std::string>& corner_names();  ///< {"slow","typ","fast"}
-  static const std::vector<std::string>& vbin_names();    ///< {"vlow","vnom","vhigh"}
-  static const std::vector<std::string>& ambient_names(); ///< {"cool","temperate","hot"}
 
  private:
   PopulationConfig cfg_;

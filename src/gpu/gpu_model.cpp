@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace oal::gpu {
@@ -98,32 +97,6 @@ GpuPlatform::TransitionCost GpuPlatform::transition_cost(const GpuConfig& from,
     t.energy_j += params_.slice_transition_energy_mj * 1e-3;
   }
   return t;
-}
-
-GpuConfig GpuPlatform::best_config(const FrameDescriptor& f, double period_s, int scope) const {
-  GpuConfig best{static_cast<int>(params_.freqs_mhz.size()) - 1, params_.max_slices};
-  double best_e = std::numeric_limits<double>::infinity();
-  bool any_met = false;
-  for (int s = 1; s <= params_.max_slices; ++s) {
-    for (int fi = 0; fi < static_cast<int>(params_.freqs_mhz.size()); ++fi) {
-      const GpuConfig c{fi, s};
-      const FrameResult r = render_ideal(f, c, period_s);
-      const double e = scope == 0 ? r.gpu_energy_j : scope == 1 ? r.pkg_energy_j
-                                                                : r.pkg_dram_energy_j;
-      if (r.deadline_met) {
-        if (!any_met || e < best_e) {
-          any_met = true;
-          best_e = e;
-          best = c;
-        }
-      } else if (!any_met) {
-        // No feasible config yet: fall back to the fastest (min frame time).
-        const FrameResult rb = render_ideal(f, best, period_s);
-        if (r.frame_time_s < rb.frame_time_s) best = c;
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace oal::gpu

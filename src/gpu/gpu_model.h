@@ -107,10 +107,6 @@ class GpuPlatform {
   };
   TransitionCost transition_cost(const GpuConfig& from, const GpuConfig& to) const;
 
-  /// Exhaustive minimum-(scope)-energy config meeting the deadline; used as
-  /// the optimization reference in tests.  scope: 0=GPU, 1=PKG, 2=PKG+DRAM.
-  GpuConfig best_config(const FrameDescriptor& f, double period_s, int scope = 0) const;
-
  private:
   GpuParams params_;
   common::Rng noise_rng_;

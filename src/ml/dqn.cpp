@@ -1,12 +1,7 @@
 #include "ml/dqn.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <stdexcept>
-#include <utility>
-
-#include "common/stats.h"
 
 namespace oal::ml {
 
@@ -113,58 +108,6 @@ void Dqn::train_batch() {
     mask(b, batch[b]->action) = 1.0;
   }
   online_.train_batch(states, targets, &mask);
-}
-
-void Dqn::export_params(std::vector<double>& out) const {
-  out.push_back(static_cast<double>(state_dim_));
-  out.push_back(static_cast<double>(num_actions_));
-  online_.export_params(out);
-  target_.export_params(out);
-  out.push_back(epsilon_);
-  const common::Rng::State rs = rng_.state();
-  for (std::uint64_t w : rs.s) {
-    double d = 0.0;
-    std::memcpy(&d, &w, sizeof(d));
-    out.push_back(d);
-  }
-  out.push_back(rs.has_cached_normal ? 1.0 : 0.0);
-  out.push_back(rs.cached_normal);
-  out.push_back(static_cast<double>(steps_));
-}
-
-bool Dqn::import_params(const std::vector<double>& in, std::size_t& pos) {
-  if (pos > in.size() || in.size() - pos < 2) return false;
-  if (in[pos] != static_cast<double>(state_dim_) ||
-      in[pos + 1] != static_cast<double>(num_actions_))
-    return false;
-  std::size_t p = pos + 2;
-  // Stage both networks so a rejected blob leaves the agent unchanged.
-  Mlp online = online_;
-  Mlp target = target_;
-  if (!online.import_params(in, p) || !target.import_params(in, p)) return false;
-  // Tail: epsilon, four rng words, cached-normal flag and value, step count.
-  if (in.size() - p < 8) return false;
-  const double epsilon = in[p++];
-  common::Rng::State rs;
-  for (std::uint64_t& w : rs.s) {
-    std::memcpy(&w, &in[p++], sizeof(w));
-  }
-  rs.has_cached_normal = in[p++] != 0.0;
-  rs.cached_normal = in[p++];
-  // 2^53: every integer up to it is exactly representable as a double.
-  const double steps = in[p++];
-  if (!std::isfinite(epsilon) || !common::is_count(steps, 9007199254740992.0)) return false;
-  online_ = std::move(online);
-  target_ = std::move(target);
-  epsilon_ = epsilon;
-  rng_.set_state(rs);
-  steps_ = static_cast<std::size_t>(steps);
-  // Replay is not part of the artifact: restart from an empty ring (slots
-  // themselves stay allocated).
-  replay_head_ = 0;
-  replay_count_ = 0;
-  pos = p;
-  return true;
 }
 
 }  // namespace oal::ml

@@ -63,16 +63,6 @@ class Dqn {
     return replay_[(replay_head_ + i) % replay_.size()];
   }
 
-  /// Appends the online + target network weights, epsilon, the exploration
-  /// rng's position, and the step counter.  The replay buffer is *not*
-  /// captured (it is bulky, transient warm-up state); a restored agent
-  /// greedy-acts identically and resumes training from an empty buffer.
-  void export_params(std::vector<double>& out) const;
-  /// Restores what export_params wrote; false (agent unchanged) on underrun,
-  /// a shape mismatch, a non-finite weight or epsilon, or a step count that
-  /// is not a whole number in [0, 2^53].
-  bool import_params(const std::vector<double>& in, std::size_t& pos);
-
  private:
   void train_batch();
 

@@ -52,20 +52,6 @@ std::vector<double> RidgeRegression::predict(const std::vector<common::Vec>& x) 
   return out;
 }
 
-double RidgeRegression::r2(const std::vector<common::Vec>& x, const std::vector<double>& y) const {
-  if (x.size() != y.size() || x.empty()) throw std::invalid_argument("r2: bad data");
-  double ymean = 0.0;
-  for (double yi : y) ymean += yi / static_cast<double>(y.size());
-  double ss_res = 0.0, ss_tot = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double p = predict(x[i]);
-    ss_res += (y[i] - p) * (y[i] - p);
-    ss_tot += (y[i] - ymean) * (y[i] - ymean);
-  }
-  if (ss_tot <= 0.0) return ss_res <= 1e-12 ? 1.0 : 0.0;
-  return 1.0 - ss_res / ss_tot;
-}
-
 common::Vec quadratic_features(const common::Vec& x) {
   common::Vec f;
   f.reserve(x.size() + x.size() * (x.size() + 1) / 2);

@@ -27,9 +27,6 @@ class RidgeRegression {
   const common::Vec& coefficients() const { return theta_; }
   double intercept() const { return intercept_; }
 
-  /// Coefficient of determination on a dataset.
-  double r2(const std::vector<common::Vec>& x, const std::vector<double>& y) const;
-
  private:
   double alpha_;
   common::Vec theta_;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/kernels.h"
-#include "common/thread_pool.h"
 
 namespace oal::ml {
 
@@ -48,9 +47,8 @@ void shuffle_order(std::vector<std::size_t>& order, common::Rng& rng) {
 // summed in ascending shard order and then scaled by 1/B.
 
 // Minibatch rows per gradient shard.  The shard geometry is a property of the
-// batch, not of the executor: shard s always covers rows
-// [s*kGradShardRows, ...), and shard results are reduced in ascending shard
-// order, so training is bitwise identical serial vs. any thread count.
+// batch: shard s always covers rows [s*kGradShardRows, ...), and shard
+// results are reduced in ascending shard order.
 constexpr std::size_t kGradShardRows = 8;
 
 struct NetView {
@@ -172,8 +170,7 @@ double* forward_batch_into(const NetView& net, const common::Mat& x, TrainWorksp
 /// per-shard gradient reductions, the ascending-shard sum scaled by inv_b,
 /// and one optimizer step per layer.
 void backward_and_apply(const NetView& net, const common::Mat& x, const double* dy,
-                        TrainWorkspace& ws, const common::kernels::KernelTable& k,
-                        common::ThreadPool* pool) {
+                        TrainWorkspace& ws, const common::kernels::KernelTable& k) {
   const std::size_t bsz = x.rows();
   const std::size_t feat = feature_dim(net);
 
@@ -216,7 +213,7 @@ void backward_and_apply(const NetView& net, const common::Mat& x, const double* 
   // writes only its own num_params slice of ws.grads, laid out as
   // [gw, gb] per hidden layer, then [gw, gb] of the fused output block.
   const std::size_t nshards = num_shards(bsz);
-  const auto shard = [&](std::size_t s) {
+  for (std::size_t s = 0; s < nshards; ++s) {
     const std::size_t r0 = s * kGradShardRows;
     const std::size_t n = std::min(bsz, r0 + kGradShardRows) - r0;
     double* g = ws.grads.data() + s * net.num_params;
@@ -236,15 +233,10 @@ void backward_and_apply(const NetView& net, const common::Mat& x, const double* 
     const double* d = dy + r0 * net.out_dim;
     k.gemm_tn({net.out_dim, in_dim, n, d, net.out_dim, in, in_dim, g, in_dim});
     k.col_sums(n, net.out_dim, d, net.out_dim, g + net.out_dim * in_dim);
-  };
-  if (pool != nullptr && nshards > 1) {
-    pool->run_indexed(nshards, shard);
-  } else {
-    for (std::size_t s = 0; s < nshards; ++s) shard(s);
   }
 
-  // Fixed-order reduction into shard 0's slice: ascending shard index,
-  // independent of the executor, then the 1/B scale.
+  // Fixed-order reduction into shard 0's slice: ascending shard index, then
+  // the 1/B scale.
   double* total = ws.grads.data();
   for (std::size_t s = 1; s < nshards; ++s) {
     const double* gs = ws.grads.data() + s * net.num_params;
@@ -409,66 +401,10 @@ double Mlp::train_batch(const common::Mat& x, const common::Mat& targets,
     loss += shard_loss;
   }
 
-  backward_and_apply(net, x, y, ws_, k, cfg_.pool);
+  backward_and_apply(net, x, y, ws_, k);
   return loss * (1.0 / static_cast<double>(bsz));
 }
 // oal-lint: hot-path-end
-
-double Mlp::train_step(const common::Vec& x, const common::Vec& target, const common::Vec* mask) {
-  if (x.size() != input_dim_) throw std::invalid_argument("Mlp::train_step: input dim");
-  if (target.size() != output_dim_) throw std::invalid_argument("Mlp::train_step: target dim");
-  common::Mat xb(1, input_dim_), tb(1, output_dim_);
-  for (std::size_t i = 0; i < input_dim_; ++i) xb(0, i) = x[i];
-  for (std::size_t i = 0; i < output_dim_; ++i) tb(0, i) = target[i];
-  if (mask == nullptr) return train_batch(xb, tb);
-  if (mask->size() != output_dim_) throw std::invalid_argument("Mlp::train_step: mask dim");
-  common::Mat mb(1, output_dim_);
-  for (std::size_t i = 0; i < output_dim_; ++i) mb(0, i) = (*mask)[i];
-  return train_batch(xb, tb, &mb);
-}
-
-double Mlp::train_epoch(const common::Mat& xs, const common::Mat& targets,
-                        std::size_t batch_size, common::Rng& rng) {
-  if (xs.rows() == 0 || xs.rows() != targets.rows())
-    throw std::invalid_argument("Mlp::train_epoch: bad data");
-  const std::size_t n = xs.rows();
-  if (batch_size == 0) batch_size = n;
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  shuffle_order(order, rng);
-  double loss_sum = 0.0;
-  common::Mat xb, tb;  // gather buffers, reallocated only on batch-size change
-  for (std::size_t start = 0; start < n; start += batch_size) {
-    const std::size_t end = std::min(n, start + batch_size);
-    const std::size_t bs = end - start;
-    if (xb.rows() != bs) {
-      xb = common::Mat(bs, xs.cols());
-      tb = common::Mat(bs, targets.cols());
-    }
-    for (std::size_t i = start; i < end; ++i) {
-      for (std::size_t c = 0; c < xs.cols(); ++c) xb(i - start, c) = xs(order[i], c);
-      for (std::size_t c = 0; c < targets.cols(); ++c) tb(i - start, c) = targets(order[i], c);
-    }
-    loss_sum += train_batch(xb, tb) * static_cast<double>(bs);
-  }
-  return loss_sum / static_cast<double>(n);
-}
-
-double Mlp::train(const std::vector<common::Vec>& xs, const std::vector<common::Vec>& targets,
-                  std::size_t epochs, std::size_t batch_size, common::Rng& rng) {
-  if (xs.size() != targets.size() || xs.empty()) throw std::invalid_argument("Mlp::train: bad data");
-  const common::Mat x = common::Mat::from_rows(xs);
-  const common::Mat t = common::Mat::from_rows(targets);
-  double last_epoch_loss = 0.0;
-  for (std::size_t e = 0; e < epochs; ++e) last_epoch_loss = train_epoch(x, t, batch_size, rng);
-  return last_epoch_loss;
-}
-
-std::size_t Mlp::num_params() const {
-  std::size_t n = 0;
-  for (const auto& l : layers_) n += l.num_params();
-  return n;
-}
 
 void Mlp::copy_params_from(const Mlp& other) {
   if (other.layers_.size() != layers_.size()) throw std::invalid_argument("Mlp::copy_params_from: shape");
@@ -477,12 +413,6 @@ void Mlp::copy_params_from(const Mlp& other) {
 
 void Mlp::export_params(std::vector<double>& out) const {
   for (const auto& l : layers_) l.append_params(out);
-}
-
-bool Mlp::import_params(const std::vector<double>& in, std::size_t& pos) {
-  for (auto& l : layers_)
-    if (!l.read_params(in, pos)) return false;
-  return true;
 }
 
 // ---- MultiHeadClassifier ----------------------------------------------------
@@ -591,19 +521,10 @@ double MultiHeadClassifier::train_batch(const common::Mat& x,
     loss += shard_loss;
   }
 
-  backward_and_apply(net, x, z, ws_, k, cfg_.pool);
+  backward_and_apply(net, x, z, ws_, k);
   return loss * (1.0 / static_cast<double>(bsz));
 }
 // oal-lint: hot-path-end
-
-double MultiHeadClassifier::train_step(const common::Vec& x,
-                                       const std::vector<std::size_t>& labels) {
-  if (x.size() != input_dim_)
-    throw std::invalid_argument("MultiHeadClassifier::train_step: dim mismatch");
-  common::Mat xb(1, input_dim_);
-  for (std::size_t i = 0; i < input_dim_; ++i) xb(0, i) = x[i];
-  return train_batch(xb, {labels});
-}
 
 double MultiHeadClassifier::train_epoch(const std::vector<common::Vec>& xs,
                                         const std::vector<std::vector<std::size_t>>& labels,

@@ -9,16 +9,11 @@
 // weight- and bias-gradient reductions are split into fixed 8-row shards,
 // summed in ascending shard order and scaled by 1/B; the reduced gradient is
 // handed to a pluggable ml::Optimizer (ml/optimizer.h) for the parameter
-// step.  The fixed shard geometry makes training bitwise reproducible at any
-// thread count: an optional common::ThreadPool only decides *who* computes a
-// shard's gradients, never how the reduction is ordered (the engine's
-// parallel == serial contract, extended to training).  Both networks share
-// that one backprop implementation, and the scalar train_step routes through
-// it as a 1-row batch.
+// step.  Both networks share that one backprop implementation.
 //
 // Two variants are provided:
-//  * Mlp — generic regression network with linear outputs (used by the DQN
-//    baseline and by function-approximation experiments).
+//  * Mlp — generic regression network with linear outputs (the DQN
+//    baseline's Q-network).
 //  * MultiHeadClassifier — a shared trunk with one softmax head per control
 //    knob; this is the IL policy representation (one head each for the
 //    number of little/big cores and the little/big frequency levels).
@@ -32,10 +27,6 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "ml/optimizer.h"
-
-namespace oal::common {
-class ThreadPool;
-}  // namespace oal::common
 
 namespace oal::ml {
 
@@ -107,11 +98,6 @@ struct MlpConfig {
   std::uint64_t seed = 1;
   /// Update rule (ml/optimizer.h); default Adam matches the historical update.
   OptimizerConfig optimizer{};
-  /// Optional pool for shard-parallel gradient computation.  Results are
-  /// bitwise identical with or without it.  Must not be the pool this
-  /// network trains *on* (pool tasks may not block on their own pool), so
-  /// controllers built inside ExperimentEngine workers leave it null.
-  common::ThreadPool* pool = nullptr;
 };
 
 /// Regression MLP with linear outputs, trained on (optionally masked) MSE.
@@ -138,31 +124,16 @@ class Mlp {
   /// ascending input index before the bias is added.
   common::Mat forward_batch(const common::Mat& x);
 
-  /// One optimizer step on 0.5*||mask .* (f(x) - target)||^2; returns the
-  /// loss.  mask == nullptr means all outputs contribute.  Routed through
-  /// train_batch as a 1-row batch.
-  double train_step(const common::Vec& x, const common::Vec& target,
-                    const common::Vec* mask = nullptr);
-
-  /// One optimizer step on a minibatch (rows = samples); returns the mean
-  /// per-sample loss.  mask, when given, has the same shape as targets.
+  /// One optimizer step on a minibatch (rows = samples) on the mean of
+  /// 0.5*||mask .* (f(x) - target)||^2; returns the mean per-sample loss.
+  /// mask, when given, has the same shape as targets (nullptr means all
+  /// outputs contribute).
   /// Allocation-free once the workspace has grown to the batch size.
   double train_batch(const common::Mat& x, const common::Mat& targets,
                      const common::Mat* mask = nullptr);
 
-  /// One pass over the dataset in minibatches of `batch_size`, visiting
-  /// samples in an order drawn from the caller's seeded rng; returns the
-  /// mean per-sample loss of the pass.
-  double train_epoch(const common::Mat& xs, const common::Mat& targets,
-                     std::size_t batch_size, common::Rng& rng);
-
-  /// Mini-batch training over a dataset; returns mean loss of the last epoch.
-  double train(const std::vector<common::Vec>& xs, const std::vector<common::Vec>& targets,
-               std::size_t epochs, std::size_t batch_size, common::Rng& rng);
-
   std::size_t input_dim() const { return input_dim_; }
   std::size_t output_dim() const { return output_dim_; }
-  std::size_t num_params() const;
 
   /// Copies all parameters (and optimizer state) from another network of
   /// identical shape (used for DQN target networks).
@@ -170,9 +141,6 @@ class Mlp {
 
   /// Appends every layer's parameters to `out` (see DenseLayer::append_params).
   void export_params(std::vector<double>& out) const;
-  /// Restores parameters into a network of identical architecture; false on
-  /// underrun.  forward() is then bitwise identical to the exported network's.
-  bool import_params(const std::vector<double>& in, std::size_t& pos);
 
  private:
   std::size_t input_dim_;
@@ -202,12 +170,9 @@ class MultiHeadClassifier {
   /// allocations once the scratch buffers have grown to the layer widths.
   void predict_into(const common::Vec& x, std::vector<std::size_t>& cls, InferScratch& s) const;
 
-  /// One optimizer step on the summed cross-entropy of all heads; returns
-  /// the loss.  Routed through train_batch as a 1-row batch.
-  double train_step(const common::Vec& x, const std::vector<std::size_t>& labels);
-
-  /// One optimizer step on a minibatch (rows = samples); labels[i] holds one
-  /// class per head for sample i.  Returns the mean per-sample loss.
+  /// One optimizer step on the summed cross-entropy of all heads over a
+  /// minibatch (rows = samples); labels[i] holds one class per head for
+  /// sample i.  Returns the mean per-sample loss.
   /// Allocation-free once the workspace has grown to the batch size.
   double train_batch(const common::Mat& x,
                      const std::vector<std::vector<std::size_t>>& labels);

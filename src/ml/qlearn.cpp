@@ -50,10 +50,6 @@ void TabularQ::update(std::uint64_t state, std::size_t action, double reward,
   q[action] += cfg_.alpha * (reward + cfg_.gamma * best_next - q[action]);
 }
 
-double TabularQ::q_value(std::uint64_t state, std::size_t action) const {
-  return row(state)[action];
-}
-
 namespace {
 
 double u64_as_double(std::uint64_t v) {

@@ -38,8 +38,6 @@ class TabularQ {
   /// Q-learning update: Q(s,a) += alpha * (r + gamma * max_a' Q(s',a') - Q(s,a)).
   void update(std::uint64_t state, std::size_t action, double reward, std::uint64_t next_state);
 
-  double q_value(std::uint64_t state, std::size_t action) const;
-
   /// Appends the complete learning state — epsilon, the exploration rng's
   /// mid-stream position (u64 words bit-preserved in doubles), and the
   /// Q-table sorted by state id (so the wire bytes are deterministic even

@@ -71,8 +71,4 @@ void RecursiveLeastSquares::set_lambda(double lambda) {
   cfg_.lambda = lambda;
 }
 
-void RecursiveLeastSquares::reset_covariance() {
-  p_ = common::Mat::identity(theta_.size()) * cfg_.initial_p;
-}
-
 }  // namespace oal::ml

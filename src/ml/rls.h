@@ -49,9 +49,6 @@ class RecursiveLeastSquares {
   std::size_t dim() const { return theta_.size(); }
   std::size_t updates() const { return updates_; }
 
-  /// Resets covariance (keeps weights) — used after abrupt workload change.
-  void reset_covariance();
-
  private:
   RlsConfig cfg_;
   common::Vec theta_;

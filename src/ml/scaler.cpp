@@ -8,8 +8,6 @@
 
 namespace oal::ml {
 
-StandardScaler::StandardScaler(std::size_t dim) : mean_(dim, 0.0), m2_(dim, 0.0) {}
-
 void StandardScaler::fit(const std::vector<common::Vec>& samples) {
   if (samples.empty()) throw std::invalid_argument("StandardScaler::fit: no samples");
   mean_.assign(samples.front().size(), 0.0);
@@ -58,14 +56,6 @@ void StandardScaler::transform_into(const common::Vec& x, common::Vec& z,
   }
   z.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) z[i] = (x[i] - mean_[i]) / cache.stds[i];
-}
-
-common::Vec StandardScaler::inverse_transform(const common::Vec& z) const {
-  if (z.size() != mean_.size()) throw std::invalid_argument("StandardScaler: dim mismatch");
-  const common::Vec s = stds();
-  common::Vec x(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) x[i] = z[i] * s[i] + mean_[i];
-  return x;
 }
 
 void StandardScaler::export_state(std::vector<double>& out) const {

@@ -15,9 +15,6 @@ namespace oal::ml {
 /// Per-feature (x - mean) / std standardizer.
 class StandardScaler {
  public:
-  StandardScaler() = default;
-  explicit StandardScaler(std::size_t dim);
-
   /// Batch fit from rows of samples.
   void fit(const std::vector<common::Vec>& samples);
 
@@ -26,7 +23,6 @@ class StandardScaler {
 
   /// transform_into with throwaway buffers.
   common::Vec transform(const common::Vec& x) const;
-  common::Vec inverse_transform(const common::Vec& z) const;
 
   /// Caller-owned cache of the derived stds for the allocation-free path.
   /// `count` stamps the fit the stds were computed from; transform_into

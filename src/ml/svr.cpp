@@ -79,11 +79,4 @@ common::Vec RbfSampler::transform(const common::Vec& x) const {
   return z;
 }
 
-std::vector<common::Vec> RbfSampler::transform(const std::vector<common::Vec>& x) const {
-  std::vector<common::Vec> out;
-  out.reserve(x.size());
-  for (const auto& xi : x) out.push_back(transform(xi));
-  return out;
-}
-
 }  // namespace oal::ml

@@ -49,7 +49,6 @@ class RbfSampler {
              std::uint64_t seed = 11);
 
   common::Vec transform(const common::Vec& x) const;
-  std::vector<common::Vec> transform(const std::vector<common::Vec>& x) const;
   std::size_t output_dim() const { return offsets_.size(); }
 
  private:

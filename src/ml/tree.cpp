@@ -20,104 +20,6 @@ struct SplitResult {
 
 }  // namespace
 
-// ---- RegressionTree ---------------------------------------------------------
-
-void RegressionTree::fit(const std::vector<common::Vec>& x, const std::vector<double>& y) {
-  if (x.empty() || x.size() != y.size()) throw std::invalid_argument("RegressionTree::fit: bad data");
-  std::vector<std::size_t> idx(x.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  root_ = build(x, y, idx, 0);
-}
-
-std::unique_ptr<RegressionTree::Node> RegressionTree::build(const std::vector<common::Vec>& x,
-                                                            const std::vector<double>& y,
-                                                            std::vector<std::size_t>& idx,
-                                                            std::size_t depth) {
-  auto node = std::make_unique<Node>();
-  double mean = 0.0;
-  for (std::size_t i : idx) mean += y[i];
-  mean /= static_cast<double>(idx.size());
-  node->value = mean;
-
-  if (depth >= cfg_.max_depth || idx.size() < cfg_.min_samples_split) return node;
-
-  const std::size_t dims = x.front().size();
-  SplitResult best;
-  for (std::size_t f = 0; f < dims; ++f) {
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) { return x[a][f] < x[b][f]; });
-    // Prefix sums for O(n) variance scan.
-    double lsum = 0.0, lsq = 0.0;
-    double rsum = 0.0, rsq = 0.0;
-    for (std::size_t i : idx) {
-      rsum += y[i];
-      rsq += y[i] * y[i];
-    }
-    for (std::size_t k = 0; k + 1 < idx.size(); ++k) {
-      const double yi = y[idx[k]];
-      lsum += yi;
-      lsq += yi * yi;
-      rsum -= yi;
-      rsq -= yi * yi;
-      if (x[idx[k]][f] == x[idx[k + 1]][f]) continue;  // no boundary here
-      const std::size_t nl = k + 1, nr = idx.size() - nl;
-      if (nl < cfg_.min_samples_leaf || nr < cfg_.min_samples_leaf) continue;
-      const double lvar = lsq - lsum * lsum / static_cast<double>(nl);
-      const double rvar = rsq - rsum * rsum / static_cast<double>(nr);
-      const double score = lvar + rvar;  // total within-node SSE
-      if (score < best.score) {
-        best = {true, f, 0.5 * (x[idx[k]][f] + x[idx[k + 1]][f]), score};
-      }
-    }
-  }
-  if (!best.found) return node;
-
-  std::vector<std::size_t> left_idx, right_idx;
-  for (std::size_t i : idx) {
-    (x[i][best.feature] <= best.threshold ? left_idx : right_idx).push_back(i);
-  }
-  if (left_idx.empty() || right_idx.empty()) return node;
-
-  node->leaf = false;
-  node->feature = best.feature;
-  node->threshold = best.threshold;
-  node->left = build(x, y, left_idx, depth + 1);
-  node->right = build(x, y, right_idx, depth + 1);
-  return node;
-}
-
-double RegressionTree::predict(const common::Vec& x) const {
-  if (!root_) throw std::logic_error("RegressionTree::predict before fit");
-  const Node* n = root_.get();
-  while (!n->leaf) n = x[n->feature] <= n->threshold ? n->left.get() : n->right.get();
-  return n->value;
-}
-
-namespace {
-std::size_t node_depth(const RegressionTree* /*unused*/) { return 0; }
-}  // namespace
-
-std::size_t RegressionTree::depth() const {
-  struct Walker {
-    static std::size_t depth(const Node* n) {
-      if (n == nullptr || n->leaf) return 0;
-      return 1 + std::max(depth(n->left.get()), depth(n->right.get()));
-    }
-  };
-  (void)node_depth(this);
-  return Walker::depth(root_.get());
-}
-
-std::size_t RegressionTree::num_leaves() const {
-  struct Walker {
-    static std::size_t leaves(const Node* n) {
-      if (n == nullptr) return 0;
-      if (n->leaf) return 1;
-      return leaves(n->left.get()) + leaves(n->right.get());
-    }
-  };
-  return Walker::leaves(root_.get());
-}
-
 // ---- ClassificationTree -----------------------------------------------------
 
 void ClassificationTree::fit(const std::vector<common::Vec>& x, const std::vector<std::size_t>& y,

@@ -1,11 +1,9 @@
-// CART decision trees.
+// CART classification tree (Gini splits).
 //
-// Kim et al. (TVLSI 2017) and Mandal et al. (TVLSI 2019) represent offline IL
-// policies with regression-tree models because they evaluate in a handful of
-// comparisons — cheap enough for an OS governor.  We provide both a
-// regression tree (variance-reduction splits) and a classification tree
-// (Gini splits) so the offline-IL experiments can compare policy
-// representations (ablation bench).
+// Kim et al. (TVLSI 2017) and Mandal et al. (TVLSI 2019) represent offline
+// policies with tree models because they evaluate in a handful of
+// comparisons — cheap enough for an OS governor.  The explicit NMPC
+// (core/nmpc.h) fits one as its GPU slice-count law.
 #pragma once
 
 #include <cstddef>
@@ -20,30 +18,6 @@ struct TreeConfig {
   std::size_t max_depth = 8;
   std::size_t min_samples_split = 8;
   std::size_t min_samples_leaf = 4;
-};
-
-class RegressionTree {
- public:
-  explicit RegressionTree(TreeConfig cfg = {}) : cfg_(cfg) {}
-
-  void fit(const std::vector<common::Vec>& x, const std::vector<double>& y);
-  double predict(const common::Vec& x) const;
-  bool fitted() const { return root_ != nullptr; }
-  std::size_t depth() const;
-  std::size_t num_leaves() const;
-
- private:
-  struct Node {
-    bool leaf = true;
-    double value = 0.0;         // leaf prediction
-    std::size_t feature = 0;    // split feature
-    double threshold = 0.0;     // split threshold (go left if x <= t)
-    std::unique_ptr<Node> left, right;
-  };
-  std::unique_ptr<Node> build(const std::vector<common::Vec>& x, const std::vector<double>& y,
-                              std::vector<std::size_t>& idx, std::size_t depth);
-  TreeConfig cfg_;
-  std::unique_ptr<Node> root_;
 };
 
 class ClassificationTree {

@@ -12,15 +12,6 @@ ConfigSpace::ConfigSpace() {
   size_ = 4ull * 5ull * little_freqs_.size() * big_freqs_.size();
 }
 
-std::size_t ConfigSpace::index_of(const SocConfig& c) const {
-  if (!valid(c)) throw std::invalid_argument("ConfigSpace::index_of: invalid config");
-  const std::size_t nl = static_cast<std::size_t>(c.num_little - 1);  // 0..3
-  const std::size_t nb = static_cast<std::size_t>(c.num_big);         // 0..4
-  const std::size_t fl = static_cast<std::size_t>(c.little_freq_idx);
-  const std::size_t fb = static_cast<std::size_t>(c.big_freq_idx);
-  return ((nl * 5 + nb) * little_freqs_.size() + fl) * big_freqs_.size() + fb;
-}
-
 SocConfig ConfigSpace::config_at(std::size_t index) const {
   if (index >= size_) throw std::out_of_range("ConfigSpace::config_at: index out of range");
   SocConfig c;

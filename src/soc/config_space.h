@@ -49,8 +49,8 @@ class ConfigSpace {
   double little_freq_mhz(const SocConfig& c) const { return little_freqs_[c.little_freq_idx]; }
   double big_freq_mhz(const SocConfig& c) const { return big_freqs_[c.big_freq_idx]; }
 
-  /// Bijection between configurations and [0, size).
-  std::size_t index_of(const SocConfig& c) const;
+  /// The configuration at `index` in [0, size): a bijection, inverse of the
+  /// index order enumerate() lists.
   SocConfig config_at(std::size_t index) const;
 
   /// True if every knob is within its legal range.  Inline: the online-IL

@@ -63,8 +63,6 @@ void RcThermalNetwork::set_temperatures(const common::Vec& t) {
   std::copy(t.begin(), t.end(), temp_.begin());
 }
 
-void RcThermalNetwork::reset_to_ambient() { std::fill(temp_.begin(), temp_.end(), ambient_c_); }
-
 // oal-lint: hot-path
 void RcThermalNetwork::step(const common::Vec& power_w, double dt_s) {
   if (power_w.size() != temp_.size()) throw std::invalid_argument("step: power size mismatch");
@@ -106,11 +104,5 @@ common::Mat RcThermalNetwork::system_matrix() const {
 }
 
 common::Mat RcThermalNetwork::resistance_matrix() const { return common::inverse(g_); }
-
-common::Vec RcThermalNetwork::predict(const common::Vec& power_w, double dt_s) const {
-  RcThermalNetwork copy = *this;
-  copy.step(power_w, dt_s);
-  return copy.temperatures();
-}
 
 }  // namespace oal::thermal

@@ -45,7 +45,6 @@ class RcThermalNetwork {
   const common::Vec& temperatures() const { return temp_; }
   /// Copies `t` into the state in place (no allocation).
   void set_temperatures(const common::Vec& t);
-  void reset_to_ambient();
 
   /// Conductance matrix G (ambient legs on the diagonal, negated couplings
   /// off it) and heat capacities C.
@@ -68,10 +67,6 @@ class RcThermalNetwork {
   common::Mat system_matrix() const;
   /// Thermal resistance matrix R = G^{-1} (steady-state K/W).
   common::Mat resistance_matrix() const;
-
-  /// Predicted temperatures after dt under constant power, without mutating
-  /// the network state.
-  common::Vec predict(const common::Vec& power_w, double dt_s) const;
 
  private:
   std::vector<ThermalNodeSpec> nodes_;

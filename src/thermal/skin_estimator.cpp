@@ -52,11 +52,6 @@ void SkinTemperatureEstimator::fit(const std::vector<common::Vec>& sensor_readin
   fitted_ = true;
 }
 
-void SkinTemperatureEstimator::update(const common::Vec& sensor_reading, double skin_c) {
-  rls_.update(with_bias(sensor_reading), skin_c);
-  fitted_ = true;
-}
-
 double SkinTemperatureEstimator::estimate(const common::Vec& sensor_reading) const {
   if (!fitted_) throw std::logic_error("SkinTemperatureEstimator::estimate before fit");
   return rls_.predict(with_bias(sensor_reading));

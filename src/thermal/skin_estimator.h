@@ -40,16 +40,13 @@ class SensorArray {
   common::Rng rng_;
 };
 
-/// Offline-trained, online-adaptable skin estimator over sensor readings.
+/// Offline-trained skin estimator over sensor readings.
 class SkinTemperatureEstimator {
  public:
   explicit SkinTemperatureEstimator(std::size_t num_sensors);
 
   /// Batch fit from (sensor readings, true skin temperature) pairs.
   void fit(const std::vector<common::Vec>& sensor_readings, const std::vector<double>& skin_c);
-  /// RLS online refinement from a new labeled observation (e.g. factory
-  /// calibration rig or occasional thermal-camera ground truth).
-  void update(const common::Vec& sensor_reading, double skin_c);
 
   double estimate(const common::Vec& sensor_reading) const;
   bool fitted() const { return fitted_; }

@@ -19,7 +19,6 @@
 #include "core/oracle.h"
 #include "core/rl_controller.h"
 #include "core/runner.h"
-#include "ml/dqn.h"
 #include "ml/qlearn.h"
 #include "soc/platform.h"
 #include "workloads/cpu_benchmarks.h"
@@ -266,6 +265,36 @@ TEST(OracleStore, CompleteTempFileIsIgnoredAndCollected) {
             trace.size());
 }
 
+TEST(ArtifactStoreFiles, ForeignFilesAreNeitherListedNorCollected) {
+  // A store directory may hold files the store did not write (notes, a
+  // README, files that only resemble store names).  Only the store's own
+  // name patterns are store files: inspect() skips the rest and gc() never
+  // deletes them, while a corrupt store file is still listed and collected.
+  const fs::path dir = fresh_dir("foreign");
+  ArtifactStore store(dir.string());
+  store.put_blob("w", 7, {1.0, 2.0});
+  const fs::path blob = only_file(dir);
+  const fs::path corrupt = dir / "blob-w-00000000000000ff.bin";
+  fs::copy_file(blob, corrupt);
+  corrupt_byte(corrupt, 40);
+  const std::vector<std::string> foreign{
+      "notes.txt", "README", "oracle-0123.bin", "oracle-0123456789abcdeg.bin",
+      "blob--0123456789abcdef.bin", "blob-w-0123456789abcdef.bin.bak", "x.bin.tmp.1.2"};
+  for (const std::string& name : foreign) std::ofstream(dir / name) << "not a store file\n";
+
+  const auto files = store.inspect();
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files[0].name, blob.filename().string());
+  EXPECT_TRUE(files[0].valid);
+  EXPECT_EQ(files[1].name, corrupt.filename().string());
+  EXPECT_FALSE(files[1].valid);
+
+  EXPECT_EQ(store.gc(), 1u);
+  EXPECT_FALSE(fs::exists(corrupt));
+  EXPECT_TRUE(fs::exists(blob));
+  for (const std::string& name : foreign) EXPECT_TRUE(fs::exists(dir / name)) << name;
+}
+
 TEST(OracleSearch, PooledMatchesSerialBitwise) {
   soc::BigLittlePlatform plat;
   common::ThreadPool pool(4);
@@ -473,32 +502,6 @@ TEST(TabularQ, StateRoundTripContinuesIdentically) {
   }
 }
 
-TEST(Dqn, ParamsRoundTripReproducesExport) {
-  ml::DqnConfig cfg;
-  cfg.hidden = {8};
-  ml::Dqn original(3, 4, cfg);
-  common::Rng env(17);
-  for (int i = 0; i < 128; ++i) {
-    const common::Vec s{env.uniform(0, 1), env.uniform(0, 1), env.uniform(0, 1)};
-    const std::size_t a = original.select_action(s);
-    const common::Vec s2{env.uniform(0, 1), env.uniform(0, 1), env.uniform(0, 1)};
-    original.observe(s, a, env.uniform(-1.0, 1.0), s2);
-  }
-  std::vector<double> params;
-  original.export_params(params);
-  ml::Dqn restored(3, 4, cfg);
-  std::size_t pos = 0;
-  ASSERT_TRUE(restored.import_params(params, pos));
-  EXPECT_EQ(pos, params.size());
-  std::vector<double> again;
-  restored.export_params(again);
-  EXPECT_EQ(again, params);
-  // Shape mismatch is rejected, not misread.
-  ml::Dqn wrong_shape(4, 4, cfg);
-  pos = 0;
-  EXPECT_FALSE(wrong_shape.import_params(params, pos));
-}
-
 /// Applies each corruption to `good` alone and checks the import rejects it,
 /// leaves the learner's export unchanged, and does not advance pos.
 template <typename Import, typename Export>
@@ -567,61 +570,6 @@ TEST(TabularQ, ImportRejectsMalformedStateAndLeavesLearnerUnchanged) {
   }
   std::size_t pos = 0;
   ASSERT_TRUE(target.import_state(good, pos));
-  EXPECT_EQ(exported(), good);
-}
-
-TEST(Dqn, ImportRejectsMalformedParamsAndLeavesAgentUnchanged) {
-  const auto trained = [](std::uint64_t seed) {
-    ml::DqnConfig cfg;
-    cfg.hidden = {8};
-    cfg.seed = seed;
-    ml::Dqn agent(3, 4, cfg);
-    common::Rng env(seed);
-    for (int i = 0; i < 128; ++i) {
-      const common::Vec s{env.uniform(0, 1), env.uniform(0, 1), env.uniform(0, 1)};
-      const std::size_t a = agent.select_action(s);
-      const common::Vec s2{env.uniform(0, 1), env.uniform(0, 1), env.uniform(0, 1)};
-      agent.observe(s, a, env.uniform(-1.0, 1.0), s2);
-    }
-    return agent;
-  };
-  std::vector<double> good;
-  trained(17).export_params(good);
-  ml::Dqn target = trained(18);
-  const auto import = [&](const std::vector<double>& in, std::size_t& pos) {
-    return target.import_params(in, pos);
-  };
-  const auto exported = [&] {
-    std::vector<double> out;
-    target.export_params(out);
-    return out;
-  };
-  ASSERT_NE(exported(), good);
-
-  // Layout: [state_dim, actions, online params, target params, epsilon,
-  // 4 rng words, flag, cached normal, steps].
-  const std::size_t n = good.size();
-  const std::size_t kOnline = 2, kLastTarget = n - 9, kEpsilon = n - 8, kSteps = n - 1;
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  expect_rejects_each(good,
-                      {{"NaN online weight", kOnline, nan},
-                       // The online network imports cleanly first: a rejected
-                       // target network must not leave it half-restored.
-                       {"infinite target bias", kLastTarget, inf},
-                       {"NaN epsilon", kEpsilon, nan},
-                       {"infinite epsilon", kEpsilon, -inf},
-                       {"NaN steps", kSteps, nan},
-                       {"infinite steps", kSteps, inf},
-                       {"negative steps", kSteps, -1.0},
-                       {"non-integral steps", kSteps, good[kSteps] + 0.5},
-                       {"steps beyond 2^53", kSteps, 1e300}},
-                      import, exported);
-
-  const std::vector<double> cut(good.begin(), good.end() - 1);
-  std::size_t pos = 0;
-  EXPECT_FALSE(target.import_params(cut, pos));
-  ASSERT_TRUE(target.import_params(good, pos));
   EXPECT_EQ(exported(), good);
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "soc/config_space.h"
 
@@ -20,21 +21,17 @@ TEST(ConfigSpace, SizeMatchesPaper) {
   EXPECT_DOUBLE_EQ(space.big_freqs().back(), 2000.0);
 }
 
-TEST(ConfigSpace, IndexBijection) {
-  ConfigSpace space;
-  for (std::size_t i = 0; i < space.size(); i += 7) {
-    const SocConfig c = space.config_at(i);
-    EXPECT_TRUE(space.valid(c));
-    EXPECT_EQ(space.index_of(c), i);
-  }
-}
-
 TEST(ConfigSpace, EnumerateIsExhaustiveAndUnique) {
   ConfigSpace space;
   const auto all = space.enumerate();
-  EXPECT_EQ(all.size(), 4940u);
-  std::set<std::size_t> seen;
-  for (const auto& c : all) seen.insert(space.index_of(c));
+  ASSERT_EQ(all.size(), 4940u);
+  std::set<std::tuple<int, int, int, int>> seen;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const SocConfig& c = all[i];
+    EXPECT_TRUE(space.valid(c));
+    EXPECT_EQ(c, space.config_at(i));
+    seen.insert({c.num_little, c.num_big, c.little_freq_idx, c.big_freq_idx});
+  }
   EXPECT_EQ(seen.size(), 4940u);
 }
 
@@ -49,9 +46,8 @@ TEST(ConfigSpace, ValidityChecks) {
   EXPECT_FALSE(space.valid({1, 0, -1, 0}));
 }
 
-TEST(ConfigSpace, IndexOfInvalidThrows) {
+TEST(ConfigSpace, ConfigAtOutOfRangeThrows) {
   ConfigSpace space;
-  EXPECT_THROW(space.index_of({0, 0, 0, 0}), std::invalid_argument);
   EXPECT_THROW(space.config_at(4940), std::out_of_range);
 }
 

@@ -830,10 +830,6 @@ TEST(ScenarioRegistry, PrefixMatchesOnSegmentBoundaries) {
   EXPECT_EQ(names[1], "fig1/a");
   EXPECT_EQ(names[2], "fig1/b");
 
-  const auto batch = reg.build_batch("fig1");
-  ASSERT_EQ(batch.size(), 3u);
-  for (const auto& s : batch) EXPECT_EQ(s.id().rfind("fig10/", 0), std::string::npos);
-
   // A trailing-slash prefix selects the family only (not the bare name).
   const auto slash_names = reg.names("fig1/");
   ASSERT_EQ(slash_names.size(), 2u);
@@ -857,10 +853,8 @@ TEST(ScenarioRegistry, BuildsByPrefixInNameOrder) {
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], "a/1");
 
-  const auto batch = reg.build_batch("b/");
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].id(), "b/1");  // builder id overridden by registry name
-  EXPECT_EQ(batch[1].id(), "b/2");
+  EXPECT_EQ(reg.names("b/"), (std::vector<std::string>{"b/1", "b/2"}));
+  EXPECT_EQ(reg.build("b/1").id(), "b/1");  // builder id overridden by registry name
 
   EXPECT_THROW(reg.build("missing"), std::invalid_argument);
   EXPECT_THROW(reg.add("a/1", [] { return Scenario{}; }), std::invalid_argument);
@@ -897,7 +891,8 @@ TEST(ScenarioRegistry, CrossDomainBatchParallelMatchesSerialBitwise) {
   // A registry-built mixed batch (DRM + GPU-ENMPC + NoC + thermal) must obey
   // the engine's bitwise-determinism contract like a hand-built one.
   const ScenarioRegistry reg = cross_domain_registry();
-  const auto batch = reg.build_batch();
+  std::vector<AnyScenario> batch;
+  for (const std::string& name : reg.names()) batch.push_back(reg.build(name));
   ASSERT_EQ(batch.size(), 6u);
 
   ExperimentEngine serial(ExperimentOptions{1});
@@ -935,12 +930,12 @@ TEST(ScenarioRegistry, PrefixSelectionAcrossFamilies) {
   EXPECT_EQ(reg.names("drm").size(), 2u);
   EXPECT_EQ(reg.names().size(), 6u);
 
-  const auto batch = reg.build_batch("gpu");
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].id(), "gpu/enmpc/0");
+  EXPECT_EQ(reg.names("gpu"), std::vector<std::string>{"gpu/enmpc/0"});
 
+  std::vector<AnyScenario> batch;
+  for (const std::string& name : reg.names("noc")) batch.push_back(reg.build(name));
   ExperimentEngine engine(ExperimentOptions{2});
-  const auto res = engine.run_any(reg.build_batch("noc"));
+  const auto res = engine.run_any(batch);
   ASSERT_EQ(res.size(), 2u);
   EXPECT_EQ(res[0].id(), "noc/uniform/0");
   EXPECT_GT(res[0].metric("sim_avg_latency_cycles"), 0.0);
@@ -952,8 +947,10 @@ TEST(ScenarioRegistry, RegistryBatchRunsOnEngine) {
   reg.add("run/1", [] { return governor_scenario("", "FFT", 22); });
   reg.add("run/2", [] { return AnyScenario(noc_scenario(1)); });
   EXPECT_EQ(reg.build("run/2").id(), "run/2");
+  std::vector<AnyScenario> batch;
+  for (const std::string& name : reg.names("run/")) batch.push_back(reg.build(name));
   ExperimentEngine engine(ExperimentOptions{2});
-  const auto res = engine.run_any(reg.build_batch("run/"));
+  const auto res = engine.run_any(batch);
   ASSERT_EQ(res.size(), 3u);
   EXPECT_EQ(res[0].id(), "run/0");
   EXPECT_GT(res[0].as<RunResult>().energy_ratio(), 0.0);

@@ -120,32 +120,6 @@ TEST(GpuPlatform, TransitionCosts) {
   EXPECT_NEAR(both.time_s, dvfs.time_s + slice.time_s, 1e-12);
 }
 
-TEST(GpuPlatform, BestConfigMeetsDeadlineAndMinimizesEnergy) {
-  GpuPlatform gpu;
-  const auto f = medium_frame();
-  const GpuConfig best = gpu.best_config(f, kPeriod30, 0);
-  const auto rb = gpu.render_ideal(f, best, kPeriod30);
-  EXPECT_TRUE(rb.deadline_met);
-  for (int s = 1; s <= 4; ++s) {
-    for (int fi = 0; fi < 18; ++fi) {
-      const auto r = gpu.render_ideal(f, {fi, s}, kPeriod30);
-      if (r.deadline_met) {
-        EXPECT_LE(rb.gpu_energy_j, r.gpu_energy_j + 1e-12);
-      }
-    }
-  }
-}
-
-TEST(GpuPlatform, BestConfigFallsBackToFastestWhenInfeasible) {
-  GpuPlatform gpu;
-  FrameDescriptor monster = medium_frame();
-  monster.render_cycles = 1e9;
-  const GpuConfig best = gpu.best_config(monster, kPeriod30, 0);
-  // Must pick something near max throughput.
-  EXPECT_EQ(best.num_slices, 4);
-  EXPECT_GE(best.freq_idx, 16);
-}
-
 TEST(GpuPlatform, NoisyRenderIsUnbiased) {
   GpuPlatform gpu({}, 99);
   const auto ideal = gpu.render_ideal(medium_frame(), {8, 2}, kPeriod30);

@@ -26,7 +26,6 @@ TEST(Ridge, RecoversLineWithIntercept) {
   r.fit(x, y);
   EXPECT_NEAR(r.coefficients()[0], 3.0, 1e-6);
   EXPECT_NEAR(r.intercept(), 2.0, 1e-6);
-  EXPECT_NEAR(r.r2(x, y), 1.0, 1e-9);
 }
 
 TEST(Ridge, MultivariateRecovery) {
@@ -166,7 +165,8 @@ TEST(RbfSampler, EnablesNonlinearRegression) {
     y.push_back(std::sin(3.0 * t));
   }
   RbfSampler sampler(1, 200, 2.0, 7);
-  const auto x = sampler.transform(x_raw);
+  std::vector<Vec> x;
+  for (const Vec& r : x_raw) x.push_back(sampler.transform(r));
   SvrConfig cfg;
   cfg.epochs = 120;
   cfg.c = 100.0;

@@ -21,31 +21,10 @@ TEST(Mat, InitializerListRejectsRagged) {
   EXPECT_THROW(Mat({{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
 
-TEST(Mat, IdentityAndDiag) {
+TEST(Mat, Identity) {
   const Mat i = Mat::identity(3);
   EXPECT_DOUBLE_EQ(i(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(i(0, 1), 0.0);
-  const Mat d = Mat::diag({2.0, 3.0});
-  EXPECT_DOUBLE_EQ(d(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(d(1, 1), 3.0);
-  EXPECT_DOUBLE_EQ(d(0, 1), 0.0);
-}
-
-TEST(Mat, Transpose) {
-  const Mat m{{1, 2, 3}, {4, 5, 6}};
-  const Mat t = m.transpose();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
-TEST(Mat, MultiplyMatchesHandComputation) {
-  const Mat a{{1, 2}, {3, 4}};
-  const Mat b{{5, 6}, {7, 8}};
-  const Mat c = a * b;
-  EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
 }
 
 TEST(Mat, MatVecProduct) {
@@ -57,25 +36,13 @@ TEST(Mat, MatVecProduct) {
 
 TEST(Mat, SizeMismatchThrows) {
   const Mat a(2, 3);
-  const Mat b(2, 3);
-  EXPECT_THROW(a * b, std::invalid_argument);
   const Vec bad{1.0, 2.0};
   EXPECT_THROW(a * bad, std::invalid_argument);
 }
 
-TEST(VecOps, DotAddSubScale) {
+TEST(VecOps, Dot) {
   const Vec a{1, 2, 3}, b{4, 5, 6};
   EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-  EXPECT_DOUBLE_EQ(add(a, b)[2], 9.0);
-  EXPECT_DOUBLE_EQ(sub(b, a)[0], 3.0);
-  EXPECT_DOUBLE_EQ(scale(a, 2.0)[1], 4.0);
-}
-
-TEST(VecOps, Outer) {
-  const Mat o = outer({1, 2}, {3, 4, 5});
-  EXPECT_EQ(o.rows(), 2u);
-  EXPECT_EQ(o.cols(), 3u);
-  EXPECT_DOUBLE_EQ(o(1, 2), 10.0);
 }
 
 /// Solves A x = b through the factor/apply pair.
@@ -108,17 +75,22 @@ TEST(LuSolve, RequiresPivoting) {
 TEST(Inverse, TimesOriginalIsIdentity) {
   const Mat a{{2, 1, 0}, {1, 3, 1}, {0, 1, 2}};
   const Mat ai = inverse(a);
-  const Mat prod = a * ai;
-  for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(prod(r, c), r == c ? 1.0 : 0.0, 1e-12);
+  for (std::size_t c = 0; c < 3; ++c) {
+    const Vec col{ai(0, c), ai(1, c), ai(2, c)};
+    const Vec prod = a * col;
+    for (std::size_t r = 0; r < 3; ++r) EXPECT_NEAR(prod[r], r == c ? 1.0 : 0.0, 1e-12);
+  }
 }
 
 TEST(Cholesky, FactorReconstructs) {
   const Mat a{{4, 2, 0}, {2, 5, 1}, {0, 1, 3}};
   const Mat l = cholesky(a);
-  const Mat rec = l * l.transpose();
   for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(rec(r, c), a(r, c), 1e-12);
+    for (std::size_t c = 0; c < 3; ++c) {
+      double rec = 0.0;  // (L L^T)(r, c)
+      for (std::size_t k = 0; k < 3; ++k) rec += l(r, k) * l(c, k);
+      EXPECT_NEAR(rec, a(r, c), 1e-12);
+    }
 }
 
 TEST(Cholesky, RejectsNonSpd) {
@@ -135,7 +107,7 @@ TEST(CholeskySolve, MatchesLu) {
 }
 
 TEST(Eigenvalues, DiagonalMatrix) {
-  const Eigenvalues ev = eigenvalues(Mat::diag({3.0, -1.0, 0.5}));
+  const Eigenvalues ev = eigenvalues(Mat{{3.0, 0.0, 0.0}, {0.0, -1.0, 0.0}, {0.0, 0.0, 0.5}});
   ASSERT_EQ(ev.real.size(), 3u);
   double sum = 0.0, prod = 1.0;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -167,15 +139,6 @@ TEST(Eigenvalues, TraceInvariantOnLargerMatrix) {
   double sum_re = 0.0;
   for (double v : ev.real) sum_re += v;
   EXPECT_NEAR(sum_re, a.trace(), 1e-7);
-}
-
-TEST(Gemm, FromRowsStacksVectors) {
-  const Mat m = Mat::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_DOUBLE_EQ(m(2, 1), 6.0);
-  EXPECT_THROW(Mat::from_rows({}), std::invalid_argument);
-  EXPECT_THROW(Mat::from_rows({{1.0}, {1.0, 2.0}}), std::invalid_argument);
 }
 
 TEST(SpectralRadius, StableSystemBelowOne) {

@@ -116,22 +116,6 @@ INSTANTIATE_TEST_SUITE_P(
                       WorkloadPoint{2.3, 1.5, 14.0, 0.5, 4},   // extreme memory + mixed
                       WorkloadPoint{1.2, 0.6, 0.05, 0.0, 1})); // pure compute
 
-// ---- Config-space bijection over index ranges -------------------------------
-
-class ConfigRoundTrip : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ConfigRoundTrip, IndexOfConfigAtIsIdentity) {
-  soc::ConfigSpace space;
-  const std::size_t base = GetParam();
-  for (std::size_t i = base; i < std::min(base + 494, space.size()); ++i) {
-    EXPECT_EQ(space.index_of(space.config_at(i)), i);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBlocks, ConfigRoundTrip,
-                         ::testing::Values(0u, 494u, 988u, 1482u, 1976u, 2470u, 2964u, 3458u,
-                                           3952u, 4446u));
-
 // ---- RLS recovery across dimensions and forgetting factors ------------------
 
 class RlsRecovery : public ::testing::TestWithParam<std::tuple<int, double>> {};

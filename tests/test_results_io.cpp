@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -183,6 +184,43 @@ TEST(JsonlCompare, AbsoluteToleranceGovernsNearZeroMetrics) {
   EXPECT_FALSE(compare_jsonl(base, {make_record("a", 1e-3)}, opts).ok());
 }
 
+TEST(JsonlCompare, NonFiniteOrNegativeTolerancesAreRejected) {
+  // tol = max(abs, rel*|b|): a NaN tolerance makes every `diff > tol`
+  // false, so a 10x drift would pass.  Every global and per-metric
+  // tolerance must be a finite number >= 0.
+  const std::vector<JsonlRecord> base{make_record("a", 100.0)};
+  const std::vector<JsonlRecord> drifted{make_record("a", 1000.0)};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejected = [&](const JsonlCompareOptions& opts, const std::string& flag) {
+    for (const auto* cur : {&base, &drifted}) {
+      const auto res = compare_jsonl(base, *cur, opts);
+      ASSERT_FALSE(res.ok()) << flag;
+      EXPECT_NE(res.issues.front().find(flag), std::string::npos) << res.issues.front();
+    }
+  };
+  for (const double bad : {nan, inf, -inf, -1e-9}) {
+    SCOPED_TRACE(testing::Message() << "tolerance " << bad);
+    JsonlCompareOptions opts;
+    opts.abs_tol = bad;
+    rejected(opts, "--abs-tol");
+    opts = {};
+    opts.rel_tol = bad;
+    rejected(opts, "--rel-tol");
+    opts = {};
+    opts.abs_tol_for["metric"] = bad;
+    rejected(opts, "--metric-abs-tol metric");
+    opts = {};
+    opts.rel_tol_for["metric"] = bad;
+    rejected(opts, "--metric-rel-tol metric");
+  }
+  // Zero is a valid (exact) tolerance.
+  JsonlCompareOptions exact;
+  exact.rel_tol = 0.0;
+  exact.abs_tol = 0.0;
+  EXPECT_TRUE(compare_jsonl(base, base, exact).ok());
+}
+
 TEST(JsonlCompare, MissingRecordsAndMetricsAreFailures) {
   const std::vector<JsonlRecord> base{make_record("a", 1.0), make_record("gone", 1.0)};
   {
@@ -331,15 +369,6 @@ TEST(JsonlCompare, FilteredOutNullBaselineMetricsAreIgnored) {
   // Selecting the null metric still fails loudly.
   opts.metrics = {"metric", "broken_metric"};
   EXPECT_FALSE(compare_jsonl({base}, {make_record("a", 1.0)}, opts).ok());
-}
-
-TEST(JsonPathArg, ParsesFlagPair) {
-  const char* argv1[] = {"bench", "--json", "/tmp/x.jsonl"};
-  EXPECT_EQ(json_path_arg(3, const_cast<char**>(argv1)), "/tmp/x.jsonl");
-  const char* argv2[] = {"bench"};
-  EXPECT_EQ(json_path_arg(1, const_cast<char**>(argv2)), "");
-  const char* argv3[] = {"bench", "--json"};
-  EXPECT_THROW(json_path_arg(2, const_cast<char**>(argv3)), std::invalid_argument);
 }
 
 }  // namespace

@@ -77,19 +77,6 @@ TEST(Rls, SetWeightsBootstrap) {
   EXPECT_DOUBLE_EQ(rls.predict({1.0, 1.0}), 2.0);
 }
 
-TEST(Rls, CovarianceResetKeepsWeights) {
-  Rng rng(5);
-  RecursiveLeastSquares rls(2, {0.98, 100.0, 0.0});
-  for (int i = 0; i < 50; ++i) {
-    const Vec x{1.0, rng.uniform(-1, 1)};
-    rls.update(x, 2.0 * x[1]);
-  }
-  const Vec w = rls.weights();
-  rls.reset_covariance();
-  EXPECT_EQ(rls.weights(), w);
-  EXPECT_NEAR(rls.covariance()(0, 0), 100.0, 1e-12);
-}
-
 TEST(Staff, RecoversLinearFunctionLikeRls) {
   Rng rng(7);
   StaffModel m(3);

@@ -84,7 +84,6 @@ TEST(Runner, AccuracyMetrics) {
   StaticController good(best);
   const auto res = runner.run(trace, good, best);
   EXPECT_DOUBLE_EQ(res.big_freq_accuracy(0, res.records.size()), 1.0);
-  EXPECT_DOUBLE_EQ(res.config_accuracy(0, res.records.size()), 1.0);
 
   // A config whose big frequency is 2 steps away fails at tolerance 1 but
   // passes at tolerance 2.

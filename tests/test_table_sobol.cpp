@@ -17,18 +17,11 @@ TEST(Table, RendersHeadersAndRows) {
   EXPECT_NE(s.find("name"), std::string::npos);
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("2.5"), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
 }
 
 TEST(Table, RejectsWrongArity) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
-}
-
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"x", "1"});
-  EXPECT_EQ(t.to_csv(), "a,b\nx,1\n");
 }
 
 TEST(Table, FmtPrecision) {
@@ -50,7 +43,7 @@ TEST(Sobol, PointsInUnitCube) {
 
 TEST(Sobol, FirstNontrivialPointsAreHalves) {
   SobolSequence s(2);
-  s.skip(1);  // drop all-zeros
+  (void)s.next();  // drop all-zeros
   const auto p = s.next();
   EXPECT_DOUBLE_EQ(p[0], 0.5);
   EXPECT_DOUBLE_EQ(p[1], 0.5);
@@ -59,7 +52,7 @@ TEST(Sobol, FirstNontrivialPointsAreHalves) {
 TEST(Sobol, LowDiscrepancyBeatsGridOnMean) {
   // The mean of the first n points should converge to 0.5 quickly.
   SobolSequence s(3);
-  s.skip(1);
+  (void)s.next();
   double sum0 = 0.0, sum1 = 0.0, sum2 = 0.0;
   const int n = 256;
   for (int i = 0; i < n; ++i) {
@@ -77,7 +70,7 @@ TEST(Sobol, StratificationIn1D) {
   // The first 2^k points of a Sobol sequence hit every dyadic interval once.
   SobolSequence s(1);
   std::vector<int> bucket(16, 0);
-  s.skip(1);
+  (void)s.next();
   for (int i = 0; i < 16; ++i) {
     const auto p = s.next();
     bucket[static_cast<std::size_t>(p[0] * 16.0)]++;

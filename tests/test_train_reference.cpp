@@ -23,7 +23,6 @@
 #include "common/kernels.h"
 #include "common/matrix.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "ml/mlp.h"
 
 namespace oal::ml {
@@ -365,7 +364,7 @@ constexpr int kSteps = 6;
 
 /// The IL policy network shape: 12 features -> 24 -> 24 -> heads {4,5,13,19};
 /// the Sgd arm uses momentum.
-void check_multihead(std::size_t bsz, bool adam, common::ThreadPool* pool) {
+void check_multihead(std::size_t bsz, bool adam) {
   const std::vector<std::size_t> heads{4, 5, 13, 19};
   MlpConfig cfg;
   cfg.hidden = {24, 24};
@@ -373,7 +372,6 @@ void check_multihead(std::size_t bsz, bool adam, common::ThreadPool* pool) {
   cfg.l2 = 1e-5;
   cfg.seed = 42 + bsz;
   cfg.optimizer = optimizer(adam, 0.9);
-  cfg.pool = pool;
   MultiHeadClassifier net(12, heads, cfg);
 
   std::vector<double> init;
@@ -397,22 +395,26 @@ void check_multihead(std::size_t bsz, bool adam, common::ThreadPool* pool) {
   }
 }
 
-/// A masked regression Mlp with two hidden layers; the Sgd arm is plain
-/// gradient descent.
-void check_masked_mlp(std::size_t bsz, bool adam, Activation act, common::ThreadPool* pool) {
+/// A masked regression Mlp (5 inputs, 3 outputs) with the given hidden
+/// widths; the Sgd arm is plain gradient descent.
+void check_masked_mlp(std::size_t bsz, bool adam, Activation act,
+                      const std::vector<std::size_t>& hidden = {16, 8}) {
   MlpConfig cfg;
-  cfg.hidden = {16, 8};
+  cfg.hidden = hidden;
   cfg.activation = act;
   cfg.learning_rate = 3e-3;
   cfg.l2 = 1e-4;
   cfg.seed = 7 + bsz;
   cfg.optimizer = optimizer(adam, 0.0);
-  cfg.pool = pool;
   Mlp net(5, 3, cfg);
 
   std::vector<double> init;
   net.export_params(init);
-  RefMlp ref{act, ref_layers({{5, 16}, {16, 8}, {8, 3}}, init, cfg)};
+  Shapes shapes;
+  std::size_t in = 5;
+  for (std::size_t h : hidden) shapes.emplace_back(std::exchange(in, h), h);
+  shapes.emplace_back(in, 3);
+  RefMlp ref{act, ref_layers(shapes, init, cfg)};
 
   Rng rng(2000 + bsz);
   for (int step = 0; step < kSteps; ++step) {
@@ -431,32 +433,36 @@ void check_masked_mlp(std::size_t bsz, bool adam, Activation act, common::Thread
 }
 
 TEST(TrainReference, MultiHeadIlShapeMatchesReferenceBitwise) {
-  common::ThreadPool pool(3);
   for (std::size_t bsz : kBatchSizes)
-    for (bool adam : {true, false})
-      for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
-        SCOPED_TRACE(testing::Message() << "batch " << bsz << (adam ? " adam" : " sgd")
-                                        << (p != nullptr ? " pool3" : " serial"));
-        check_multihead(bsz, adam, p);
-      }
+    for (bool adam : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "batch " << bsz << (adam ? " adam" : " sgd"));
+      check_multihead(bsz, adam);
+    }
 }
 
 TEST(TrainReference, MaskedMlpMatchesReferenceBitwise) {
-  common::ThreadPool pool(3);
   for (std::size_t bsz : kBatchSizes)
-    for (bool adam : {true, false})
-      for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr), &pool}) {
-        SCOPED_TRACE(testing::Message() << "batch " << bsz << (adam ? " adam" : " sgd")
-                                        << (p != nullptr ? " pool3" : " serial"));
-        check_masked_mlp(bsz, adam, Activation::kTanh, p);
-      }
+    for (bool adam : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "batch " << bsz << (adam ? " adam" : " sgd"));
+      check_masked_mlp(bsz, adam, Activation::kTanh);
+    }
 }
 
 TEST(TrainReference, ReluMlpMatchesReferenceBitwise) {
   for (std::size_t bsz : kBatchSizes) {
     SCOPED_TRACE(testing::Message() << "batch " << bsz);
-    check_masked_mlp(bsz, true, Activation::kRelu, nullptr);
+    check_masked_mlp(bsz, true, Activation::kRelu);
   }
+}
+
+TEST(TrainReference, LinearMlpMatchesReferenceBitwise) {
+  // No hidden layer: the output block reads the input directly and no input
+  // gradient is propagated.
+  for (std::size_t bsz : kBatchSizes)
+    for (bool adam : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "batch " << bsz << (adam ? " adam" : " sgd"));
+      check_masked_mlp(bsz, adam, Activation::kTanh, {});
+    }
 }
 
 }  // namespace

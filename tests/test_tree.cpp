@@ -1,10 +1,9 @@
-// Tests for CART regression and classification trees.
+// Tests for the CART classification tree.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "ml/tree.h"
 
 namespace oal::ml {
@@ -12,85 +11,6 @@ namespace {
 
 using common::Rng;
 using common::Vec;
-
-TEST(RegressionTree, FitsPiecewiseConstant) {
-  std::vector<Vec> x;
-  std::vector<double> y;
-  for (int i = 0; i < 100; ++i) {
-    const double t = i / 100.0;
-    x.push_back({t});
-    y.push_back(t < 0.5 ? 1.0 : 5.0);
-  }
-  RegressionTree tree;
-  tree.fit(x, y);
-  EXPECT_NEAR(tree.predict({0.2}), 1.0, 1e-9);
-  EXPECT_NEAR(tree.predict({0.8}), 5.0, 1e-9);
-}
-
-TEST(RegressionTree, ApproximatesSmoothFunction) {
-  Rng rng(1);
-  std::vector<Vec> x;
-  std::vector<double> y;
-  for (int i = 0; i < 500; ++i) {
-    const double t = rng.uniform(0, 1);
-    x.push_back({t});
-    y.push_back(std::sin(6.0 * t));
-  }
-  TreeConfig cfg;
-  cfg.max_depth = 8;
-  cfg.min_samples_leaf = 2;
-  cfg.min_samples_split = 4;
-  RegressionTree tree(cfg);
-  tree.fit(x, y);
-  std::vector<double> pred, actual;
-  Rng test_rng(2);
-  for (int i = 0; i < 100; ++i) {
-    const double t = test_rng.uniform(0.02, 0.98);
-    pred.push_back(tree.predict({t}));
-    actual.push_back(std::sin(6.0 * t));
-  }
-  EXPECT_LT(common::rmse(actual, pred), 0.12);
-}
-
-TEST(RegressionTree, RespectsMaxDepth) {
-  Rng rng(3);
-  std::vector<Vec> x;
-  std::vector<double> y;
-  for (int i = 0; i < 256; ++i) {
-    x.push_back({rng.uniform(0, 1)});
-    y.push_back(rng.uniform(0, 1));
-  }
-  TreeConfig cfg;
-  cfg.max_depth = 3;
-  cfg.min_samples_leaf = 1;
-  cfg.min_samples_split = 2;
-  RegressionTree tree(cfg);
-  tree.fit(x, y);
-  EXPECT_LE(tree.depth(), 3u);
-  EXPECT_LE(tree.num_leaves(), 8u);
-}
-
-TEST(RegressionTree, MultiFeatureSplitSelection) {
-  // Only feature 1 is predictive; the tree must split on it.
-  Rng rng(4);
-  std::vector<Vec> x;
-  std::vector<double> y;
-  for (int i = 0; i < 200; ++i) {
-    const double noise = rng.uniform(0, 1), signal = rng.uniform(0, 1);
-    x.push_back({noise, signal});
-    y.push_back(signal > 0.5 ? 10.0 : -10.0);
-  }
-  RegressionTree tree;
-  tree.fit(x, y);
-  EXPECT_NEAR(tree.predict({0.1, 0.9}), 10.0, 0.5);
-  EXPECT_NEAR(tree.predict({0.9, 0.1}), -10.0, 0.5);
-}
-
-TEST(RegressionTree, PredictBeforeFitThrows) {
-  RegressionTree tree;
-  EXPECT_THROW(tree.predict({1.0}), std::logic_error);
-  EXPECT_THROW(tree.fit({}, {}), std::invalid_argument);
-}
 
 TEST(ClassificationTree, LearnsAxisAlignedClasses) {
   std::vector<Vec> x;

@@ -9,7 +9,8 @@
 //   gc      delete invalid files (leftover temp files included)
 //
 // `<dir>` is created if missing (an empty store is valid and stats to
-// zeroes), matching the bench drivers' `--store` behavior.
+// zeroes), matching the bench drivers' `--store` behavior.  The command is
+// checked first: an unknown one exits 2 without creating anything.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -92,16 +93,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[2];
+  if (command != "list" && command != "stat" && command != "verify" && command != "gc") {
+    std::fprintf(stderr, "artifact_store: unknown command '%s'\n%s\n", command.c_str(), kUsage);
+    return 2;
+  }
   try {
     oal::core::ArtifactStore store(argv[1]);
     if (command == "list") return cmd_list(store);
     if (command == "stat") return cmd_stat(store);
     if (command == "verify") return cmd_verify(store);
-    if (command == "gc") return cmd_gc(store);
+    return cmd_gc(store);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "artifact_store: %s\n", e.what());
     return 2;
   }
-  std::fprintf(stderr, "artifact_store: unknown command '%s'\n%s\n", command.c_str(), kUsage);
-  return 2;
 }
