@@ -177,12 +177,6 @@ class MultiHeadClassifier {
   double train_batch(const common::Mat& x,
                      const std::vector<std::vector<std::size_t>>& labels);
 
-  /// One pass over the dataset in minibatches of `batch_size`; sample order
-  /// is drawn from the caller's seeded rng.  Returns the mean loss.
-  double train_epoch(const std::vector<common::Vec>& xs,
-                     const std::vector<std::vector<std::size_t>>& labels,
-                     std::size_t batch_size, common::Rng& rng);
-
   /// Mini-batch training; returns mean loss of the final epoch.
   double train(const std::vector<common::Vec>& xs,
                const std::vector<std::vector<std::size_t>>& labels, std::size_t epochs,
@@ -201,6 +195,12 @@ class MultiHeadClassifier {
   std::size_t storage_bytes() const { return num_params() * 4; }
 
  private:
+  /// One pass over the dataset in minibatches of `batch_size`; sample order
+  /// is drawn from the caller's seeded rng.  Returns the mean loss.
+  double train_epoch(const std::vector<common::Vec>& xs,
+                     const std::vector<std::vector<std::size_t>>& labels,
+                     std::size_t batch_size, common::Rng& rng);
+
   std::size_t input_dim_;
   MlpConfig cfg_;
   std::vector<DenseLayer> trunk_;
