@@ -33,15 +33,18 @@ TEST(TabularQ, LearnsTwoStateChain) {
 }
 
 TEST(TabularQ, PropagatesValueThroughChain) {
-  // s0 -a1-> s1 -a1-> goal(r=1).  Q(s0, a1) must become positive via
-  // bootstrapping even though the immediate reward is zero; Q(s0, a0) stays
-  // at its initial 0, so the greedy action (first max) turns to a1 only then.
+  // s0 -a1-> s1 -a1-> goal(r=1).  Q(s0, a1) must exceed 0.5 via
+  // bootstrapping (it approaches gamma * 1 = 0.9) even though the immediate
+  // reward is zero.  s0 -a0-> goal pays 0.5 and goal's row is never updated,
+  // so Q(s0, a0) converges to 0.5 and the greedy action is a1 only when
+  // Q(s0, a1) > 0.5.
   QLearnConfig cfg;
   cfg.alpha = 0.3;
   cfg.gamma = 0.9;
   TabularQ q(2, cfg);
   const std::uint64_t s0 = hash_state({0}), s1 = hash_state({1}), g = hash_state({2});
   for (int i = 0; i < 500; ++i) {
+    q.update(s0, 0, 0.5, g);
     q.update(s0, 1, 0.0, s1);
     q.update(s1, 1, 1.0, g);
   }

@@ -32,7 +32,7 @@ const char* kind_name(std::uint32_t kind) {
   }
 }
 
-int cmd_list(const oal::core::ArtifactStore& store) {
+int cmd_list(oal::core::ArtifactStore& store) {
   for (const auto& f : store.inspect()) {
     std::printf("%-40s %-8s %8llu entries %10llu bytes  %s\n", f.name.c_str(),
                 kind_name(f.kind), static_cast<unsigned long long>(f.payload_entries),
@@ -42,7 +42,7 @@ int cmd_list(const oal::core::ArtifactStore& store) {
   return 0;
 }
 
-int cmd_stat(const oal::core::ArtifactStore& store) {
+int cmd_stat(oal::core::ArtifactStore& store) {
   std::size_t files = 0, invalid = 0;
   unsigned long long oracle_entries = 0, blob_doubles = 0, bytes = 0;
   for (const auto& f : store.inspect()) {
@@ -65,7 +65,7 @@ int cmd_stat(const oal::core::ArtifactStore& store) {
   return 0;
 }
 
-int cmd_verify(const oal::core::ArtifactStore& store) {
+int cmd_verify(oal::core::ArtifactStore& store) {
   std::size_t bad = 0;
   for (const auto& f : store.inspect()) {
     if (f.valid) continue;
@@ -93,16 +93,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[2];
-  if (command != "list" && command != "stat" && command != "verify" && command != "gc") {
+  int (*const cmd)(oal::core::ArtifactStore&) = command == "list"     ? cmd_list
+                                                : command == "stat"   ? cmd_stat
+                                                : command == "verify" ? cmd_verify
+                                                : command == "gc"     ? cmd_gc
+                                                                      : nullptr;
+  if (!cmd) {
     std::fprintf(stderr, "artifact_store: unknown command '%s'\n%s\n", command.c_str(), kUsage);
     return 2;
   }
   try {
     oal::core::ArtifactStore store(argv[1]);
-    if (command == "list") return cmd_list(store);
-    if (command == "stat") return cmd_stat(store);
-    if (command == "verify") return cmd_verify(store);
-    return cmd_gc(store);
+    return cmd(store);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "artifact_store: %s\n", e.what());
     return 2;
