@@ -21,6 +21,7 @@
 #include <memory>
 
 #include "bench/driver.h"
+#include "common/fnv.h"
 #include "common/table.h"
 #include "core/artifact_store.h"
 #include "core/online_il.h"
@@ -159,11 +160,11 @@ int main(int argc, char** argv) {
     // Frozen offline policy, shared read-only by every Offline-IL scenario.
     // The artifact carries the training bookkeeping, so the record below is
     // bitwise identical whether the policy was restored or trained.
-    std::uint64_t il_key = platform_fingerprint(plat.params());
-    fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
+    std::uint64_t il_key = plat.fingerprint();
+    common::fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
     for (std::uint64_t v : {std::uint64_t{40}, std::uint64_t{6}, std::uint64_t{7},
                             std::uint64_t{5}})  // collect geometry + collect/train seeds
-      fnv1a_mix(il_key, v);
+      common::fnv1a_mix(il_key, v);
     shared->policy = std::make_shared<const IlPolicy>(get_or_compute(
         driver.store().get(), "fig4-il-policy", il_key, IlPolicy(plat.space()),
         [&](IlPolicy& policy) {
@@ -178,9 +179,9 @@ int main(int argc, char** argv) {
     // The tabular-Q baseline pre-trains through the MiBench sequence once
     // (as in the paper); every RL scenario then starts from a copy of the
     // trained table rather than redoing the identical warmup.
-    std::uint64_t rl_key = platform_fingerprint(plat.params());
-    fnv1a_mix(rl_key, std::uint64_t{11});  // pretraining-sequence seed
-    fnv1a_mix(rl_key, kRlWarmupRevision);
+    std::uint64_t rl_key = plat.fingerprint();
+    common::fnv1a_mix(rl_key, std::uint64_t{11});  // pretraining-sequence seed
+    common::fnv1a_mix(rl_key, kRlWarmupRevision);
     shared->pretrained_rl = std::make_shared<const QLearningController>(get_or_compute(
         driver.store().get(), "fig4-pretrained-q", rl_key, QLearningController(plat.space()),
         [&](QLearningController& rl) {

@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "bench/driver.h"
+#include "common/fnv.h"
 #include "common/table.h"
 #include "core/artifact_store.h"
 #include "core/online_il.h"
@@ -85,10 +86,10 @@ int main(int argc, char** argv) {
   // Content address of the trained policy: platform + objective + collect
   // geometry/seed.  Training continues the collect rng, so the collect seed
   // pins the training stream too.
-  std::uint64_t il_key = platform_fingerprint(plat.params());
-  fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
+  std::uint64_t il_key = plat.fingerprint();
+  common::fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
   for (std::uint64_t v : {std::uint64_t{40}, std::uint64_t{6}, std::uint64_t{7}})
-    fnv1a_mix(il_key, v);
+    common::fnv1a_mix(il_key, v);
   shared->policy = std::make_shared<const IlPolicy>(get_or_compute(
       driver.store().get(), "table2-il-policy", il_key, IlPolicy(plat.space()),
       [&](IlPolicy& policy) {

@@ -213,6 +213,77 @@ OAL_KERNEL_BODY unsigned rc_probe_sized(const RcProbe& p, const double* scale) {
   return p.n == kMobileSocNodes ? rc_probe_body<kW, kMobileSocNodes>(p, scale)
                                 : rc_probe_body<kW, 0>(p, scale);
 }
+
+/// steady_probe: kProbeLanes independent copies of the scalar steady-state
+/// probe (thermal::FixedPointSolver::temperatures_into, then the budgeter's
+/// worst margin), one per vector lane, laid out like rc_probe's state.  Per
+/// lane, every operation is the scalar one in the scalar order: rhs_p_j =
+/// s * shape_j + c_j; row i of R * rhs_p accumulated from 0.0 in ascending
+/// j; lu_apply's forward sweep (x_i -= L_ij x_j, ascending j < i), then its
+/// backward sweep (x_i -= U_ij x_j, ascending j > i, then x_i /= U_ii) from
+/// the last row up; T_i = T_amb + x_i; the worst margin T_i - limit_i from
+/// -1e9, replaced only when strictly greater.  lu_apply's pivot gather x_i
+/// = (R rhs_p)_piv[i] is folded into the product: lane row i computes row
+/// piv[i] of R * rhs_p, the same value.
+///
+/// x and rhs_p live in p.scratch for a node count known only at run time
+/// (kN == 0), in fully unrolled registers for a compile-time kN, which
+/// copies the temperatures to p.scratch at the end.
+template <std::size_t kW, std::size_t kN>
+OAL_KERNEL_BODY unsigned steady_probe_body(const SteadyProbe& p, const double* scale) {
+  using V = typename Lanes<kW>::type;
+  using U = typename Lanes<kW>::unaligned;
+  constexpr std::size_t kV = kProbeLanes / kW;
+  static_assert(kV * kW == kProbeLanes, "lanes must fill whole vectors");
+  const std::size_t n = kN ? kN : p.n;
+  const double* __restrict__ r = p.r;
+  const double* __restrict__ lu = p.lu;
+  V local[2 * (kN ? kN : 1) * kV];
+  U* __restrict__ x = kN ? reinterpret_cast<U*>(local) : reinterpret_cast<U*>(p.scratch);
+  U* __restrict__ rhs_p = x + n * kV;
+  V s[kV];
+  for (std::size_t v = 0; v < kV; ++v) s[v] = reinterpret_cast<const U*>(scale)[v];
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t v = 0; v < kV; ++v) rhs_p[j * kV + v] = s[v] * p.shape_w[j] + p.leak_c[j];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* __restrict__ row = r + p.piv[i] * n;
+    V acc[kV] = {};
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t v = 0; v < kV; ++v) acc[v] += row[j] * rhs_p[j * kV + v];
+    for (std::size_t v = 0; v < kV; ++v) x[i * kV + v] = acc[v];
+  }
+  for (std::size_t i = 1; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      for (std::size_t v = 0; v < kV; ++v) x[i * kV + v] -= lu[i * n + j] * x[j * kV + v];
+  for (std::size_t i = n; i-- > 0;) {
+    for (std::size_t j = i + 1; j < n; ++j)
+      for (std::size_t v = 0; v < kV; ++v) x[i * kV + v] -= lu[i * n + j] * x[j * kV + v];
+    for (std::size_t v = 0; v < kV; ++v) x[i * kV + v] /= lu[i * n + i];
+  }
+  const V zero = {};
+  V worst[kV];
+  for (std::size_t v = 0; v < kV; ++v) worst[v] = zero - 1e9;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t v = 0; v < kV; ++v) {
+      const V t = p.ambient_c + x[i * kV + v];
+      x[i * kV + v] = t;
+      const V margin = t - p.limit_c[i];
+      worst[v] = margin > worst[v] ? margin : worst[v];
+    }
+  double lane_worst[kProbeLanes];
+  for (std::size_t v = 0; v < kV; ++v) reinterpret_cast<U*>(lane_worst)[v] = worst[v];
+  unsigned mask = 0;
+  for (std::size_t l = 0; l < kProbeLanes; ++l) mask |= (lane_worst[l] < 0.0 ? 0u : 1u) << l;
+  if (kN != 0)
+    for (std::size_t j = 0; j < n * kV; ++j) reinterpret_cast<U*>(p.scratch)[j] = x[j];
+  return mask;
+}
+
+template <std::size_t kW>
+OAL_KERNEL_BODY unsigned steady_probe_sized(const SteadyProbe& p, const double* scale) {
+  return p.n == kMobileSocNodes ? steady_probe_body<kW, kMobileSocNodes>(p, scale)
+                                : steady_probe_body<kW, 0>(p, scale);
+}
 // oal-lint: hot-path-end
 
 // ---- Transcendental row kernels ---------------------------------------------
@@ -404,11 +475,14 @@ void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* w, double
   adam_body(n, p, weight_decay, w, m, v, g);
 }
 unsigned rc_probe(const RcProbe& p, const double* scale) { return rc_probe_sized<2>(p, scale); }
+unsigned steady_probe(const SteadyProbe& p, const double* scale) {
+  return steady_probe_sized<2>(p, scale);
+}
 void tanh_row(std::size_t n, const double* x, double* y) { map_row<TanhOp, 2>(n, x, y); }
 void exp_row(std::size_t n, const double* x, double* y) { map_row<ExpOp, 2>(n, x, y); }
 void log_row(std::size_t n, const double* x, double* y) { map_row<LogOp, 2>(n, x, y); }
 constexpr KernelTable kTable{"baseline", gemm_nn, gemm_tn, col_sums, adam,
-                             rc_probe, tanh_row, exp_row, log_row};
+                             rc_probe, steady_probe, tanh_row, exp_row, log_row};
 }  // namespace baseline
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -429,11 +503,14 @@ OAL_AVX2 void adam(std::size_t n, const AdamStep& p, bool weight_decay, double* 
 OAL_AVX2 unsigned rc_probe(const RcProbe& p, const double* scale) {
   return rc_probe_sized<4>(p, scale);
 }
+OAL_AVX2 unsigned steady_probe(const SteadyProbe& p, const double* scale) {
+  return steady_probe_sized<4>(p, scale);
+}
 OAL_AVX2 void tanh_row(std::size_t n, const double* x, double* y) { map_row<TanhOp, 4>(n, x, y); }
 OAL_AVX2 void exp_row(std::size_t n, const double* x, double* y) { map_row<ExpOp, 4>(n, x, y); }
 OAL_AVX2 void log_row(std::size_t n, const double* x, double* y) { map_row<LogOp, 4>(n, x, y); }
 constexpr KernelTable kTable{"avx2", gemm_nn, gemm_tn, col_sums, adam,
-                             rc_probe, tanh_row, exp_row, log_row};
+                             rc_probe, steady_probe, tanh_row, exp_row, log_row};
 }  // namespace avx2
 #undef OAL_AVX2
 #endif

@@ -6,9 +6,11 @@
 // the tanh/exp/log rows of the activations and the softmax cross-entropy
 // (the repo's own polynomials, so trained bits do not depend on the host
 // libm).
-// The transient thermal budget (thermal/power_budget.cpp) spends its time
-// simulating an RC network at several candidate power scales at once
-// (rc_probe).  Each kernel is compiled in two ISA variants (baseline x86-64
+// The two thermal budgets (thermal/power_budget.cpp) spend their time
+// evaluating several candidate power scales at once: the transient budget
+// simulates an RC network (rc_probe), the steady-state budget solves the
+// power-temperature fixed point (steady_probe).  One search driver runs
+// both.  Each kernel is compiled in two ISA variants (baseline x86-64
 // and AVX2) and the widest one the host supports is chosen once, on first
 // use.  There is no build option or environment variable: the choice cannot
 // change results, because every variant performs the same IEEE-754
@@ -24,8 +26,8 @@
 // tests/test_kernels.cpp runs every supported variant of the training
 // kernels on ragged shapes and asserts bit equality with the baseline, and
 // holds the tanh/exp/log rows to their documented ULP bounds;
-// tests/test_thermal.cpp holds every variant of rc_probe to the scalar
-// transient budget bit for bit.
+// tests/test_thermal.cpp holds every variant of rc_probe and steady_probe to
+// the scalar budgets bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -90,6 +92,26 @@ struct RcProbe {
   double* scratch;
 };
 
+/// Operands of one lane-parallel steady-state probe: the closed-form
+/// power-temperature fixed point of thermal::FixedPointSolver,
+///   T = T_amb + (I - R diag(p0 k))^-1 R (scale[l] * shape_w + c),
+/// at each lane's scale, through the solver's factors.  Arrays are n long,
+/// matrices n x n and row-major.
+struct SteadyProbe {
+  std::size_t n;
+  const double* r;         ///< R = G^-1
+  const double* lu;        ///< LU factors of I - R diag(p0 k), unit lower L
+  const std::size_t* piv;  ///< row i of the factored system is row piv[i]
+  const double* leak_c;    ///< constant leakage p0 (1 + k (T_amb - t0))
+  double ambient_c;
+  const double* limit_c;   ///< a lane violates once a node reaches its limit
+  const double* shape_w;
+  /// 2 * n * kProbeLanes doubles, any alignment.  On return the first
+  /// n * kProbeLanes hold the fixed-point temperatures, node i of lane l at
+  /// [i * kProbeLanes + l].  Only the parity tests read them.
+  double* scratch;
+};
+
 /// One ISA variant of the kernels.  Every kernel overwrites its output.
 struct KernelTable {
   const char* name;
@@ -110,6 +132,10 @@ struct KernelTable {
   /// horizon.  The call ends after the tick on which the last lane
   /// violates, or at the horizon; every lane steps every tick until then.
   unsigned (*rc_probe)(const RcProbe& p, const double* scale);
+  /// Solves the kProbeLanes fixed points at once and returns a mask whose
+  /// bit l is set iff lane l's worst margin max_i (T_i - limit_i) is not
+  /// below zero (a NaN margin never counts).
+  unsigned (*steady_probe)(const SteadyProbe& p, const double* scale);
   /// y[i] = tanh(x[i]) for i < n; y may be x.  Error at most 3 ULP against
   /// a long double reference (2.45 ULP is the largest seen in 2 * 10^7
   /// samples on [-0.6, 0.6], where it peaks); |x| >= 22 gives exactly +-1,

@@ -5,36 +5,10 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/fnv.h"
 #include "core/artifact_store.h"
 
 namespace oal::core {
-
-void fnv1a_mix(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a: folds one 64-bit value into the running hash byte by byte.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= 1099511628211ULL;
-  }
-}
-
-std::uint64_t fnv1a_doubles(std::initializer_list<double> values) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (double v : values) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fnv1a_mix(h, bits);
-  }
-  return h;
-}
-
-std::uint64_t platform_fingerprint(const soc::PlatformParams& p) {
-  return fnv1a_doubles({p.v_min_little, p.v_max_little, p.v_min_big, p.v_max_big, p.v_exponent,
-                        p.ceff_little_nf, p.ceff_big_nf, p.leak_little_w_per_v,
-                        p.leak_big_w_per_v, p.base_power_w, p.mem_latency_ns, p.mem_bw_gbps,
-                        p.dram_energy_nj_per_byte, p.dram_static_w, p.cache_line_bytes,
-                        p.writeback_factor, p.stall_exposed_little, p.stall_exposed_big,
-                        p.branch_penalty_little, p.branch_penalty_big, p.sync_overhead});
-}
 
 namespace {
 
@@ -105,20 +79,26 @@ bool OracleCache::Key::operator==(const Key& o) const {
          objective == o.objective;
 }
 
-std::size_t OracleCache::KeyHash::operator()(const Key& k) const {
-  // FNV-1a over the raw bit patterns: descriptors from identical Rng draws
-  // are bit-identical, so exact matching is the right equivalence.
-  std::uint64_t h = kFnvOffsetBasis;
-  fnv1a_mix(h, k.platform_fingerprint);
-  for (double f : k.fields) {
+namespace {
+
+/// Sets key.hash: FNV-1a over the raw bit patterns (descriptors from
+/// identical Rng draws are bit-identical, so exact matching is the right
+/// equivalence).
+OracleCache::Key hashed(OracleCache::Key key) {
+  std::uint64_t h = common::kFnvOffsetBasis;
+  common::fnv1a_mix(h, key.platform_fingerprint);
+  for (double f : key.fields) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &f, sizeof(bits));
-    fnv1a_mix(h, bits);
+    common::fnv1a_mix(h, bits);
   }
-  fnv1a_mix(h, static_cast<std::uint64_t>(k.max_threads));
-  fnv1a_mix(h, static_cast<std::uint64_t>(k.objective));
-  return static_cast<std::size_t>(h);
+  common::fnv1a_mix(h, static_cast<std::uint64_t>(key.max_threads));
+  common::fnv1a_mix(h, static_cast<std::uint64_t>(key.objective));
+  key.hash = static_cast<std::size_t>(h);
+  return key;
 }
+
+}  // namespace
 
 OracleCache::OracleCache(std::shared_ptr<ArtifactStore> store, common::ThreadPool* search_pool)
     : store_(std::move(store)), search_pool_(search_pool) {
@@ -129,6 +109,7 @@ OracleCache::OracleCache(std::shared_ptr<ArtifactStore> store, common::ThreadPoo
     std::memcpy(key.fields, e.fields, sizeof(key.fields));
     key.max_threads = e.max_threads;
     key.objective = e.objective;
+    key = hashed(key);
     const Entry entry{
         soc::SocConfig{e.config[0], e.config[1], e.config[2], e.config[3]}, e.cost};
     if (stripe_of(key).entries.emplace(key, entry).second) ++store_loaded_;
@@ -144,16 +125,17 @@ OracleCache::~OracleCache() {
 }
 
 OracleCache::Stripe& OracleCache::stripe_of(const Key& key) const {
-  return stripes_[KeyHash{}(key) % kNumStripes];
+  return stripes_[key.hash % kNumStripes];
 }
 
 OracleCache::Key OracleCache::key_of(const soc::BigLittlePlatform& plat,
                                      const soc::SnippetDescriptor& s, Objective obj) {
-  return Key{platform_fingerprint(plat.params()),
-             {s.instructions, s.base_cpi_little, s.base_cpi_big, s.l2_mpki, s.branch_mpki,
-              s.mem_access_per_inst, s.parallel_fraction},
-             s.max_threads,
-             static_cast<int>(obj)};
+  return hashed(Key{plat.fingerprint(),
+                    {s.instructions, s.base_cpi_little, s.base_cpi_big, s.l2_mpki, s.branch_mpki,
+                     s.mem_access_per_inst, s.parallel_fraction},
+                    s.max_threads,
+                    static_cast<int>(obj),
+                    0});
 }
 
 OracleCache::Entry OracleCache::lookup(const soc::BigLittlePlatform& plat,
@@ -260,12 +242,12 @@ std::size_t OracleCache::size() const {
 std::uint64_t offline_data_key(const soc::PlatformParams& params, Objective obj,
                                std::size_t snippets_per_app, std::size_t configs_per_snippet,
                                std::uint64_t collect_seed, bool thermal_aware) {
-  std::uint64_t key = platform_fingerprint(params);
-  fnv1a_mix(key, static_cast<std::uint64_t>(obj));
-  fnv1a_mix(key, snippets_per_app);
-  fnv1a_mix(key, configs_per_snippet);
-  fnv1a_mix(key, collect_seed);
-  fnv1a_mix(key, thermal_aware ? 1 : 0);
+  std::uint64_t key = soc::platform_fingerprint(params);
+  common::fnv1a_mix(key, static_cast<std::uint64_t>(obj));
+  common::fnv1a_mix(key, snippets_per_app);
+  common::fnv1a_mix(key, configs_per_snippet);
+  common::fnv1a_mix(key, collect_seed);
+  common::fnv1a_mix(key, thermal_aware ? 1 : 0);
   return key;
 }
 

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -30,16 +29,6 @@
 namespace oal::core {
 
 class ArtifactStore;
-
-/// FNV-1a helpers shared by the Oracle cache keys, the artifact store's
-/// content addresses, and the benches' pretrained-weight blob keys.
-constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-void fnv1a_mix(std::uint64_t& h, std::uint64_t v);
-std::uint64_t fnv1a_doubles(std::initializer_list<double> values);
-
-/// Fingerprint of every PlatformParams field the power/performance model
-/// reads — two platforms with equal fingerprints produce identical Oracles.
-std::uint64_t platform_fingerprint(const soc::PlatformParams& p);
 
 /// Single exhaustive pass returning both the argmin and its cost.  With a
 /// pool, the sweep is sharded at *fixed geometry* (shard boundaries depend
@@ -88,10 +77,14 @@ class OracleCache {
     double fields[7];
     int max_threads;
     int objective;
+    /// FNV-1a over the fields above, computed once when the key is made
+    /// (key_of, store preload), so a lookup hashes once for its stripe and
+    /// its map.
+    std::size_t hash;
     bool operator==(const Key& o) const;
   };
   struct KeyHash {
-    std::size_t operator()(const Key& k) const;
+    std::size_t operator()(const Key& k) const { return k.hash; }
   };
   struct Entry {
     soc::SocConfig config;

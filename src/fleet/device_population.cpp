@@ -126,7 +126,7 @@ DeviceSpec DevicePopulation::spec(std::size_t index) const {
                    trace.begin() + static_cast<std::ptrdiff_t>(start + len));
   }
 
-  char leaf[16];
+  char leaf[22];  // "d", up to 20 digits of a 64-bit size_t, NUL
   std::snprintf(leaf, sizeof leaf, "d%05zu", index);
   d.cohort = std::string(corner.name) + "/" + vbin.name + "/" + ambient_bin(d.ambient_c);
   d.id = "fleet/" + d.cohort + "/" + leaf;

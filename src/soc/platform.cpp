@@ -5,10 +5,22 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/fnv.h"
+
 namespace oal::soc {
 
+std::uint64_t platform_fingerprint(const PlatformParams& p) {
+  return common::fnv1a_doubles({p.v_min_little, p.v_max_little, p.v_min_big, p.v_max_big,
+                                p.v_exponent, p.ceff_little_nf, p.ceff_big_nf,
+                                p.leak_little_w_per_v, p.leak_big_w_per_v, p.base_power_w,
+                                p.mem_latency_ns, p.mem_bw_gbps, p.dram_energy_nj_per_byte,
+                                p.dram_static_w, p.cache_line_bytes, p.writeback_factor,
+                                p.stall_exposed_little, p.stall_exposed_big,
+                                p.branch_penalty_little, p.branch_penalty_big, p.sync_overhead});
+}
+
 BigLittlePlatform::BigLittlePlatform(PlatformParams params, std::uint64_t noise_seed)
-    : params_(params), noise_rng_(noise_seed) {
+    : params_(params), fingerprint_(platform_fingerprint(params_)), noise_rng_(noise_seed) {
   v_little_table_.reserve(space_.little_freqs().size());
   for (double f : space_.little_freqs()) v_little_table_.push_back(voltage_little(f));
   v_big_table_.reserve(space_.big_freqs().size());

@@ -66,6 +66,12 @@ struct PlatformParams {
   double power_noise = 0.015;
 };
 
+/// FNV-1a fingerprint of every PlatformParams field the power/performance
+/// model reads: two platforms with equal fingerprints produce identical
+/// Oracles.  Keys the Oracle cache and the artifact store's Oracle entries,
+/// so its value must never change.
+std::uint64_t platform_fingerprint(const PlatformParams& p);
+
 /// Per-rail decomposition of a snippet's (noise-free) average power.
 struct PowerBreakdown {
   double little_w = 0.0;  ///< little-cluster dynamic + leakage
@@ -84,6 +90,9 @@ class BigLittlePlatform {
 
   const ConfigSpace& space() const { return space_; }
   const PlatformParams& params() const { return params_; }
+  /// platform_fingerprint(params()), computed once at construction (the
+  /// parameters never change) and carried by copies.
+  std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// OPP voltage curves (linear between the extremes).
   double voltage_little(double f_mhz) const;
@@ -111,6 +120,7 @@ class BigLittlePlatform {
   double apply_noise(double v, double sigma);
 
   PlatformParams params_;
+  std::uint64_t fingerprint_;
   ConfigSpace space_;
   common::Rng noise_rng_;
   // Per-OPP voltages, precomputed once: the pow() in the OPP curve would

@@ -57,6 +57,21 @@ void FixedPointSolver::temperatures_into(const common::Vec& dynamic_power_w,
 }
 // oal-lint: hot-path-end
 
+common::kernels::SteadyProbe FixedPointSolver::probe_operands(const double* limit_c,
+                                                              const double* shape_w,
+                                                              double* scratch) const {
+  if (!exists()) throw std::logic_error("FixedPointSolver: thermal runaway, no fixed point");
+  return {rhs_p_.size(),
+          r_.raw(),
+          lhs_.lu.raw(),
+          lhs_.piv.data(),
+          leak_const_.data(),
+          ambient_c_,
+          limit_c,
+          shape_w,
+          scratch};
+}
+
 FixedPointResult thermal_fixed_point(const RcThermalNetwork& net, const LeakageModel& leak,
                                      const common::Vec& dynamic_power_w) {
   const std::size_t n = net.num_nodes();

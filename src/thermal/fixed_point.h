@@ -12,6 +12,7 @@
 //   * a runtime iterative finder matching what firmware would run.
 #pragma once
 
+#include "common/kernels.h"
 #include "common/matrix.h"
 #include "thermal/rc_network.h"
 
@@ -46,6 +47,14 @@ class FixedPointSolver {
   /// Fixed-point temperatures under `dynamic_power_w` into a caller-sized
   /// `temperature_c`.  Throws std::logic_error under thermal runaway.
   void temperatures_into(const common::Vec& dynamic_power_w, common::Vec& temperature_c);
+
+  /// The solver's factors as common::kernels::steady_probe operands, which
+  /// solve the same fixed points at several power scales at once.  The
+  /// views are read-only and live as long as the solver; the other
+  /// operands are the caller's.  Throws std::logic_error under thermal
+  /// runaway.
+  common::kernels::SteadyProbe probe_operands(const double* limit_c, const double* shape_w,
+                                              double* scratch) const;
 
  private:
   double ambient_c_;

@@ -33,14 +33,15 @@ struct PowerBudgetResult {
 
 /// Budget solver bound to one RC network, leakage model and limit set.
 ///
-/// Both budgets bisect on the power scale; only the cost of a probe differs
-/// from solving each probe from scratch.  A steady-state probe reuses one
-/// FixedPointSolver (R, loop gain and LU factored on the first steady-state
-/// call), so it is one R*rhs and two triangular sweeps.  The transient
-/// search is speculative: one lane-parallel RC simulation
-/// (common::kernels::rc_probe) evaluates the current bisection midpoint and
-/// both midpoints that can follow it, so two bisection levels cost one
-/// simulation, and the doubling phase tries hi, 2hi, 4hi and 8hi at once.
+/// Both budgets bisect on the power scale, through one speculative search
+/// driver and a lane-parallel probe kernel each (common::kernels): the
+/// steady-state probe (steady_probe) solves the power-temperature fixed
+/// point through one FixedPointSolver (R, loop gain and LU factored on the
+/// first steady-state call), the transient probe (rc_probe) simulates the
+/// RC network over the horizon.  One kernel call evaluates the current
+/// bisection midpoint and both midpoints that can follow it, so two
+/// bisection levels cost one call, and the doubling phase tries hi, 2hi,
+/// 4hi and 8hi at once.
 ///
 /// Bitwise contract: every budget equals the sequential from-scratch
 /// computation bit for bit.  The probes perform the same FP operations in
@@ -62,6 +63,11 @@ class PowerBudgeter {
   /// std::invalid_argument on a shape size mismatch, a non-finite shape
   /// entry or a non-positive shape.
   PowerBudgetResult max_sustainable_power(const common::Vec& shape_w);
+  /// The same search through one given kernel variant; the overload above
+  /// passes common::kernels::active().  Exposed so tests can hold every
+  /// variant to the same bits.
+  PowerBudgetResult max_sustainable_power(const common::Vec& shape_w,
+                                          const common::kernels::KernelTable& kernels);
 
   /// Transient headroom scale from the temperatures `start_temp_c` (see
   /// transient_power_headroom).  Throws std::invalid_argument on a size
@@ -87,9 +93,9 @@ class PowerBudgeter {
   /// Built on the first steady-state call, so a transient-only budgeter
   /// never needs G to be invertible.
   std::optional<FixedPointSolver> steady_;
-  // Steady-state probe scratch.
+  // Scalar steady-state probe scratch (the binding node).
   common::Vec dyn_, fp_temp_;
-  // Transient probe operands: per-node limits and the kernel's lane scratch.
+  // Probe kernel operands: per-node limits and the kernels' lane scratch.
   common::Vec limit_c_, lanes_;
 };
 

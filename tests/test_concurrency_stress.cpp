@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/artifact_store.h"
@@ -181,8 +182,9 @@ TEST(ConcurrencyStress, ShardedOracleSearchFromPoolWorkers) {
 /// Deterministic per-scenario "work": a few rounds of FNV mixing, so the
 /// result depends only on the index, never on scheduling.
 std::uint64_t stream_value(std::uint64_t i) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (int round = 0; round < 64; ++round) fnv1a_mix(h, i + static_cast<std::uint64_t>(round));
+  std::uint64_t h = common::kFnvOffsetBasis;
+  for (int round = 0; round < 64; ++round)
+    common::fnv1a_mix(h, i + static_cast<std::uint64_t>(round));
   return h;
 }
 
@@ -201,12 +203,12 @@ std::uint64_t stream_checksum(std::size_t threads, std::size_t n, std::size_t sh
       return AnyResult(sid, i, Metrics{{"v", v}});
     });
   };
-  std::uint64_t checksum = kFnvOffsetBasis;
+  std::uint64_t checksum = common::kFnvOffsetBasis;
   std::size_t delivered = 0;
   const auto sink = [&](AnyResult&& r) {
     ++delivered;
-    for (char c : r.id()) fnv1a_mix(checksum, static_cast<std::uint64_t>(c));
-    fnv1a_mix(checksum, static_cast<std::uint64_t>(r.metric("v")));
+    for (char c : r.id()) common::fnv1a_mix(checksum, static_cast<std::uint64_t>(c));
+    common::fnv1a_mix(checksum, static_cast<std::uint64_t>(r.metric("v")));
   };
   EXPECT_EQ(engine.run_any_streaming(generator, sink, StreamOptions{shard_size}), n);
   EXPECT_EQ(delivered, n);

@@ -84,6 +84,39 @@ TEST(OracleCache, KeyedByPlatformParams) {
   EXPECT_EQ(c_b, oracle_config(plat_b, trace[0], Objective::kEnergy));
 }
 
+TEST(OracleCache, StoreKeyFingerprintIsPinned) {
+  // The fingerprint addresses every stored Oracle entry, so its value must
+  // never move: these are the values the key had before the platform
+  // computed it once at construction.  The fast corner is the fleet's
+  // leaky-silicon corner at nominal voltage (fleet/device_population.cpp).
+  soc::PlatformParams fast;
+  fast.leak_little_w_per_v *= 1.38;
+  fast.leak_big_w_per_v *= 1.38;
+  fast.ceff_little_nf *= 0.94;
+  fast.ceff_big_nf *= 0.94;
+  soc::PlatformParams other;  // overwritten by copy assignment below
+  other.ceff_big_nf *= 3.0;
+  EXPECT_EQ(soc::platform_fingerprint(soc::PlatformParams{}), 0xf4b3a9222f760538ULL);
+  EXPECT_EQ(soc::platform_fingerprint(fast), 0xf9e56fd71e5dac77ULL);
+
+  common::Rng rng(8);
+  const auto snippet =
+      workloads::CpuBenchmarks::trace(workloads::CpuBenchmarks::by_name("SHA"), 1, rng)[0];
+  for (const soc::PlatformParams& params : {soc::PlatformParams{}, fast}) {
+    const std::uint64_t want = soc::platform_fingerprint(params);
+    const soc::BigLittlePlatform constructed(params);
+    const soc::BigLittlePlatform copied(constructed);
+    soc::BigLittlePlatform assigned(other);
+    assigned = constructed;
+    const soc::BigLittlePlatform* const platforms[] = {&constructed, &copied, &assigned};
+    for (const soc::BigLittlePlatform* plat : platforms) {
+      EXPECT_EQ(plat->fingerprint(), want);
+      EXPECT_EQ(OracleCache::key_of(*plat, snippet, Objective::kEnergy).platform_fingerprint,
+                want);
+    }
+  }
+}
+
 TEST(OracleCache, IgnoresAppIdBookkeeping) {
   // app_id is bookkeeping, not physics: two descriptors differing only in
   // app_id share one entry.

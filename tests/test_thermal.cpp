@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/kernels.h"
 #include "common/rng.h"
@@ -389,6 +390,16 @@ TEST(FixedPoint, SolverMatchesFromScratchSolveBitwise) {
   EXPECT_THROW(runaway.temperatures_into(common::Vec(5, 1.0), temp), std::logic_error);
 }
 
+/// Holds every kernel variant's steady-state budget, through one budgeter,
+/// to `want`'s bits.
+void expect_steady_variants_match(PowerBudgeter& budgeter, const common::Vec& shape_w,
+                                  const PowerBudgetResult& want) {
+  for (const auto& variant : common::kernels::detail::supported_variants()) {
+    SCOPED_TRACE(variant.name);
+    expect_same_budget(budgeter.max_sustainable_power(shape_w, variant), want);
+  }
+}
+
 TEST(PowerBudgeter, SteadyBudgetsMatchReferenceBitwise) {
   common::Rng rng(41);
   for (double ambient : {25.0, 35.0}) {
@@ -398,8 +409,10 @@ TEST(PowerBudgeter, SteadyBudgetsMatchReferenceBitwise) {
       PowerBudgeter budgeter(net, default_leak(), cfg);
       for (int k = 0; k < 25; ++k) {
         const common::Vec shape = random_shape(rng);
-        expect_same_budget(budgeter.max_sustainable_power(shape),
-                           reference::max_sustainable_power(net, default_leak(), shape, cfg));
+        const PowerBudgetResult want =
+            reference::max_sustainable_power(net, default_leak(), shape, cfg);
+        expect_same_budget(budgeter.max_sustainable_power(shape), want);
+        expect_steady_variants_match(budgeter, shape, want);
       }
     }
   }
@@ -456,7 +469,9 @@ TEST(PowerBudgeter, RunawayLeakageGivesZeroScaleLikeReference) {
   PowerBudgeter budgeter(net, hot);
   const PowerBudgetResult got = budgeter.max_sustainable_power(shape);
   EXPECT_EQ(got.scale, 0.0);
-  expect_same_budget(got, reference::max_sustainable_power(net, hot, shape, {}));
+  const PowerBudgetResult want = reference::max_sustainable_power(net, hot, shape, {});
+  expect_same_budget(got, want);
+  expect_steady_variants_match(budgeter, shape, want);
   // Transient: every scale heats without bound.
   for (double horizon : {37.3, 240.0})
     expect_variants_match_reference(net, hot, shape, horizon, {}, "runaway");
@@ -470,7 +485,9 @@ TEST(PowerBudgeter, ScaleCapMatchesReference) {
   PowerBudgeter budgeter(net, default_leak());
   const PowerBudgetResult steady = budgeter.max_sustainable_power(tiny);
   EXPECT_GT(steady.scale, 1e4);
-  expect_same_budget(steady, reference::max_sustainable_power(net, default_leak(), tiny, {}));
+  const PowerBudgetResult want = reference::max_sustainable_power(net, default_leak(), tiny, {});
+  expect_same_budget(steady, want);
+  expect_steady_variants_match(budgeter, tiny, want);
   const double burst = budgeter.transient_power_headroom(net.temperatures(), tiny, 10.0);
   EXPECT_GT(burst, 1e4);
   EXPECT_TRUE(
@@ -719,6 +736,96 @@ TEST(PowerBudgeter, EveryKernelVariantMatchesReferenceOnOtherNodeCounts) {
       }
     }
   }
+}
+
+// ---- Every steady_probe variant == the scalar steady probe, bit for bit ---
+
+/// Runs one steady_probe variant on kProbeLanes scales and checks it against
+/// kProbeLanes scalar probes (FixedPointSolver::temperatures_into at s *
+/// shape_w, then the worst margin from -1e9): every lane's temperatures bit
+/// for bit, and the violation mask.  Returns the mask.
+unsigned expect_steady_probe_matches_scalar(const common::kernels::KernelTable& variant,
+                                            const RcThermalNetwork& net,
+                                            const LeakageModel& leak, const common::Vec& shape_w,
+                                            const PowerBudgetConfig& cfg, const double* scale) {
+  constexpr std::size_t kLanes = common::kernels::kProbeLanes;
+  const std::size_t n = net.num_nodes();
+  FixedPointSolver solver(net, leak);
+  common::Vec limits(n);
+  for (std::size_t i = 0; i < n; ++i) limits[i] = reference::node_limit(cfg, i);
+  std::vector<double> scratch(2 * n * kLanes);
+  const unsigned mask = variant.steady_probe(
+      solver.probe_operands(limits.data(), shape_w.data(), scratch.data()), scale);
+  unsigned want = 0;
+  common::Vec dyn(n), temp(n);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    for (std::size_t i = 0; i < n; ++i) dyn[i] = scale[l] * shape_w[i];
+    solver.temperatures_into(dyn, temp);
+    double worst = -1e9;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bits(scratch[i * kLanes + l], temp[i]))
+          << variant.name << " lane " << l << " node " << i << ": " << scratch[i * kLanes + l]
+          << " vs " << temp[i];
+      const double v = temp[i] - limits[i];
+      if (v > worst) worst = v;
+    }
+    if (!(worst < 0.0)) want |= 1u << l;
+  }
+  EXPECT_EQ(mask, want) << variant.name;
+  return mask;
+}
+
+TEST(SteadyProbe, EveryLaneMatchesTheScalarProbeOnEveryNodeCount) {
+  constexpr std::size_t kLanes = common::kernels::kProbeLanes;
+  // The mobile SoC's 5 nodes take the register-resident body; the 12-node
+  // chain takes the runtime-n form.
+  std::vector<ThermalNodeSpec> nodes;
+  std::vector<ThermalCoupling> links;
+  for (std::size_t i = 0; i < 12; ++i) {
+    nodes.push_back({"n" + std::to_string(i), 3.0 + 2.0 * i, 0.01 + 0.02 * i});
+    if (i > 0) links.push_back({i - 1, i, 0.3 + 0.05 * i});
+  }
+  const RcThermalNetwork chain(nodes, links, 30.0);
+  LeakageModel chain_leak;
+  chain_leak.p0_w.assign(12, 0.0);
+  chain_leak.k_per_c.assign(12, 0.0);
+  chain_leak.p0_w[0] = 0.3;
+  chain_leak.k_per_c[0] = 0.025;
+  PowerBudgetConfig chain_cfg;
+  chain_cfg.skin_node = 11;
+  chain_cfg.t_max_skin_c = 40.0;
+  chain_cfg.t_max_junction_c = 70.0;
+
+  common::Rng rng(61);
+  std::size_t lanes_violating = 0, lanes_clear = 0;
+  for (const auto& variant : common::kernels::detail::supported_variants()) {
+    for (double ambient : {25.0, 40.0}) {
+      const auto soc = RcThermalNetwork::mobile_soc(ambient);
+      for (int k = 0; k < 20; ++k) {
+        const common::Vec shape = random_shape(rng);
+        const PowerBudgetConfig cfg = k % 2 == 0 ? PowerBudgetConfig{} : tight_limits();
+        // Scales around the budget edge, so lanes land on both sides of it.
+        const double edge =
+            reference::max_sustainable_power(soc, default_leak(), shape, cfg).scale;
+        double scale[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) scale[l] = edge * rng.uniform(0.5, 1.5);
+        const unsigned mask =
+            expect_steady_probe_matches_scalar(variant, soc, default_leak(), shape, cfg, scale);
+        const auto violating = static_cast<std::size_t>(__builtin_popcount(mask));
+        lanes_violating += violating;
+        lanes_clear += kLanes - violating;
+      }
+    }
+    for (int k = 0; k < 10; ++k) {
+      common::Vec shape(12);
+      for (double& v : shape) v = rng.uniform(0.0, 1.0);
+      double scale[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) scale[l] = rng.uniform(0.0, 40.0);
+      expect_steady_probe_matches_scalar(variant, chain, chain_leak, shape, chain_cfg, scale);
+    }
+  }
+  EXPECT_GT(lanes_violating, 0u);
+  EXPECT_GT(lanes_clear, 0u);
 }
 
 TEST(RcNetwork, InPlaceStepMatchesFromScratchEulerBitwise) {
