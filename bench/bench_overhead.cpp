@@ -286,6 +286,19 @@ void decide_row(common::Table& table, const char* name, Step&& step, std::size_t
                  common::Table::fmt(s.p99_ns, 0), common::Table::fmt(s.max_ns, 0)});
 }
 
+/// decide_row for one budget refresh, named "thermal budget refresh (<kind>,
+/// <passes> passes)" with the refresh's PowerBudgeter::probe_passes (the
+/// same every call, since the inputs are).
+template <typename Refresh>
+void budget_row(common::Table& table, const char* kind, const thermal::PowerBudgeter& budgeter,
+                Refresh&& refresh, std::size_t iters = 2000) {
+  const std::size_t before = budgeter.probe_passes();
+  refresh();
+  const std::string name = std::string("thermal budget refresh (") + kind + ", " +
+                           std::to_string(budgeter.probe_passes() - before) + " passes)";
+  decide_row(table, name.c_str(), refresh, iters);
+}
+
 void run_decide_section() {
   auto& f = cpu_fixture();
   const FeatureExtractor fx(f.plat.space());
@@ -374,14 +387,14 @@ void run_decide_section() {
   tp.limits.t_max_junction_c = 75.0;
   thermal::PowerBudgeter budgeter(hot_net, tp.leakage, tp.limits);
   const common::Vec shape{0.0, 0.0, 2.4, 1.1, 0.0};
-  decide_row(table, "thermal budget refresh (steady)",
+  budget_row(table, "steady", budgeter,
              [&] { benchmark::DoNotOptimize(budgeter.max_sustainable_power(shape)); });
-  decide_row(table, "thermal budget refresh (transient h10)", [&] {
+  budget_row(table, "transient h10", budgeter, [&] {
     benchmark::DoNotOptimize(
         budgeter.transient_power_headroom(hot_net.temperatures(), shape, 10.0));
   });
-  decide_row(
-      table, "thermal budget refresh (transient h240)",
+  budget_row(
+      table, "transient h240", budgeter,
       [&] {
         benchmark::DoNotOptimize(
             budgeter.transient_power_headroom(hot_net.temperatures(), shape, 240.0));

@@ -54,9 +54,15 @@ class AnyResult {
 
   template <typename T>
   AnyResult(std::string id, T payload, Metrics metrics)
+      : AnyResult(std::in_place_type<T>, std::move(id), std::move(metrics), std::move(payload)) {}
+
+  /// Constructs the payload T(args...) in place: no temporary payload
+  /// exists next to the stored one.
+  template <typename T, typename... Args>
+  AnyResult(std::in_place_type_t<T>, std::string id, Metrics metrics, Args&&... args)
       : id_(std::move(id)),
         metrics_(std::move(metrics)),
-        payload_(std::make_shared<const T>(std::move(payload))),
+        payload_(std::make_shared<const T>(std::forward<Args>(args)...)),
         type_(&typeid(T)) {}
 
   const std::string& id() const { return id_; }

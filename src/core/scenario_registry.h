@@ -34,7 +34,6 @@ class ScenarioRegistry {
   /// on an empty name, a null builder, or a duplicate name.
   void add(const std::string& name, AnyBuilder builder);
 
-  bool contains(const std::string& name) const { return builders_.count(name) != 0; }
   std::size_t size() const { return builders_.size(); }
 
   /// All registered names selected by `prefix`, lexicographically sorted.

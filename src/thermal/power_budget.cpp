@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "thermal/bisection.h"
+
 namespace oal::thermal {
 
 PowerBudgeter::PowerBudgeter(const RcThermalNetwork& net, LeakageModel leak, PowerBudgetConfig cfg)
@@ -18,6 +20,8 @@ PowerBudgeter::PowerBudgeter(const RcThermalNetwork& net, LeakageModel leak, Pow
   limit_c_.resize(n);
   for (std::size_t i = 0; i < n; ++i) limit_c_[i] = node_limit(i);
   lanes_.assign(4 * n * common::kernels::kProbeLanes, 0.0);
+  pred_temp_.assign(n, 0.0);
+  pred_lanes_.assign(8 * n, 0.0);
 }
 
 double PowerBudgeter::node_limit(std::size_t node) const {
@@ -42,6 +46,83 @@ double PowerBudgeter::steady_violation(const common::Vec& shape_w, double s,
   }
   return worst;
 }
+
+/// The steady-state budget's predicted scale.  The fixed point is affine in
+/// the power scale, T(s) = T(0) + s (T(1) - T(0)), so node i starts to
+/// violate at (limit_i - T_i(0)) / (T_i(1) - T_i(0)) when it heats with the
+/// scale; the prediction is the smallest such scale, 0 when a node already
+/// violates at s = 0 (or every scale violates, under runaway) and +inf when
+/// no node heats.
+double PowerBudgeter::steady_prediction(const common::Vec& shape_w) {
+  ++probe_passes_;
+  if (!steady_->exists()) return 0.0;
+  std::fill(dyn_.begin(), dyn_.end(), 0.0);
+  steady_->temperatures_into(dyn_, fp_temp_);
+  steady_->temperatures_into(shape_w, pred_temp_);
+  double predicted = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < fp_temp_.size(); ++i) {
+    if (fp_temp_[i] >= limit_c_[i]) return 0.0;
+    const double rise = pred_temp_[i] - fp_temp_[i];
+    if (rise > 0.0) predicted = std::min(predicted, (limit_c_[i] - fp_temp_[i]) / rise);
+  }
+  return predicted;
+}
+
+/// The transient budget's predicted scale: one two-lane scalar simulation at
+/// s = 0 and s = 1 on rc_probe's tick, substep and leakage schedule.  With
+/// leakage linear in the temperature (while it stays positive) and
+/// refreshed once per tick, every tick's temperatures are affine in the
+/// scale, so node i violates after a tick once s exceeds (limit_i - T_i(0))
+/// / (T_i(1) - T_i(0)) there; the prediction is the smallest such scale over
+/// ticks and nodes, 0 once the s = 0 lane crosses a limit, +inf when no
+/// node ever heats with the scale.  Lane state is interleaved node-major,
+/// [2 i] at s = 0 and [2 i + 1] at s = 1.
+double PowerBudgeter::transient_prediction(const common::Vec& start_temp_c,
+                                           const common::Vec& shape_w, double horizon_s) {
+  ++probe_passes_;
+  const std::size_t n = net_.num_nodes();
+  const double* g = net_.conductance().raw();
+  const double* cap = net_.capacitances().data();
+  const double ambient = net_.ambient_c();
+  double* temp = pred_lanes_.data();
+  double* power = temp + 2 * n;
+  double* rise = power + 2 * n;
+  double* dtemp = rise + 2 * n;
+  for (std::size_t i = 0; i < n; ++i) temp[2 * i] = temp[2 * i + 1] = start_temp_c[i];
+  double predicted = std::numeric_limits<double>::infinity();
+  double t = 0.0;
+  while (t < horizon_s) {
+    const double dt = std::min(1.0, horizon_s - t);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t l = 0; l < 2; ++l) {
+        const double leak =
+            leak_.p0_w[i] * (1.0 + leak_.k_per_c[i] * (temp[2 * i + l] - leak_.t0_c));
+        power[2 * i + l] = (l == 0 ? 0.0 : shape_w[i]) + std::max(leak, 0.0);
+      }
+    const int substeps = std::max(1, static_cast<int>(std::ceil(dt / net_.max_substep_s())));
+    const double h = dt / substeps;
+    for (int sub = 0; sub < substeps; ++sub) {
+      for (std::size_t j = 0; j < 2 * n; ++j) rise[j] = temp[j] - ambient;
+      for (std::size_t i = 0; i < n; ++i) {
+        double flow0 = power[2 * i], flow1 = power[2 * i + 1];
+        for (std::size_t j = 0; j < n; ++j) {
+          flow0 -= g[i * n + j] * rise[2 * j];
+          flow1 -= g[i * n + j] * rise[2 * j + 1];
+        }
+        dtemp[2 * i] = flow0 / cap[i];
+        dtemp[2 * i + 1] = flow1 / cap[i];
+      }
+      for (std::size_t j = 0; j < 2 * n; ++j) temp[j] += h * dtemp[j];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (temp[2 * i] > limit_c_[i]) return 0.0;
+      const double heat = temp[2 * i + 1] - temp[2 * i];
+      if (heat > 0.0) predicted = std::min(predicted, (limit_c_[i] - temp[2 * i]) / heat);
+    }
+    t += dt;
+  }
+  return predicted;
+}
 // oal-lint: hot-path-end
 
 namespace {
@@ -51,68 +132,13 @@ void check_finite(const common::Vec& v, const char* what) {
     if (!std::isfinite(x)) throw std::invalid_argument(what);
 }
 
-/// The final bracket of a budget search; lo is the budget's scale.
-struct Bracket {
-  double lo, hi;
-};
-
-// oal-lint: hot-path
-/// The sequential search both budgets reproduce, one probe at a time:
-///   lo = 0, hi = 1;
-///   while (!violates(hi) && hi < 1e4) hi *= 2;
-///   kIterations times: mid = 0.5 * (lo + hi); (violates(mid) ? hi : lo) = mid;
-/// run speculatively: probe(scale) evaluates kProbeLanes scales at once and
-/// returns their violation mask, bit l for scale[l].
-template <int kIterations, class Probe>
-Bracket speculative_bisection(const Probe& probe) {
-  constexpr std::size_t kLanes = common::kernels::kProbeLanes;
-  static_assert(kLanes == 4 && kIterations % 2 == 0,
-                "each probe covers two whole bisection iterations in four lanes");
-  double scale[kLanes] = {};
-
-  // Doubling: lane l tries hi * 2^l; the first lane that violates or
-  // reaches the cap ends the phase with hi at its scale.
-  double hi = 1.0;
-  for (;;) {
-    scale[0] = hi;
-    for (std::size_t l = 1; l < kLanes; ++l) scale[l] = 2.0 * scale[l - 1];
-    const unsigned violated = probe(scale);
-    std::size_t l = 0;
-    while (l < kLanes && (violated >> l & 1u) == 0 && scale[l] < 1e4) ++l;
-    if (l < kLanes) {
-      hi = scale[l];
-      break;
-    }
-    hi = 2.0 * scale[kLanes - 1];
-  }
-
-  // Bisection, two iterations per probe.  Lane 0 bisects [lo, hi]; lane 1
-  // bisects [lo, mid], the bracket lane 0 leaves when it violates, and
-  // lane 2 bisects [mid, hi], the one it leaves when it does not.  Lane 3
-  // repeats lane 0, so it never lengthens the pass.
-  double lo = 0.0;
-  for (int it = 0; it < kIterations; it += 2) {
-    const double mid = 0.5 * (lo + hi);
-    scale[0] = mid;
-    scale[1] = 0.5 * (lo + mid);
-    scale[2] = 0.5 * (mid + hi);
-    scale[3] = mid;
-    const unsigned violated = probe(scale);
-    const std::size_t next = (violated & 1u) != 0 ? 1 : 2;
-    ((violated & 1u) != 0 ? hi : lo) = mid;
-    ((violated >> next & 1u) != 0 ? hi : lo) = scale[next];
-  }
-  return {lo, hi};
-}
-// oal-lint: hot-path-end
-
 }  // namespace
 
 PowerBudgetResult PowerBudgeter::max_sustainable_power(const common::Vec& shape_w) {
   return max_sustainable_power(shape_w, common::kernels::active());
 }
 
-/// speculative_bisection over 60 iterations, where violates(s) is
+/// predicted_bisection over 60 iterations, where violates(s) is
 /// steady_violation(shape_w, s) >= 0; the binding node is the worst node at
 /// the final hi.
 PowerBudgetResult PowerBudgeter::max_sustainable_power(
@@ -125,16 +151,25 @@ PowerBudgetResult PowerBudgeter::max_sustainable_power(
   if (total_shape <= 0.0) throw std::invalid_argument("max_sustainable_power: zero shape");
   if (!steady_) steady_.emplace(net_, leak_);
 
+  const double predicted = steady_prediction(shape_w);
   Bracket b;
   if (steady_->exists()) {
     const common::kernels::SteadyProbe probe =
         steady_->probe_operands(limit_c_.data(), shape_w.data(), lanes_.data());
-    b = speculative_bisection<60>(
-        [&](const double* scale) { return kernels.steady_probe(probe, scale); });
+    b = predicted_bisection<60>(
+        [&](const double* scale) {
+          ++probe_passes_;
+          return kernels.steady_probe(probe, scale);
+        },
+        predicted);
   } else {
     // Runaway: every scale violates, as steady_violation reports.
-    b = speculative_bisection<60>(
-        [](const double*) { return (1u << common::kernels::kProbeLanes) - 1u; });
+    b = predicted_bisection<60>(
+        [&](const double*) {
+          ++probe_passes_;
+          return (1u << common::kernels::kProbeLanes) - 1u;
+        },
+        predicted);
   }
   PowerBudgetResult res;
   res.scale = b.lo;
@@ -150,7 +185,7 @@ double PowerBudgeter::transient_power_headroom(const common::Vec& start_temp_c,
 }
 
 // oal-lint: hot-path
-/// speculative_bisection over 40 iterations, where violates(s) simulates
+/// predicted_bisection over 40 iterations, where violates(s) simulates
 /// constant power s * shape (plus leakage refreshed every 1 s tick) over the
 /// horizon and reports whether any node crosses its limit.
 double PowerBudgeter::transient_power_headroom(const common::Vec& start_temp_c,
@@ -181,8 +216,13 @@ double PowerBudgeter::transient_power_headroom(const common::Vec& start_temp_c,
                                        horizon_s,
                                        net_.max_substep_s(),
                                        lanes_.data()};
-  return speculative_bisection<40>(
-             [&](const double* scale) { return kernels.rc_probe(probe, scale); })
+  const double predicted = transient_prediction(start_temp_c, shape_w, horizon_s);
+  return predicted_bisection<40>(
+             [&](const double* scale) {
+               ++probe_passes_;
+               return kernels.rc_probe(probe, scale);
+             },
+             predicted)
       .lo;
 }
 // oal-lint: hot-path-end

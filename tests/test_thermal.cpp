@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "gpu/gpu_model.h"
 #include "soc/platform.h"
 #include "soc/thermal_platform.h"
+#include "thermal/bisection.h"
 #include "thermal/fixed_point.h"
 #include "thermal/power_budget.h"
 #include "thermal/rc_network.h"
@@ -493,6 +495,159 @@ TEST(PowerBudgeter, ScaleCapMatchesReference) {
   EXPECT_TRUE(
       same_bits(burst, reference::transient_power_headroom(net, default_leak(), tiny, 10.0, {})));
   expect_variants_match_reference(net, default_leak(), tiny, 10.0, {}, "cap");
+}
+
+TEST(PowerBudgeter, PreheatedH240RefreshTakesTwelvePasses) {
+  // The preheated fig5_transient device (GPU-heavy shape), refreshed over a
+  // 240 s horizon: the predicted path holds for all 40 bisection steps, so
+  // the refresh takes the predictor pass, one doubling pass and
+  // ceil(40 / 4) bisection passes, where the 2-level tree alone took 21.
+  const soc::ThermalGpuConstraintParams tp;
+  PowerBudgetConfig cfg;
+  cfg.t_max_junction_c = 75.0;
+  cfg.t_max_skin_c = 40.0;
+  auto net = RcThermalNetwork::mobile_soc(35.0);
+  net.set_temperatures({48.0, 46.0, 58.0, 45.0, 39.5});
+  const common::Vec shape{0.0, 0.0, 2.4, 1.1, 0.0};
+  PowerBudgeter budgeter(net, tp.leakage, cfg);
+  for (int call = 0; call < 2; ++call) {
+    const std::size_t before = budgeter.probe_passes();
+    const double got = budgeter.transient_power_headroom(net.temperatures(), shape, 240.0);
+    EXPECT_LE(budgeter.probe_passes() - before, 12u) << "call " << call;
+    EXPECT_TRUE(
+        same_bits(got, reference::transient_power_headroom(net, tp.leakage, shape, 240.0, cfg)));
+  }
+}
+
+// ---- predicted_bisection == the sequential loop, bit for bit --------------
+//
+// Synthetic probes (a pure function of the scale, so the sequential loop
+// and the lanes see the same outcome for the same scale) against
+// predictions that are right, wrong, non-finite or random.
+
+/// The loop predicted_bisection reproduces, one scale at a time;
+/// `doubling_probes` receives how many scales the doubling phase tried.
+template <int kIterations, class Violates>
+Bracket sequential_bisection(const Violates& violates, int* doubling_probes) {
+  double lo = 0.0, hi = 1.0;
+  *doubling_probes = 1;
+  while (!violates(hi) && hi < 1e4) {
+    hi *= 2.0;
+    ++*doubling_probes;
+  }
+  for (int it = 0; it < kIterations; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (violates(mid) ? hi : lo) = mid;
+  }
+  return {lo, hi};
+}
+
+/// predicted_bisection over violates() in every lane; returns its passes.
+template <int kIterations, class Violates>
+int lane_bisection(const Violates& violates, double predicted, Bracket* out) {
+  int passes = 0;
+  *out = predicted_bisection<kIterations>(
+      [&](const double* scale) {
+        ++passes;
+        unsigned mask = 0;
+        for (std::size_t l = 0; l < common::kernels::kProbeLanes; ++l)
+          mask |= (violates(scale[l]) ? 1u : 0u) << l;
+        return mask;
+      },
+      predicted);
+  return passes;
+}
+
+/// Holds predicted_bisection to the sequential loop's bracket for every
+/// prediction in `predictions`, and to its pass bounds: ceil(K / 4)
+/// bisection passes when `exact` predicts every outcome, at most one more
+/// than the 2-level tree's ceil(K / 2) otherwise.
+template <int kIterations, class Violates>
+void expect_matches_sequential(const Violates& violates, const std::vector<double>& predictions,
+                               double exact, const std::string& what) {
+  int doubling_probes = 0;
+  const Bracket want = sequential_bisection<kIterations>(violates, &doubling_probes);
+  const int doubling_passes = (doubling_probes + 3) / 4;
+  for (double predicted : predictions) {
+    Bracket got{};
+    const int passes = lane_bisection<kIterations>(violates, predicted, &got);
+    EXPECT_TRUE(same_bits(got.lo, want.lo) && same_bits(got.hi, want.hi))
+        << what << " K=" << kIterations << " predicted " << predicted << ": [" << got.lo << ", "
+        << got.hi << "] vs [" << want.lo << ", " << want.hi << "]";
+    EXPECT_LE(passes, doubling_passes + (kIterations + 1) / 2 + 1)
+        << what << " K=" << kIterations << " predicted " << predicted;
+  }
+  if (!std::isnan(exact)) {
+    Bracket got{};
+    EXPECT_EQ(lane_bisection<kIterations>(violates, exact, &got),
+              doubling_passes + (kIterations + 3) / 4)
+        << what << " K=" << kIterations << " exact prediction " << exact;
+  }
+}
+
+/// The predictions every probe is searched with: `truth` itself, 0, +-inf,
+/// NaN, truth * (1 +- 1e-3), and random values on both a linear and a log
+/// scale.
+std::vector<double> adversarial_predictions(double truth, common::Rng& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> p{truth, 0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+                        truth * (1.0 + 1e-3), truth * (1.0 - 1e-3)};
+  for (int k = 0; k < 4; ++k) {
+    p.push_back(rng.uniform(0.0, 2.0 * std::max(truth, 1.0)));
+    p.push_back(std::exp(rng.uniform(-20.0, 12.0)));
+  }
+  return p;
+}
+
+template <int kIterations>
+void expect_search_matches_sequential_loop() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  common::Rng rng(61 + kIterations);
+  // Threshold probes, strict and not: a threshold below every midpoint
+  // (all violate), inside (0, 1), at a doubling scale, past the doubling
+  // cap (never violates), and random ones.
+  std::vector<double> thresholds{0.0, 1e-300, 0.37, 1.0, 3.3, 4096.0, 2e4};
+  for (int k = 0; k < 12; ++k) thresholds.push_back(std::exp(rng.uniform(-30.0, 10.0)));
+  for (double t : thresholds) {
+    const auto above = [t](double s) { return s > t; };
+    const auto at_or_above = [t](double s) { return s >= t; };
+    expect_matches_sequential<kIterations>(above, adversarial_predictions(t, rng), t,
+                                           "s > " + std::to_string(t));
+    expect_matches_sequential<kIterations>(at_or_above, adversarial_predictions(t, rng), nan,
+                                           "s >= " + std::to_string(t));
+  }
+  // Every scale violates / none does.
+  const auto always = [](double) { return true; };
+  const auto never = [](double) { return false; };
+  expect_matches_sequential<kIterations>(always, adversarial_predictions(0.0, rng), 0.0, "always");
+  expect_matches_sequential<kIterations>(never, adversarial_predictions(1e4, rng), nan, "never");
+  // Non-monotone probes: each scale's outcome is a hash bit of its bits,
+  // violating with probability 1/4, 1/2 and 3/4.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const unsigned cut = static_cast<unsigned>(seed % 3 + 1);
+    const auto hashed = [seed, cut](double s) {
+      std::uint64_t x = 0;
+      std::memcpy(&x, &s, sizeof x);
+      x ^= seed * 0x9e3779b97f4a7c15ull;
+      x ^= x >> 31;
+      x *= 0xbf58476d1ce4e5b9ull;
+      x ^= x >> 29;
+      return (x & 3u) < cut;
+    };
+    int doubling = 0;
+    const double edge = sequential_bisection<kIterations>(hashed, &doubling).lo;
+    expect_matches_sequential<kIterations>(hashed, adversarial_predictions(edge, rng), nan,
+                                           "hashed seed " + std::to_string(seed));
+  }
+}
+
+TEST(PredictedBisection, MatchesSequentialLoopBitwiseForAnyProbeAndPrediction) {
+  // 40 and 60 are the transient and steady-state budgets' step counts; 1
+  // and 7 end both the predicted path and the tree inside a pass.
+  expect_search_matches_sequential_loop<40>();
+  expect_search_matches_sequential_loop<60>();
+  expect_search_matches_sequential_loop<7>();
+  expect_search_matches_sequential_loop<1>();
 }
 
 TEST(PowerBudgeter, RejectsBadInputs) {
