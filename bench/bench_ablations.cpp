@@ -5,12 +5,18 @@
 //     + exploration) — why each ingredient is needed.
 //  C. NMPC vs explicit NMPC: identical-task energy and decision overhead.
 //  D. Fixed forgetting factors vs STAFF for the Fig. 2 predictor.
+//  E. Policy optimizer (the update rule of the IL network).
 //
-// Every arm is a ScenarioRegistry entry: A and B are DRM scenarios (the
-// per-arm offline collection + training runs inside each scenario's
-// controller factory, i.e. on the pool), C and D are custom AnyScenario
-// closures that own all their state.  One parallel batch executes whatever
-// the driver's prefixes select.
+// Every arm is a ScenarioRegistry entry: A, B and E are online-IL DRM
+// scenarios, C and D are custom AnyScenario closures that own all their
+// state.  The online-IL arms share one MiBench offline dataset, collected
+// once on a platform of its own (core::offline_dataset, --store aware) and
+// only when a selected arm needs it; each arm trains its own policy copy on
+// the worker.  The default OnlineIlConfig is one arm, "ablate/default",
+// which supplies the paper-setting row of tables A (buffer 100), B (full
+// candidate set) and E (Adam).  One parallel batch executes whatever the
+// driver's prefixes select.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -38,10 +44,20 @@ struct OnlineArmResult {
   std::size_t buffer_bytes = 0;
 };
 
-/// Builds the online-IL arm scenario for one OnlineIlConfig.  The factory
-/// reproduces the per-arm protocol: offline collection on MiBench, policy
-/// training, model bootstrap — all per scenario, all on the worker.
-Scenario online_arm_scenario(const OnlineIlConfig& cfg, std::shared_ptr<OracleCache> cache) {
+/// Shared read-only artifacts, filled after the --list fast path (builders
+/// run at select() time, strictly later).
+struct SharedArtifacts {
+  std::shared_ptr<OracleCache> cache;
+  std::shared_ptr<const OfflineData> off;
+};
+
+/// The one arm every table shares: the default OnlineIlConfig.
+const std::string kDefaultArm = "ablate/default";
+
+/// Builds the online-IL arm scenario for one OnlineIlConfig: policy training
+/// on the shared offline dataset and model bootstrap run in the factory, on
+/// the worker.
+Scenario online_arm_scenario(const OnlineIlConfig& cfg, const SharedArtifacts& shared) {
   Scenario s;
   common::Rng seq_rng(99);
   std::vector<workloads::AppSpec> apps;
@@ -50,12 +66,8 @@ Scenario online_arm_scenario(const OnlineIlConfig& cfg, std::shared_ptr<OracleCa
   for (const auto& a : workloads::CpuBenchmarks::of_suite(workloads::Suite::kParsec))
     apps.push_back(a);
   s.trace = workloads::CpuBenchmarks::sequence(apps, seq_rng);
-  s.oracle_cache = cache;
-  // Every arm collects over the same collect_seed trace, so the shared cache
-  // labels each offline snippet once instead of once per arm.
-  s.make_controller = online_il_collect_factory(
-      workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench), /*snippets_per_app=*/40,
-      /*configs_per_snippet=*/6, /*collect_seed=*/7, /*train_seed=*/5, cfg, std::move(cache));
+  s.oracle_cache = shared.cache;
+  s.make_controller = online_il_factory(shared.off, /*train_seed=*/5, cfg);
   s.extra_metrics = [](const DrmController& ctl, const RunResult&) {
     const auto& il = dynamic_cast<const OnlineIlController&>(ctl);
     return Metrics{{"train_time_s", il.policy_train_time_s()},
@@ -151,70 +163,76 @@ int main(int argc, char** argv) {
   bench::BenchDriver driver("ablations");
   if (!driver.parse(argc, argv)) return driver.exit_code();
 
-  // The engine outlives the cache that borrows its pool: cold Oracle
-  // searches issued from inside arm workers shard across the same pool via
-  // its helping-drain path, and --store makes them persistent.
-  ExperimentEngine engine;
-  auto cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
+  auto shared = std::make_shared<SharedArtifacts>();
   ScenarioRegistry registry;
 
-  // ---- Sections A + B: online-IL configuration ablations -------------------
+  // ---- Sections A, B, E: online-IL configuration ablations ------------------
+  // Each table row names the arm it reads; the paper-setting row of every
+  // table is the one default arm.
+  std::map<std::string, OnlineIlConfig> configs;
+  const auto add_online_arm = [&](const std::string& id, const OnlineIlConfig& cfg) {
+    configs[id] = cfg;
+    registry.add(id, [cfg, shared] { return online_arm_scenario(cfg, *shared); });
+  };
+  add_online_arm(kDefaultArm, OnlineIlConfig{});
+
+  struct BufferRow {
+    std::size_t size;
+    std::string id;
+  };
+  const BufferRow buffer_rows[] = {
+      {50, "ablate/buffer/50"}, {100, kDefaultArm}, {400, "ablate/buffer/400"}};
+  for (const BufferRow& row : buffer_rows) {
+    if (row.id == kDefaultArm) continue;
+    OnlineIlConfig cfg;
+    cfg.buffer_capacity = row.size;
+    add_online_arm(row.id, cfg);
+  }
+
+  // The full candidate set (sweeps + exploration) is the default config.
   struct CandidateVariant {
     const char* name;
+    std::string id;
     bool sweeps;
-    double explore;
   };
-  const CandidateVariant variants[] = {{"neighborhood only", false, 0.0},
-                                       {"+ cluster sweeps", true, 0.0},
-                                       {"+ exploration (full)", true, 0.15}};
-
-  std::map<std::string, OnlineIlConfig> configs;
-  for (std::size_t buf : {50u, 100u, 400u}) {
+  const CandidateVariant variants[] = {{"neighborhood only", "ablate/candidates/0", false},
+                                       {"+ cluster sweeps", "ablate/candidates/1", true},
+                                       {"+ exploration (full)", kDefaultArm, true}};
+  for (const CandidateVariant& v : variants) {
+    if (v.id == kDefaultArm) continue;
     OnlineIlConfig cfg;
-    cfg.buffer_capacity = buf;
-    const std::string id = "ablate/buffer/" + std::to_string(buf);
-    configs[id] = cfg;
-    registry.add(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
-  }
-  for (std::size_t v = 0; v < 3; ++v) {
-    OnlineIlConfig cfg;
-    cfg.include_cluster_sweeps = variants[v].sweeps;
-    cfg.explore_init = variants[v].explore;
-    if (variants[v].explore == 0.0) {
-      cfg.explore_min = 0.0;
-      cfg.innovation_reset_threshold = 1e9;  // never re-arm
-    }
-    const std::string id = "ablate/candidates/" + std::to_string(v);
-    configs[id] = cfg;
-    registry.add(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
+    cfg.include_cluster_sweeps = v.sweeps;
+    cfg.explore_init = 0.0;
+    cfg.explore_min = 0.0;
+    cfg.innovation_reset_threshold = 1e9;  // never re-arm
+    add_online_arm(v.id, cfg);
   }
 
-  // ---- Section E: policy optimizer (ml/optimizer.h) ------------------------
-  // Same online-IL pipeline, different parameter-update rule.  Learning
-  // rates are per-rule: plain SGD on cross-entropy needs a much larger step
-  // than Adam's adaptive one.
+  // Section E, policy optimizer (ml/optimizer.h): same online-IL pipeline,
+  // different parameter-update rule.  Learning rates are per-rule: plain
+  // SGD on cross-entropy needs a much larger step than Adam's adaptive one.
   struct OptArm {
     const char* name;
+    std::string id;
     ml::OptimizerConfig opt;
-    double lr;  // 0 = keep the IlPolicyConfig default
+    double lr;  // the default arm keeps the IlPolicyConfig default
   };
   std::vector<OptArm> opt_arms;
   {
-    opt_arms.push_back({"Adam (default)", ml::OptimizerConfig{}, 0.0});
+    opt_arms.push_back({"Adam (default)", kDefaultArm, ml::OptimizerConfig{}, 0.0});
     ml::OptimizerConfig sgd;
     sgd.kind = ml::OptimizerConfig::Kind::kSgd;
-    opt_arms.push_back({"SGD", sgd, 0.1});
+    opt_arms.push_back({"SGD", "ablate/optimizer/1", sgd, 0.1});
     ml::OptimizerConfig mom = sgd;
     mom.momentum = 0.9;
-    opt_arms.push_back({"SGD + momentum 0.9", mom, 0.05});
+    opt_arms.push_back({"SGD + momentum 0.9", "ablate/optimizer/2", mom, 0.05});
   }
-  for (std::size_t i = 0; i < opt_arms.size(); ++i) {
+  for (const OptArm& arm : opt_arms) {
+    if (arm.id == kDefaultArm) continue;
     OnlineIlConfig cfg;
-    cfg.policy.optimizer = opt_arms[i].opt;
-    if (opt_arms[i].lr > 0.0) cfg.policy.learning_rate = opt_arms[i].lr;
-    const std::string id = "ablate/optimizer/" + std::to_string(i);
-    configs[id] = cfg;
-    registry.add(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
+    cfg.policy.optimizer = arm.opt;
+    cfg.policy.learning_rate = arm.lr;
+    add_online_arm(arm.id, cfg);
   }
 
   // ---- Section C: implicit vs explicit NMPC --------------------------------
@@ -244,10 +262,27 @@ int main(int argc, char** argv) {
 
   if (driver.listing()) return driver.list(registry);
 
+  // The engine outlives the cache that borrows its pool: cold Oracle
+  // searches issued from inside arm workers shard across the same pool via
+  // its helping-drain path, and --store makes them persistent.  The offline
+  // dataset is only collected (or restored) when an online-IL arm runs.
+  ExperimentEngine engine;
+  shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
+  const auto selected = driver.selection(registry);
+  if (std::any_of(selected.begin(), selected.end(),
+                  [&](const std::string& name) { return configs.count(name) > 0; })) {
+    shared->off = offline_dataset(soc::PlatformParams{},
+                                  workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench),
+                                  Objective::kEnergy, /*snippets_per_app=*/40,
+                                  /*configs_per_snippet=*/6, /*collect_seed=*/7,
+                                  /*thermal_aware=*/false, shared->cache.get(),
+                                  driver.store().get(), &engine.pool());
+  }
+
   const auto results = engine.run_any(driver.select(registry));
   driver.json().write(driver.bench_name(), results);
   write_oracle_stats(
-      driver, *cache,
+      driver, *shared->cache,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_t0).count());
   const bench::ResultIndex index(results);
 
@@ -256,14 +291,14 @@ int main(int argc, char** argv) {
     if (const AnyResult* r = index.find(id))
       arm.emplace(id, summarize_arm(r->as<RunResult>(), cfg));
 
-  if (arm.count("ablate/buffer/50") || arm.count("ablate/buffer/100") ||
-      arm.count("ablate/buffer/400")) {
+  if (arm.count(buffer_rows[0].id) || arm.count(buffer_rows[1].id) ||
+      arm.count(buffer_rows[2].id)) {
     std::puts("=== A. Aggregation-buffer size (paper setting: 100) ===");
     common::Table t({"Buffer", "Energy/Oracle", "Tail E/Oracle", "Buffer bytes"});
-    for (std::size_t buf : {50u, 100u, 400u}) {
-      const auto it = arm.find("ablate/buffer/" + std::to_string(buf));
+    for (const BufferRow& row : buffer_rows) {
+      const auto it = arm.find(row.id);
       if (it == arm.end()) continue;  // arm deselected by prefix
-      t.add_row({std::to_string(buf), common::Table::fmt(it->second.energy_ratio, 3),
+      t.add_row({std::to_string(row.size), common::Table::fmt(it->second.energy_ratio, 3),
                  common::Table::fmt(it->second.tail_ratio, 3),
                  std::to_string(it->second.buffer_bytes)});
     }
@@ -272,14 +307,13 @@ int main(int argc, char** argv) {
     std::puts("buffers at a fraction of the storage (<20 KB with the policy).\n");
   }
 
-  if (arm.count("ablate/candidates/0") || arm.count("ablate/candidates/1") ||
-      arm.count("ablate/candidates/2")) {
+  if (arm.count(variants[0].id) || arm.count(variants[1].id) || arm.count(variants[2].id)) {
     std::puts("=== B. Candidate-set construction ===");
     common::Table tb({"Variant", "Energy/Oracle", "Tail E/Oracle"});
-    for (std::size_t v = 0; v < 3; ++v) {
-      const auto it = arm.find("ablate/candidates/" + std::to_string(v));
+    for (const CandidateVariant& v : variants) {
+      const auto it = arm.find(v.id);
       if (it == arm.end()) continue;
-      tb.add_row({variants[v].name, common::Table::fmt(it->second.energy_ratio, 3),
+      tb.add_row({v.name, common::Table::fmt(it->second.energy_ratio, 3),
                   common::Table::fmt(it->second.tail_ratio, 3)});
     }
     tb.print(std::cout);
@@ -288,17 +322,15 @@ int main(int argc, char** argv) {
   }
 
   bool have_opt = false;
-  for (std::size_t i = 0; i < opt_arms.size(); ++i)
-    have_opt |= index.has("ablate/optimizer/" + std::to_string(i));
+  for (const OptArm& a : opt_arms) have_opt |= index.has(a.id);
   if (have_opt) {
     std::puts("=== E. Policy optimizer (update rule of the IL network) ===");
     common::Table t({"Optimizer", "Energy/Oracle", "Tail E/Oracle", "Final loss"});
-    for (std::size_t i = 0; i < opt_arms.size(); ++i) {
-      const std::string id = "ablate/optimizer/" + std::to_string(i);
-      const AnyResult* r = index.find(id);
-      const auto it = arm.find(id);
+    for (const OptArm& a : opt_arms) {
+      const AnyResult* r = index.find(a.id);
+      const auto it = arm.find(a.id);
       if (!r || it == arm.end()) continue;
-      t.add_row({opt_arms[i].name, common::Table::fmt(it->second.energy_ratio, 3),
+      t.add_row({a.name, common::Table::fmt(it->second.energy_ratio, 3),
                  common::Table::fmt(it->second.tail_ratio, 3),
                  common::Table::fmt(r->metric("final_loss"), 3)});
     }

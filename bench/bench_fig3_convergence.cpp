@@ -18,7 +18,6 @@
 
 #include "bench/driver.h"
 #include "common/table.h"
-#include "core/artifact_store.h"
 #include "core/online_il.h"
 #include "core/rl_controller.h"
 #include "core/scenario_factories.h"
@@ -104,17 +103,10 @@ int main(int argc, char** argv) {
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   for (const std::string& name : selected) {
     if (name != "fig3/il") continue;
-    soc::BigLittlePlatform plat;
-    const std::uint64_t data_key =
-        offline_data_key(plat.params(), Objective::kEnergy, /*snippets_per_app=*/40,
-                         /*configs_per_snippet=*/6, /*collect_seed=*/7, /*thermal_aware=*/false);
-    shared->off = std::make_shared<const OfflineData>(get_or_compute(
-        driver.store().get(), "offline-dataset", data_key, OfflineData{}, [&](OfflineData& off) {
-          common::Rng rng(7);
-          off = collect_offline_data(plat, mibench, Objective::kEnergy, 40, 6, rng,
-                                     shared->cache.get(), /*thermal_aware=*/false,
-                                     &engine.pool());
-        }));
+    shared->off = offline_dataset(soc::PlatformParams{}, mibench, Objective::kEnergy,
+                                  /*snippets_per_app=*/40, /*configs_per_snippet=*/6,
+                                  /*collect_seed=*/7, /*thermal_aware=*/false,
+                                  shared->cache.get(), driver.store().get(), &engine.pool());
   }
   std::printf("Online sequence: %zu snippets (Cortex + PARSEC), offline training: MiBench\n",
               seq.size());

@@ -145,17 +145,10 @@ int main(int argc, char** argv) {
     // Every trace above is evaluated by both an IL and an RL arm; the shared
     // cache runs the exhaustive Oracle search once per snippet, not per arm.
     // The dataset's address is shared with fig3's identical collect.
-    const std::uint64_t data_key =
-        offline_data_key(plat.params(), Objective::kEnergy, /*snippets_per_app=*/40,
-                         /*configs_per_snippet=*/6, /*collect_seed=*/7, /*thermal_aware=*/false);
-    shared->off = std::make_shared<const OfflineData>(get_or_compute(
-        driver.store().get(), "offline-dataset", data_key, OfflineData{}, [&](OfflineData& off) {
-          soc::BigLittlePlatform collect_plat;
-          common::Rng rng(7);
-          off = collect_offline_data(collect_plat, mibench, Objective::kEnergy, 40, 6, rng,
-                                     shared->cache.get(), /*thermal_aware=*/false,
-                                     &engine.pool());
-        }));
+    shared->off = offline_dataset(plat.params(), mibench, Objective::kEnergy,
+                                  /*snippets_per_app=*/40, /*configs_per_snippet=*/6,
+                                  /*collect_seed=*/7, /*thermal_aware=*/false,
+                                  shared->cache.get(), driver.store().get(), &engine.pool());
 
     // Frozen offline policy, shared read-only by every Offline-IL scenario.
     // The artifact carries the training bookkeeping, so the record below is

@@ -206,15 +206,26 @@ int main(int argc, char** argv) {
   tight.ambient_c = 40.0;
   tight.horizon_s = 0.0;
 
-  const std::vector<workloads::AppSpec> offline_apps{workloads::CpuBenchmarks::by_name("SHA"),
-                                                     workloads::CpuBenchmarks::by_name("FFT")};
+  // Online-IL trains on SHA + FFT offline data, collected once per feature
+  // space (blind, thermal-aware) after the --list fast path, and only when a
+  // selected arm needs it.
+  struct IlDatasets {
+    std::shared_ptr<const OfflineData> blind, aware;
+  };
+  auto datasets = std::make_shared<IlDatasets>();
+  const auto il_factory = [datasets](bool aware) -> ControllerFactory {
+    OnlineIlConfig cfg;
+    cfg.thermal_aware = aware;
+    return [datasets, cfg](ScenarioContext& ctx) {
+      return online_il_factory(cfg.thermal_aware ? datasets->aware : datasets->blind,
+                               /*train_seed=*/5, cfg)(ctx);
+    };
+  };
   const std::map<std::string, ControllerFactory> controllers{
       {"ondemand", governor_factory("ondemand")},
       {"performance", governor_factory("performance")},
       {"powersave", governor_factory("powersave")},
-      {"online-il", online_il_collect_factory(offline_apps, /*snippets_per_app=*/10,
-                                              /*configs_per_snippet=*/4, /*collect_seed=*/7,
-                                              /*train_seed=*/5, {}, cache)},
+      {"online-il", il_factory(false)},
   };
   for (const auto& [name, factory] : controllers) {
     registry.add("thermal_drm/free/" + name, [trace, factory, cache] {
@@ -248,13 +259,6 @@ int main(int argc, char** argv) {
     long_trace = workloads::CpuBenchmarks::sequence(apps, trace_rng);
     if (long_trace.size() > 600) long_trace.resize(600);
   }
-  const auto il_factory = [&](bool aware) {
-    OnlineIlConfig cfg;
-    cfg.thermal_aware = aware;
-    return online_il_collect_factory(offline_apps, /*snippets_per_app=*/10,
-                                     /*configs_per_snippet=*/4, /*collect_seed=*/7,
-                                     /*train_seed=*/5, cfg, cache);
-  };
   const auto dqn_factory = [](bool aware) {
     return [aware](ScenarioContext& ctx) {
       return ControllerInstance{
@@ -283,6 +287,25 @@ int main(int argc, char** argv) {
   }
 
   if (driver.listing()) return driver.list(registry);
+
+  bool need_blind = false, need_aware = false;
+  for (const std::string& name : driver.selection(registry)) {
+    if (name == "thermal_aware/aware/online-il") {
+      need_aware = true;
+    } else if (name.size() >= 10 && name.compare(name.size() - 10, 10, "/online-il") == 0) {
+      need_blind = true;
+    }
+  }
+  const auto collect = [&](bool aware) {
+    return offline_dataset(soc::PlatformParams{},
+                           {workloads::CpuBenchmarks::by_name("SHA"),
+                            workloads::CpuBenchmarks::by_name("FFT")},
+                           Objective::kEnergy, /*snippets_per_app=*/10,
+                           /*configs_per_snippet=*/4, /*collect_seed=*/7, aware, cache.get(),
+                           driver.store().get(), &engine.pool());
+  };
+  if (need_blind) datasets->blind = collect(false);
+  if (need_aware) datasets->aware = collect(true);
 
   const auto results = engine.run_any(driver.select(registry));
   driver.json().write(driver.bench_name(), results);

@@ -17,10 +17,11 @@
 //    lowest-index scenario is rethrown after the batch drains.
 //
 // Controller factories run *inside* the worker, so expensive per-scenario
-// setup (offline data collection, policy training, RL pre-training) is
-// parallelized along with the runs.  Factories may capture shared immutable
-// artifacts (e.g. an offline dataset behind a shared_ptr) but must copy
-// anything the controller mutates.
+// setup (policy training, model bootstrap, RL pre-training) is parallelized
+// along with the runs.  Factories may capture shared immutable artifacts
+// (e.g. an offline dataset behind a shared_ptr, collected once on a
+// platform of its own by core::offline_dataset) but must copy anything the
+// controller mutates.
 //
 // There is one execution path: run_any_streaming() pulls scenarios from a
 // lazy generator in fixed-size shards, runs each shard on the pool, and

@@ -239,10 +239,14 @@ std::size_t OracleCache::size() const {
   return total;
 }
 
-std::uint64_t offline_data_key(const soc::PlatformParams& params, Objective obj,
+std::uint64_t offline_data_key(const soc::PlatformParams& params,
+                               const std::vector<workloads::AppSpec>& apps, Objective obj,
                                std::size_t snippets_per_app, std::size_t configs_per_snippet,
                                std::uint64_t collect_seed, bool thermal_aware) {
   std::uint64_t key = soc::platform_fingerprint(params);
+  common::fnv1a_mix(key, apps.size());
+  for (const workloads::AppSpec& app : apps)
+    common::fnv1a_mix(key, static_cast<std::uint64_t>(app.app_id));
   common::fnv1a_mix(key, static_cast<std::uint64_t>(obj));
   common::fnv1a_mix(key, snippets_per_app);
   common::fnv1a_mix(key, configs_per_snippet);
@@ -411,6 +415,22 @@ OfflineData collect_offline_data(soc::BigLittlePlatform& plat,
     }
   }
   return data;
+}
+
+std::shared_ptr<const OfflineData> offline_dataset(
+    const soc::PlatformParams& params, const std::vector<workloads::AppSpec>& apps,
+    Objective obj, std::size_t snippets_per_app, std::size_t configs_per_snippet,
+    std::uint64_t collect_seed, bool thermal_aware, OracleCache* cache, ArtifactStore* store,
+    common::ThreadPool* pool) {
+  const std::uint64_t key = offline_data_key(params, apps, obj, snippets_per_app,
+                                             configs_per_snippet, collect_seed, thermal_aware);
+  return std::make_shared<const OfflineData>(
+      get_or_compute(store, "offline-dataset", key, OfflineData{}, [&](OfflineData& off) {
+        soc::BigLittlePlatform plat(params);
+        common::Rng rng(collect_seed);
+        off = collect_offline_data(plat, apps, obj, snippets_per_app, configs_per_snippet, rng,
+                                   cache, thermal_aware, pool);
+      }));
 }
 
 }  // namespace oal::core

@@ -183,8 +183,8 @@ struct OfflineData {
   bool import_artifact(const std::vector<double>& in);
 };
 /// `cache`, when non-null, memoizes the per-snippet Oracle labeling — the
-/// dominant cost when several arms collect over identical traces (identical
-/// collect seeds), as in the ablation benches.  `thermal_aware` collects
+/// dominant cost of a collect, and shared with the online arms that later
+/// evaluate the same snippets' Oracle energies.  `thermal_aware` collects
 /// policy states in the extended (thermal-telemetry) feature space, with the
 /// neutral cool-device values — profiling runs unconstrained.  `pool`, when
 /// non-null, labels the whole trace in parallel (one task per snippet);
@@ -199,14 +199,28 @@ OfflineData collect_offline_data(soc::BigLittlePlatform& plat,
                                  common::ThreadPool* pool = nullptr);
 
 /// Content address of an offline dataset blob: the dataset is a pure
-/// function of the platform parameterization, the objective, the collection
-/// geometry, the collect seed, and the feature space, so that is exactly
-/// what the key hashes.  Benches that collect with identical arguments
-/// (fig3 and fig4 both use MiBench, kEnergy, 40x6, seed 7, blind
-/// features) share one blob.
-std::uint64_t offline_data_key(const soc::PlatformParams& params, Objective obj,
+/// function of the platform parameterization, the app list (app ids, in
+/// order), the objective, the collection geometry, the collect seed, and the
+/// feature space, so that is exactly what the key hashes.  Benches that
+/// collect with identical arguments (fig3, fig4 and the ablations all use
+/// MiBench, kEnergy, 40x6, seed 7, blind features) share one blob.
+std::uint64_t offline_data_key(const soc::PlatformParams& params,
+                               const std::vector<workloads::AppSpec>& apps, Objective obj,
                                std::size_t snippets_per_app, std::size_t configs_per_snippet,
                                std::uint64_t collect_seed, bool thermal_aware);
+
+/// The one path to a shared offline dataset: collect_offline_data on a fresh
+/// `soc::BigLittlePlatform(params)` of its own with `Rng(collect_seed)`, so
+/// the data depends on nothing but its arguments (never on the noise stream
+/// of a platform an arm later runs on).  Labeling goes through `cache` and
+/// `pool` (either may be null).  With a `store`, the dataset is restored
+/// from, or computed into, the "offline-dataset" blob at offline_data_key
+/// of the same arguments, so the key and the collection cannot drift apart.
+std::shared_ptr<const OfflineData> offline_dataset(
+    const soc::PlatformParams& params, const std::vector<workloads::AppSpec>& apps,
+    Objective obj, std::size_t snippets_per_app, std::size_t configs_per_snippet,
+    std::uint64_t collect_seed, bool thermal_aware, OracleCache* cache, ArtifactStore* store,
+    common::ThreadPool* pool);
 
 /// Knob-label encoding shared by the IL policy and dataset code:
 /// {num_little-1, num_big, little_freq_idx, big_freq_idx}.

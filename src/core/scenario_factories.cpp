@@ -72,23 +72,6 @@ ControllerFactory online_il_factory(std::shared_ptr<const OfflineData> off,
   };
 }
 
-ControllerFactory online_il_collect_factory(std::vector<workloads::AppSpec> offline_apps,
-                                            std::size_t snippets_per_app,
-                                            std::size_t configs_per_snippet,
-                                            std::uint64_t collect_seed, std::uint64_t train_seed,
-                                            OnlineIlConfig cfg,
-                                            std::shared_ptr<OracleCache> oracle_cache) {
-  return [offline_apps = std::move(offline_apps), snippets_per_app, configs_per_snippet,
-          collect_seed, train_seed, cfg, oracle_cache](ScenarioContext& ctx) {
-    common::Rng collect_rng(collect_seed);
-    const OfflineData off =
-        collect_offline_data(ctx.platform, offline_apps, ctx.scenario.objective,
-                             snippets_per_app, configs_per_snippet, collect_rng,
-                             oracle_cache.get(), cfg.thermal_aware);
-    return make_online_il(ctx, off, train_seed, cfg);
-  };
-}
-
 // ---- GPU-ENMPC domain -----------------------------------------------------
 
 namespace {

@@ -2,20 +2,20 @@
 //
 // Benches and examples share the same handful of controller setups (frozen
 // offline-IL policy, adaptive online-IL with per-scenario artifact copies,
-// per-arm offline collection, NMPC/ENMPC over per-scenario bootstrapped GPU
-// models); keeping them here means a change to the setup protocol lands
-// everywhere at once instead of in hand-synced lambdas.
+// NMPC/ENMPC over per-scenario bootstrapped GPU models); keeping them here
+// means a change to the setup protocol lands everywhere at once instead of
+// in hand-synced lambdas.  The offline dataset the online-IL arms start
+// from is not collected here: each bench collects it once, on a platform of
+// its own, through core::offline_dataset (core/oracle.h).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/domain.h"
 #include "core/experiment.h"
 #include "core/nmpc.h"
 #include "core/online_il.h"
-#include "workloads/cpu_benchmarks.h"
 
 namespace oal::core {
 
@@ -32,22 +32,10 @@ ControllerFactory offline_il_factory(std::shared_ptr<const IlPolicy> policy);
 /// its own policy copy (seeded by train_seed) and bootstraps its own models
 /// — the controller mutates both in place.  With cfg.thermal_aware the
 /// dataset must have been collected in the thermal-aware feature space
-/// (collect_offline_data's thermal_aware flag), or the policy input
+/// (offline_dataset's thermal_aware flag), or the policy input
 /// dimensions will not match.
 ControllerFactory online_il_factory(std::shared_ptr<const OfflineData> off,
                                     std::uint64_t train_seed, OnlineIlConfig cfg = {});
-
-/// Like online_il_factory, but the offline dataset is also collected inside
-/// the factory on the scenario's own platform, labeled by the scenario's
-/// objective (the per-arm ablation protocol, where collection noise is part
-/// of the arm).  `oracle_cache`, when set, memoizes the per-snippet Oracle
-/// labeling across arms collecting identical traces.
-ControllerFactory online_il_collect_factory(std::vector<workloads::AppSpec> offline_apps,
-                                            std::size_t snippets_per_app,
-                                            std::size_t configs_per_snippet,
-                                            std::uint64_t collect_seed, std::uint64_t train_seed,
-                                            OnlineIlConfig cfg = {},
-                                            std::shared_ptr<OracleCache> oracle_cache = nullptr);
 
 // ---- GPU-ENMPC domain (GpuScenario factories) -----------------------------
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -359,6 +360,44 @@ TEST(Collect, PooledMatchesSerialBitwise) {
   }
   // The rng streams must end at the same position (phase-1 draws are serial).
   EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+}
+
+/// True when both doubles vectors hold the same bits.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(OfflineDataset, StoreRestoreMatchesColdComputeBitwise) {
+  const std::vector<workloads::AppSpec> apps{workloads::CpuBenchmarks::by_name("FFT"),
+                                             workloads::CpuBenchmarks::by_name("Kmeans")};
+  common::ThreadPool pool(2);
+  const auto fetch = [&](ArtifactStore* store, OracleCache& cache, bool thermal_aware) {
+    return offline_dataset(soc::PlatformParams{}, apps, Objective::kEnergy,
+                           /*snippets_per_app=*/4, /*configs_per_snippet=*/3,
+                           /*collect_seed=*/7, thermal_aware, &cache, store, &pool);
+  };
+  OracleCache cold_cache;
+  const auto cold = fetch(nullptr, cold_cache, false);
+  EXPECT_EQ(cold_cache.lookups(), 8u);  // one label per collected snippet
+
+  ArtifactStore store(fresh_dir("offline-dataset").string());
+  OracleCache fill_cache, warm_cache;
+  const auto filled = fetch(&store, fill_cache, false);  // miss: collects, then puts
+  const auto warm = fetch(&store, warm_cache, false);    // hit: restores
+  EXPECT_EQ(fill_cache.lookups(), 8u);
+  EXPECT_EQ(warm_cache.lookups(), 0u);  // restored without collecting
+  EXPECT_TRUE(same_bits(filled->export_artifact(), cold->export_artifact()));
+  EXPECT_TRUE(same_bits(warm->export_artifact(), cold->export_artifact()));
+
+  // The thermal-aware dataset has its own address: the blind blob already in
+  // the store is not restored for it.
+  OracleCache aware_cold_cache, aware_cache;
+  const auto aware_cold = fetch(nullptr, aware_cold_cache, true);
+  const auto aware = fetch(&store, aware_cache, true);
+  EXPECT_EQ(aware_cache.lookups(), 8u);
+  EXPECT_TRUE(same_bits(aware->export_artifact(), aware_cold->export_artifact()));
+  EXPECT_FALSE(same_bits(aware->export_artifact(), cold->export_artifact()));
 }
 
 TEST(IlPolicy, ArtifactRoundTripsDecisionsAndBookkeeping) {

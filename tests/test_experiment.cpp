@@ -37,6 +37,17 @@ Scenario governor_scenario(const std::string& id, const std::string& app, std::u
   return s;
 }
 
+/// The small SHA + FFT offline dataset the online-IL test arms train on.
+std::shared_ptr<const OfflineData> small_offline_data(bool thermal_aware) {
+  OracleCache cache;
+  return offline_dataset(soc::PlatformParams{},
+                         {workloads::CpuBenchmarks::by_name("SHA"),
+                          workloads::CpuBenchmarks::by_name("FFT")},
+                         Objective::kEnergy, /*snippets_per_app=*/6, /*configs_per_snippet=*/3,
+                         /*collect_seed=*/7, thermal_aware, &cache, /*store=*/nullptr,
+                         /*pool=*/nullptr);
+}
+
 /// A batch of >= 8 scenarios mixing apps, seeds, and controllers — including
 /// stateful Online-IL arms whose candidate search and exploration draw from
 /// per-scenario Rng streams.
@@ -45,6 +56,7 @@ std::vector<AnyScenario> mixed_batch() {
   const char* apps[] = {"SHA", "FFT", "Qsort", "Dijkstra", "Kmeans", "Spectral"};
   for (int i = 0; i < 6; ++i)
     batch.push_back(governor_scenario("gov/" + std::to_string(i), apps[i], 100 + i));
+  const auto off = small_offline_data(/*thermal_aware=*/false);
   for (int i = 0; i < 2; ++i) {
     Scenario s;
     s.id = "il/" + std::to_string(i);
@@ -53,16 +65,12 @@ std::vector<AnyScenario> mixed_batch() {
         workloads::CpuBenchmarks::trace(workloads::CpuBenchmarks::by_name("MotionEst"), 12,
                                         trace_rng);
     s.seed = 300 + i;
-    s.make_controller = [i](ScenarioContext& ctx) {
+    s.make_controller = [i, off](ScenarioContext& ctx) {
       // Exercise the scenario-private stream: the controller's exploration
       // seed comes from ctx.rng, so determinism across pool sizes covers it.
       OnlineIlConfig cfg;
       cfg.seed = ctx.rng.next_u64();
-      const std::vector<workloads::AppSpec> offline_apps{
-          workloads::CpuBenchmarks::by_name("SHA"), workloads::CpuBenchmarks::by_name("FFT")};
-      return online_il_collect_factory(offline_apps, /*snippets_per_app=*/6,
-                                       /*configs_per_snippet=*/3, /*collect_seed=*/7,
-                                       /*train_seed=*/5 + i, cfg)(ctx);
+      return online_il_factory(off, /*train_seed=*/5 + i, cfg)(ctx);
     };
     batch.push_back(std::move(s));
   }
@@ -590,21 +598,16 @@ TEST(Experiment, ThermalAwareMixedDomainParallelMatchesSerialBitwise) {
   // channel feeding controller state, and the ThermalGpuScenario's
   // GpuRunner hooks.  Both must stay bitwise identical across pool sizes.
   std::vector<AnyScenario> batch;
+  const auto off = small_offline_data(/*thermal_aware=*/true);
   for (int i = 0; i < 2; ++i) {
     Scenario s;
     s.id = "aware/il/" + std::to_string(i);
     common::Rng trace_rng(600 + i);
     s.trace = workloads::CpuBenchmarks::trace(workloads::CpuBenchmarks::by_name("Kmeans"), 12,
                                               trace_rng);
-    s.make_controller = [i](ScenarioContext& ctx) {
-      OnlineIlConfig cfg;
-      cfg.thermal_aware = true;
-      const std::vector<workloads::AppSpec> offline_apps{
-          workloads::CpuBenchmarks::by_name("SHA"), workloads::CpuBenchmarks::by_name("FFT")};
-      return online_il_collect_factory(offline_apps, /*snippets_per_app=*/6,
-                                       /*configs_per_snippet=*/3, /*collect_seed=*/7,
-                                       /*train_seed=*/5 + i, cfg)(ctx);
-    };
+    OnlineIlConfig cfg;
+    cfg.thermal_aware = true;
+    s.make_controller = online_il_factory(off, /*train_seed=*/5 + i, cfg);
     batch.emplace_back(ThermalDrmScenario{std::move(s), binding_thermal_params()});
   }
   {

@@ -224,16 +224,30 @@ TEST_F(OfflineIlFixture, DatasetBlobRoundTripsBitwise) {
 
 TEST(OfflineDataKey, SensitiveToEveryArgument) {
   const soc::PlatformParams p;
-  const std::uint64_t base = offline_data_key(p, Objective::kEnergy, 40, 6, 7, false);
-  EXPECT_EQ(offline_data_key(p, Objective::kEnergy, 40, 6, 7, false), base);
-  EXPECT_NE(offline_data_key(p, Objective::kEdp, 40, 6, 7, false), base);
-  EXPECT_NE(offline_data_key(p, Objective::kEnergy, 41, 6, 7, false), base);
-  EXPECT_NE(offline_data_key(p, Objective::kEnergy, 40, 5, 7, false), base);
-  EXPECT_NE(offline_data_key(p, Objective::kEnergy, 40, 6, 8, false), base);
-  EXPECT_NE(offline_data_key(p, Objective::kEnergy, 40, 6, 7, true), base);
+  const auto mibench = workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench);
+  const std::uint64_t base = offline_data_key(p, mibench, Objective::kEnergy, 40, 6, 7, false);
+  EXPECT_EQ(offline_data_key(p, mibench, Objective::kEnergy, 40, 6, 7, false), base);
+  EXPECT_NE(offline_data_key(p, mibench, Objective::kEdp, 40, 6, 7, false), base);
+  EXPECT_NE(offline_data_key(p, mibench, Objective::kEnergy, 41, 6, 7, false), base);
+  EXPECT_NE(offline_data_key(p, mibench, Objective::kEnergy, 40, 5, 7, false), base);
+  EXPECT_NE(offline_data_key(p, mibench, Objective::kEnergy, 40, 6, 8, false), base);
+  EXPECT_NE(offline_data_key(p, mibench, Objective::kEnergy, 40, 6, 7, true), base);
   soc::PlatformParams heavy = p;
   heavy.ceff_big_nf *= 2.0;
-  EXPECT_NE(offline_data_key(heavy, Objective::kEnergy, 40, 6, 7, false), base);
+  EXPECT_NE(offline_data_key(heavy, mibench, Objective::kEnergy, 40, 6, 7, false), base);
+
+  // A different app list (other apps, a subset, or the same apps in another
+  // order) collects a different dataset at the same geometry and seed.
+  const std::vector<workloads::AppSpec> sha_fft{workloads::CpuBenchmarks::by_name("SHA"),
+                                                workloads::CpuBenchmarks::by_name("FFT")};
+  const std::vector<workloads::AppSpec> fft_sha{sha_fft[1], sha_fft[0]};
+  const std::vector<workloads::AppSpec> first_two(mibench.begin(), mibench.begin() + 2);
+  const std::uint64_t sha_fft_key =
+      offline_data_key(p, sha_fft, Objective::kEnergy, 40, 6, 7, false);
+  EXPECT_NE(sha_fft_key, base);
+  EXPECT_NE(offline_data_key(p, fft_sha, Objective::kEnergy, 40, 6, 7, false), sha_fft_key);
+  EXPECT_NE(offline_data_key(p, first_two, Objective::kEnergy, 40, 6, 7, false), base);
+  EXPECT_NE(offline_data_key(p, {}, Objective::kEnergy, 40, 6, 7, false), base);
 }
 
 TEST_F(OfflineIlFixture, PolicyLearnsTrainingDistribution) {
