@@ -409,8 +409,6 @@ int main(int argc, char** argv) {
                    common::Table::fmt(con->metric("peak_skin_c"), 1)});
     }
     drm.print(std::cout);
-    std::printf("Oracle cache: %zu entries, %zu/%zu hits\n", cache->size(), cache->hits(),
-                cache->lookups());
     std::puts("A binding budget reorders the field: power-hungry policies are clamped");
     std::puts("to the same throttle ceiling, while energy-aware ones keep their edge.");
   }

@@ -95,6 +95,21 @@ AnyResult run_gpu_scenario(const GpuScenario& s) {
   return AnyResult(s.id, std::move(run), std::move(m));
 }
 
+/// The four-metric tail both thermal domains report: copies the adapter's
+/// peaks and final budget into `result`, then appends the clamp count
+/// (`clamp_metric`), the peaks and the final budget to `m`.
+template <class Adapter, class Result>
+void add_thermal_tail(const Adapter& adapter, const char* clamp_metric, std::size_t clamped,
+                      Result& result, Metrics& m) {
+  result.peak_junction_c = adapter.peak_junction_c();
+  result.peak_skin_c = adapter.peak_skin_c();
+  result.final_budget_w = adapter.budget_w();
+  m.emplace_back(clamp_metric, static_cast<double>(clamped));
+  m.emplace_back("peak_junction_c", result.peak_junction_c);
+  m.emplace_back("peak_skin_c", result.peak_skin_c);
+  m.emplace_back("final_budget_w", result.final_budget_w);
+}
+
 AnyResult run_thermal_gpu_scenario(const ThermalGpuScenario& s) {
   std::shared_ptr<soc::ThermalGpuAdapter> adapter;
   GpuRunResult base_run = run_gpu_with_hooks(
@@ -115,15 +130,8 @@ AnyResult run_thermal_gpu_scenario(const ThermalGpuScenario& s) {
   ThermalGpuRunResult result;
   result.run = std::move(base_run);
   result.clamped_frames = adapter->clamped_frames();
-  result.peak_junction_c = adapter->peak_junction_c();
-  result.peak_skin_c = adapter->peak_skin_c();
-  result.final_budget_w = adapter->budget_w();
-
   Metrics m = gpu_metrics(result.run);
-  m.emplace_back("clamped_frames", static_cast<double>(result.clamped_frames));
-  m.emplace_back("peak_junction_c", result.peak_junction_c);
-  m.emplace_back("peak_skin_c", result.peak_skin_c);
-  m.emplace_back("final_budget_w", result.final_budget_w);
+  add_thermal_tail(*adapter, "clamped_frames", result.clamped_frames, result, m);
   return AnyResult(s.base.id, std::move(result), std::move(m));
 }
 
@@ -166,15 +174,8 @@ AnyResult run_thermal_scenario(const ThermalDrmScenario& s) {
   ThermalRunResult result;
   result.run = std::move(base_result.run);
   result.clamped_snippets = adapter->clamped_snippets();
-  result.peak_junction_c = adapter->peak_junction_c();
-  result.peak_skin_c = adapter->peak_skin_c();
-  result.final_budget_w = adapter->budget_w();
-
   Metrics m = drm_metrics(result.run);
-  m.emplace_back("clamped_snippets", static_cast<double>(result.clamped_snippets));
-  m.emplace_back("peak_junction_c", result.peak_junction_c);
-  m.emplace_back("peak_skin_c", result.peak_skin_c);
-  m.emplace_back("final_budget_w", result.final_budget_w);
+  add_thermal_tail(*adapter, "clamped_snippets", result.clamped_snippets, result, m);
   for (Metric& e : base_result.extra) m.push_back(std::move(e));
   return AnyResult(s.base.id, std::move(result), std::move(m));
 }

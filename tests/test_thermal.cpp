@@ -1242,6 +1242,61 @@ TEST(ThermalAdapters, RejectNonFiniteTimingAndTemperatures) {
     EXPECT_THROW(soc::ThermalGpuAdapter(gplat, 1.0 / 30.0, g), std::invalid_argument);
     EXPECT_THROW(soc::ThermalSocAdapter(splat, c), std::invalid_argument);
   }
+  // A skin node outside the 5-node network would be read out of range by
+  // the peak tracking and the telemetry.
+  for (std::size_t skin : {std::size_t{5}, std::size_t{1000}}) {
+    soc::ThermalGpuConstraintParams g;
+    soc::ThermalConstraintParams c;
+    g.limits.skin_node = c.limits.skin_node = skin;
+    EXPECT_THROW(soc::ThermalGpuAdapter(gplat, 1.0 / 30.0, g), std::invalid_argument);
+    EXPECT_THROW(soc::ThermalSocAdapter(splat, c), std::invalid_argument);
+  }
+}
+
+/// Largest temperature over the die nodes (big, little, gpu): every node
+/// but PCB (3) and skin (4).
+double hottest_die_node(const thermal::RcThermalNetwork& net) {
+  const common::Vec& t = net.temperatures();
+  return std::max({t[0], t[1], t[2]});
+}
+
+TEST(ThermalAdapters, JunctionIsHottestDieNode) {
+  // Each adapter's junction is the hottest die node, whichever node that
+  // is: the GPU node under the DRM adapter, the big node under the GPU one.
+  {
+    soc::BigLittlePlatform plat;
+    soc::ThermalConstraintParams p;
+    p.initial_temperature_c = {41.0, 38.0, 63.0, 36.0, 33.0};  // GPU hottest
+    soc::ThermalSocAdapter adapter(plat, p);
+    EXPECT_EQ(adapter.telemetry().junction_c, 63.0);
+    EXPECT_EQ(adapter.peak_junction_c(), 63.0);
+    const soc::SnippetDescriptor snip;
+    const soc::SocConfig c{4, 4, 12, 18};
+    adapter.observe(snip, c, plat.execute_ideal(snip, c));
+    const double hottest = hottest_die_node(adapter.network());
+    EXPECT_GT(adapter.network().temperatures()[2], adapter.network().temperatures()[0]);
+    EXPECT_EQ(adapter.telemetry().junction_c, hottest);
+    EXPECT_EQ(adapter.peak_junction_c(), std::max(63.0, hottest));
+  }
+  {
+    gpu::GpuPlatform plat;
+    const double period_s = 1.0 / 30.0;
+    soc::ThermalGpuConstraintParams p;
+    p.initial_temperature_c = {66.0, 40.0, 47.0, 36.0, 33.0};  // big hottest
+    soc::ThermalGpuAdapter adapter(plat, period_s, p);
+    EXPECT_EQ(adapter.telemetry().junction_c, 66.0);
+    EXPECT_EQ(adapter.peak_junction_c(), 66.0);
+    gpu::FrameDescriptor f;
+    f.render_cycles = 30e6;
+    f.mem_bytes = 20e6;
+    f.cpu_cycles = 6e6;
+    const gpu::GpuConfig c{static_cast<int>(plat.num_freqs()) - 1, plat.params().max_slices};
+    adapter.observe(f, c, plat.render_ideal(f, c, period_s));
+    const double hottest = hottest_die_node(adapter.network());
+    EXPECT_GT(adapter.network().temperatures()[0], adapter.network().temperatures()[2]);
+    EXPECT_EQ(adapter.telemetry().junction_c, hottest);
+    EXPECT_EQ(adapter.peak_junction_c(), std::max(66.0, hottest));
+  }
 }
 
 TEST(ThermalGpuAdapter, TelemetrySnapshotReflectsAdapterState) {
