@@ -4,12 +4,16 @@
 // governors/firmware.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "tests/alloc_guard.h"
 
@@ -106,28 +110,83 @@ static void BM_OracleCacheColdSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleCacheColdSearch)->Unit(benchmark::kMicrosecond);
 
-static void BM_ArtifactStoreWarmLoad(benchmark::State& state) {
-  auto& f = cpu_fixture();
-  const auto dir = std::filesystem::temp_directory_path() / "oal-bench-overhead-store";
-  std::filesystem::remove_all(dir);
-  {
-    // Seed the store with the fixture's collection worth of searches.
-    auto store = std::make_shared<ArtifactStore>(dir.string());
-    OracleCache cache(store);
-    common::Rng trng(3);
-    for (const auto& s : workloads::CpuBenchmarks::trace(
-             workloads::CpuBenchmarks::by_name("Kmeans"), 32, trng)) {
-      (void)cache.config(f.plat, s, Objective::kEnergy);
+namespace {
+
+/// A store of fleet size in a temp directory: about as many entries as the
+/// perfbench fleet_warm store holds (13 400-13 500), keyed by
+/// OracleCache::key_of over MiBench snippets on the default platform, and
+/// the snippets themselves.  Loading and hitting never read an entry's
+/// value, so each holds a placeholder configuration and cost instead of
+/// costing 13 440 real sweeps.
+struct FleetStore {
+  static constexpr std::size_t kEntries = 13440;
+
+  FleetStore() : dir(std::filesystem::temp_directory_path() / "oal-bench-overhead-store") {
+    std::filesystem::remove_all(dir);
+    const auto mibench = workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench);
+    common::Rng rng(3);
+    std::vector<OracleStoreEntry> entries;
+    for (std::size_t app = 0; snippets.size() < kEntries; ++app) {
+      for (const auto& s : workloads::CpuBenchmarks::trace(mibench[app % mibench.size()], 240,
+                                                           rng)) {
+        const OracleCache::Key key = OracleCache::key_of(plat, s, Objective::kEnergy);
+        OracleStoreEntry e;
+        e.platform_fingerprint = key.platform_fingerprint;
+        std::copy(std::begin(key.fields), std::end(key.fields), std::begin(e.fields));
+        e.max_threads = key.max_threads;
+        e.objective = key.objective;
+        e.config[0] = 1;
+        e.cost = static_cast<double>(snippets.size());
+        entries.push_back(e);
+        snippets.push_back(s);
+      }
     }
-    cache.flush();
+    store = std::make_shared<ArtifactStore>(dir.string());
+    if (store->merge_oracle_entries(entries) != kEntries) {
+      std::fprintf(stderr, "bench_overhead: fleet-size store keys collided\n");
+      std::exit(1);
+    }
   }
-  ArtifactStore store(dir.string());
+  ~FleetStore() { std::filesystem::remove_all(dir); }
+
+  std::filesystem::path dir;
+  soc::BigLittlePlatform plat;
+  std::vector<soc::SnippetDescriptor> snippets;
+  std::shared_ptr<ArtifactStore> store;
+};
+
+FleetStore& fleet_store() {
+  static FleetStore s;
+  return s;
+}
+
+}  // namespace
+
+// Reading a fleet-size store back: one sized read, checksum and decode per
+// bucket file.
+static void BM_ArtifactStoreWarmLoad(benchmark::State& state) {
+  const FleetStore& fs = fleet_store();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.load_oracle_entries());
+    benchmark::DoNotOptimize(fs.store->load_oracle_entries());
   }
-  std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ArtifactStoreWarmLoad)->Unit(benchmark::kMicrosecond);
+
+// Warm hits as fleet_warm makes them: 4 threads sharing one cache preloaded
+// from a fleet-size store, each walking every stored key from its own
+// offset.  Time is wall time per lookup over all 4 threads; CPU is each
+// thread's time per lookup, the cost one fleet worker pays.
+static void BM_OracleCacheWarmHitContended(benchmark::State& state) {
+  static FleetStore& fs = fleet_store();
+  static OracleCache cache(fs.store);
+  const std::size_t n = fs.snippets.size();
+  std::size_t i = static_cast<std::size_t>(state.thread_index()) * n / 4;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.cost(fs.plat, fs.snippets[i], Objective::kEnergy));
+    i = i + 1 == n ? 0 : i + 1;
+  }
+}
+BENCHMARK(BM_OracleCacheWarmHitContended)->Threads(4)->UseRealTime()->Unit(benchmark::kNanosecond);
 
 // The scratch decide the controllers run.
 static void BM_IlPolicyDecision(benchmark::State& state) {

@@ -48,41 +48,27 @@ void append_f64(std::vector<unsigned char>& out, double v) {
   append_u64(out, bits);
 }
 
-/// Bounds-checked little-endian reader; `ok` latches false on any overrun.
-struct Reader {
-  const unsigned char* p;
-  std::size_t n;
-  std::size_t pos = 0;
-  bool ok = true;
+// Little-endian decoding at a fixed offset.  Callers decode only within a
+// length they have already checked against the header (parse_file), so the
+// loads need no bounds checks of their own.
+std::uint32_t load_u32(const unsigned char* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
+}
 
-  std::uint64_t u64() {
-    if (pos + 8 > n) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (pos + 4 > n) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-};
+std::uint64_t load_u64(const unsigned char* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+double load_f64(const unsigned char* p) {
+  const std::uint64_t bits = load_u64(p);
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
 
 constexpr std::size_t kHeaderBytes = 32;
 constexpr std::size_t kOracleRecordBytes = 96;  // 8 + 7*8 + 4 + 4 + 4*4 + 8
@@ -102,14 +88,23 @@ void serialize_entry(std::vector<unsigned char>& out, const OracleStoreEntry& e)
   append_f64(out, e.cost);
 }
 
-OracleStoreEntry deserialize_entry(Reader& r) {
+/// Decodes the kOracleRecordBytes record at `p`, in serialize_entry's order.
+OracleStoreEntry deserialize_entry(const unsigned char* p) {
   OracleStoreEntry e;
-  e.platform_fingerprint = r.u64();
-  for (double& f : e.fields) f = r.f64();
-  e.max_threads = r.i32();
-  e.objective = r.i32();
-  for (std::int32_t& c : e.config) c = r.i32();
-  e.cost = r.f64();
+  e.platform_fingerprint = load_u64(p);
+  p += 8;
+  for (double& f : e.fields) {
+    f = load_f64(p);
+    p += 8;
+  }
+  e.max_threads = static_cast<std::int32_t>(load_u32(p));
+  e.objective = static_cast<std::int32_t>(load_u32(p + 4));
+  p += 8;
+  for (std::int32_t& c : e.config) {
+    c = static_cast<std::int32_t>(load_u32(p));
+    p += 4;
+  }
+  e.cost = load_f64(p);
   return e;
 }
 
@@ -128,29 +123,42 @@ struct ParsedFile {
   bool valid = false;
   std::uint32_t kind = 0;
   std::uint64_t count = 0;
-  std::vector<unsigned char> payload;
+  std::vector<unsigned char> bytes;  ///< the whole file: header, then payload
   std::string detail;
+
+  const unsigned char* payload() const { return bytes.data() + kHeaderBytes; }
 };
+
+/// Reads the whole file at `path` with one sized read.  False when it cannot
+/// be opened, or when it changed size while being read: the read returned
+/// fewer bytes than the open file's size, or bytes remain after them.
+bool read_file(const std::string& path, std::vector<unsigned char>& bytes) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) return false;
+  bytes.resize(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()), size);
+  return in.gcount() == size && in.peek() == std::ifstream::traits_type::eof();
+}
 
 ParsedFile parse_file(const std::string& path) {
   ParsedFile out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::vector<unsigned char>& bytes = out.bytes;
+  if (!read_file(path, bytes)) {
     out.detail = "unreadable";
     return out;
   }
-  std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
   if (bytes.size() < kHeaderBytes) {
     out.detail = "truncated header";
     return out;
   }
-  Reader r{bytes.data(), bytes.size()};
-  const std::uint64_t magic = r.u64();
-  const std::uint32_t version = r.u32();
-  out.kind = r.u32();
-  out.count = r.u64();
-  const std::uint64_t checksum = r.u64();
+  const unsigned char* h = bytes.data();
+  const std::uint64_t magic = load_u64(h);
+  const std::uint32_t version = load_u32(h + 8);
+  out.kind = load_u32(h + 12);
+  out.count = load_u64(h + 16);
+  const std::uint64_t checksum = load_u64(h + 24);
   if (magic != ArtifactStore::kMagic) {
     out.detail = "bad magic";
     return out;
@@ -160,25 +168,28 @@ ParsedFile parse_file(const std::string& path) {
                  std::to_string(ArtifactStore::kVersion) + ")";
     return out;
   }
-  std::size_t expected = 0;
+  std::size_t record_bytes = 0;
   if (out.kind == ArtifactStore::kKindOracle) {
-    expected = static_cast<std::size_t>(out.count) * kOracleRecordBytes;
+    record_bytes = kOracleRecordBytes;
   } else if (out.kind == ArtifactStore::kKindBlob) {
-    expected = static_cast<std::size_t>(out.count) * 8;
+    record_bytes = 8;
   } else {
     out.detail = "unknown kind " + std::to_string(out.kind);
     return out;
   }
-  if (bytes.size() - kHeaderBytes != expected) {
-    out.detail = "truncated payload (" + std::to_string(bytes.size() - kHeaderBytes) + " of " +
-                 std::to_string(expected) + " bytes)";
+  // Compared by division: count * record_bytes can wrap, and a wrapped
+  // product equal to the payload size would let decoding run past it.
+  const std::size_t actual = bytes.size() - kHeaderBytes;
+  if (actual % record_bytes != 0 || actual / record_bytes != out.count) {
+    out.detail = "payload size mismatch (" + std::to_string(actual) + " bytes for " +
+                 std::to_string(out.count) + " records of " + std::to_string(record_bytes) +
+                 ")";
     return out;
   }
-  if (fnv1a_bytes(bytes.data() + kHeaderBytes, expected) != checksum) {
+  if (fnv1a_bytes(out.payload(), actual) != checksum) {
     out.detail = "checksum mismatch";
     return out;
   }
-  out.payload.assign(bytes.begin() + kHeaderBytes, bytes.end());
   out.valid = true;
   out.detail = "ok";
   return out;
@@ -265,8 +276,8 @@ std::vector<OracleStoreEntry> ArtifactStore::load_oracle_entries() const {
     if (!de.is_regular_file() || !is_store_name(name) || is_temp_name(name)) continue;
     const ParsedFile f = parse_file(de.path().string());
     if (!f.valid || f.kind != kKindOracle) continue;
-    Reader r{f.payload.data(), f.payload.size()};
-    for (std::uint64_t i = 0; i < f.count; ++i) out.push_back(deserialize_entry(r));
+    for (std::uint64_t i = 0; i < f.count; ++i)
+      out.push_back(deserialize_entry(f.payload() + i * kOracleRecordBytes));
   }
   return out;
 }
@@ -284,9 +295,8 @@ std::size_t ArtifactStore::merge_oracle_entries(const std::vector<OracleStoreEnt
     std::map<std::string, OracleStoreEntry> merged;
     const ParsedFile f = parse_file(path);
     if (f.valid && f.kind == kKindOracle) {
-      Reader r{f.payload.data(), f.payload.size()};
       for (std::uint64_t i = 0; i < f.count; ++i) {
-        OracleStoreEntry e = deserialize_entry(r);
+        const OracleStoreEntry e = deserialize_entry(f.payload() + i * kOracleRecordBytes);
         merged.emplace(entry_key_bytes(e), e);
       }
     }
@@ -317,8 +327,7 @@ std::optional<std::vector<double>> ArtifactStore::get_blob(const std::string& na
   if (!f.valid || f.kind != kKindBlob) return std::nullopt;
   std::vector<double> out;
   out.reserve(f.count);
-  Reader r{f.payload.data(), f.payload.size()};
-  for (std::uint64_t i = 0; i < f.count; ++i) out.push_back(r.f64());
+  for (std::uint64_t i = 0; i < f.count; ++i) out.push_back(load_f64(f.payload() + 8 * i));
   return out;
 }
 

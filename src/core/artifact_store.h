@@ -5,8 +5,9 @@
 // a bench invoked twice with the same `--store` directory pays the
 // 4940-config sweeps and offline training only once.  Everything in the
 // store is derivable, so the store is a cache, never a source of truth:
-// any file that fails validation (bad magic, version mismatch, truncation,
-// checksum failure) is treated as absent and the caller recomputes.
+// any file that fails validation (unreadable or changing size while read,
+// bad magic, version mismatch, a payload other than the header's record
+// count, checksum failure) is treated as absent and the caller recomputes.
 //
 // Addressing: file names embed an FNV-1a hash of the identifying content
 // (platform fingerprint + objective for Oracle buckets; a caller-computed

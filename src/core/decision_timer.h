@@ -57,14 +57,16 @@ class DecisionTimer {
   /// common::stats::percentile_sorted rule (linear interpolation between
   /// order statistics — identical to common::stats::percentile and the
   /// fleet aggregator on the same samples); O(window log window) on a stack
-  /// copy, intended for run end (never the per-decision path).
+  /// copy of the retained samples only, intended for run end (never the
+  /// per-decision path).
   DecisionLatencyStats stats() const {
     DecisionLatencyStats s;
     s.decisions = count_;
     s.max_ns = max_ns_;
     const std::size_t n = std::min(count_, kCapacity);
     if (n == 0) return s;
-    std::array<double, kCapacity> sorted = samples_;
+    std::array<double, kCapacity> sorted;
+    std::copy_n(samples_.begin(), n, sorted.begin());
     std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n));
     s.p50_ns = common::percentile_sorted(sorted.data(), n, 50.0);
     s.p99_ns = common::percentile_sorted(sorted.data(), n, 99.0);
@@ -72,7 +74,9 @@ class DecisionTimer {
   }
 
  private:
-  std::array<double, kCapacity> samples_{};
+  /// Left unfilled: only the first min(count_, kCapacity) slots are ever
+  /// read, and record() writes each before that.
+  std::array<double, kCapacity> samples_;
   std::size_t count_ = 0;
   double max_ns_ = 0.0;
 };

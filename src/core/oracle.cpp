@@ -81,19 +81,28 @@ bool OracleCache::Key::operator==(const Key& o) const {
 
 namespace {
 
-/// Sets key.hash: FNV-1a over the raw bit patterns (descriptors from
-/// identical Rng draws are bit-identical, so exact matching is the right
-/// equivalence).
+/// Sets key.hash by folding the key's ten 64-bit words — the fingerprint,
+/// the seven fields' raw bit patterns (descriptors from identical Rng draws
+/// are bit-identical, so exact matching is the right equivalence),
+/// max_threads and objective.  Each step is a bijection of the running hash
+/// (xor, odd multiply, xor-shift), so keys that differ in one word never
+/// collide, and the shift carries every bit into the low bits that pick the
+/// stored-table slot and the stripe.
 OracleCache::Key hashed(OracleCache::Key key) {
-  std::uint64_t h = common::kFnvOffsetBasis;
-  common::fnv1a_mix(h, key.platform_fingerprint);
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = 0;
+  const auto fold = [&h](std::uint64_t word) {
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  };
+  fold(key.platform_fingerprint);
   for (double f : key.fields) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &f, sizeof(bits));
-    common::fnv1a_mix(h, bits);
+    fold(bits);
   }
-  common::fnv1a_mix(h, static_cast<std::uint64_t>(key.max_threads));
-  common::fnv1a_mix(h, static_cast<std::uint64_t>(key.objective));
+  fold(static_cast<std::uint64_t>(key.max_threads));
+  fold(static_cast<std::uint64_t>(key.objective));
   key.hash = static_cast<std::size_t>(h);
   return key;
 }
@@ -103,16 +112,27 @@ OracleCache::Key hashed(OracleCache::Key key) {
 OracleCache::OracleCache(std::shared_ptr<ArtifactStore> store, common::ThreadPool* search_pool)
     : store_(std::move(store)), search_pool_(search_pool) {
   if (!store_) return;
-  for (const OracleStoreEntry& e : store_->load_oracle_entries()) {
+  const std::vector<OracleStoreEntry> loaded = store_->load_oracle_entries();
+  if (loaded.empty()) return;
+  if (loaded.size() >= std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("OracleCache: too many stored entries to index");
+  std::size_t slots = 2;
+  while (slots < 2 * loaded.size()) slots *= 2;
+  stored_index_.assign(slots, 0);
+  stored_.reserve(loaded.size());
+  for (const OracleStoreEntry& e : loaded) {
     Key key;
     key.platform_fingerprint = e.platform_fingerprint;
     std::memcpy(key.fields, e.fields, sizeof(key.fields));
     key.max_threads = e.max_threads;
     key.objective = e.objective;
     key = hashed(key);
-    const Entry entry{
-        soc::SocConfig{e.config[0], e.config[1], e.config[2], e.config[3]}, e.cost};
-    if (stripe_of(key).entries.emplace(key, entry).second) ++store_loaded_;
+    if (find_stored(key) != nullptr) continue;  // the first stored copy of a key wins
+    std::size_t slot = key.hash & (slots - 1);
+    while (stored_index_[slot] != 0) slot = (slot + 1) & (slots - 1);
+    stored_.emplace_back(
+        key, Entry{soc::SocConfig{e.config[0], e.config[1], e.config[2], e.config[3]}, e.cost});
+    stored_index_[slot] = static_cast<std::uint32_t>(stored_.size());
   }
 }
 
@@ -128,6 +148,10 @@ OracleCache::Stripe& OracleCache::stripe_of(const Key& key) const {
   return stripes_[key.hash % kNumStripes];
 }
 
+// oal-lint: hot-path
+// A warm hit: one key hash, one probe of the stored table, one relaxed add
+// on the stripe's own counter line; no lock and no allocation.
+
 OracleCache::Key OracleCache::key_of(const soc::BigLittlePlatform& plat,
                                      const soc::SnippetDescriptor& s, Objective obj) {
   return hashed(Key{plat.fingerprint(),
@@ -138,10 +162,28 @@ OracleCache::Key OracleCache::key_of(const soc::BigLittlePlatform& plat,
                     0});
 }
 
+const OracleCache::Entry* OracleCache::find_stored(const Key& key) const {
+  if (stored_index_.empty()) return nullptr;
+  const std::size_t mask = stored_index_.size() - 1;
+  for (std::size_t slot = key.hash & mask;; slot = (slot + 1) & mask) {
+    const std::uint32_t i = stored_index_[slot];
+    if (i == 0) return nullptr;
+    const auto& [stored_key, entry] = stored_[i - 1];
+    if (stored_key.hash == key.hash && stored_key == key) return &entry;
+  }
+}
+
 OracleCache::Entry OracleCache::lookup(const soc::BigLittlePlatform& plat,
                                        const soc::SnippetDescriptor& s, Objective obj) {
   const Key key = key_of(plat, s, obj);
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  lookups_[key.hash % kNumStripes].n.fetch_add(1, std::memory_order_relaxed);
+  if (const Entry* stored = find_stored(key)) return *stored;
+  return search_or_wait(key, plat, s, obj);
+}
+// oal-lint: hot-path-end
+
+OracleCache::Entry OracleCache::search_or_wait(const Key& key, const soc::BigLittlePlatform& plat,
+                                               const soc::SnippetDescriptor& s, Objective obj) {
   Stripe& stripe = stripe_of(key);
   std::shared_ptr<InFlight> flight;
   bool owner = false;
@@ -208,34 +250,42 @@ double OracleCache::cost(const soc::BigLittlePlatform& plat, const soc::SnippetD
 std::size_t OracleCache::flush() {
   if (!store_) return 0;
   std::vector<OracleStoreEntry> out;
+  const auto spill = [&out](const Key& key, const Entry& entry) {
+    OracleStoreEntry e;
+    e.platform_fingerprint = key.platform_fingerprint;
+    std::memcpy(e.fields, key.fields, sizeof(e.fields));
+    e.max_threads = key.max_threads;
+    e.objective = key.objective;
+    e.config[0] = entry.config.num_little;
+    e.config[1] = entry.config.num_big;
+    e.config[2] = entry.config.little_freq_idx;
+    e.config[3] = entry.config.big_freq_idx;
+    e.cost = entry.cost;
+    out.push_back(e);
+  };
+  for (const auto& [key, entry] : stored_) spill(key, entry);
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
     // Hash order is fine here: merge_oracle_entries dedups by full key and
     // writes each bucket key-sorted, so the on-disk bytes are order-free.
     // oal-lint: allow(unordered-iter)
-    for (const auto& [key, entry] : stripe.entries) {
-      OracleStoreEntry e;
-      e.platform_fingerprint = key.platform_fingerprint;
-      std::memcpy(e.fields, key.fields, sizeof(e.fields));
-      e.max_threads = key.max_threads;
-      e.objective = key.objective;
-      e.config[0] = entry.config.num_little;
-      e.config[1] = entry.config.num_big;
-      e.config[2] = entry.config.little_freq_idx;
-      e.config[3] = entry.config.big_freq_idx;
-      e.cost = entry.cost;
-      out.push_back(e);
-    }
+    for (const auto& [key, entry] : stripe.entries) spill(key, entry);
   }
   return store_->merge_oracle_entries(out);
 }
 
 std::size_t OracleCache::size() const {
-  std::size_t total = 0;
+  std::size_t total = stored_.size();
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
     total += stripe.entries.size();
   }
+  return total;
+}
+
+std::size_t OracleCache::lookups() const {
+  std::size_t total = 0;
+  for (const LookupCount& count : lookups_) total += count.n.load(std::memory_order_relaxed);
   return total;
 }
 

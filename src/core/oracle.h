@@ -57,11 +57,14 @@ double oracle_cost(const soc::BigLittlePlatform& plat, const soc::SnippetDescrip
 /// behind a shared_ptr and pay the 4940-config search once per distinct
 /// snippet instead of once per arm.
 ///
-/// Concurrency: entries are sharded over 16 independently-locked stripes,
-/// and cold keys are coalesced — the first thread to miss becomes the
-/// owner and runs the search while concurrent missers of the *same* key
-/// wait on its completion instead of duplicating the sweep.  Searches run
-/// outside all stripe locks.
+/// Concurrency: entries preloaded from a store sit in one immutable
+/// open-addressing table, built by the constructor and never written again,
+/// so a warm hit reads it without a lock.  Keys searched in this process are
+/// sharded over 16 independently-locked stripes, and cold keys are coalesced
+/// — the first thread to miss becomes the owner and runs the search while
+/// concurrent missers of the *same* key wait on its completion instead of
+/// duplicating the sweep.  Searches run outside all stripe locks.  The
+/// lookup count is kept per stripe, each counter on its own cache line.
 ///
 /// Persistence: constructed with an ArtifactStore, the cache preloads every
 /// stored entry for this store (so a warm process performs zero searches
@@ -77,9 +80,10 @@ class OracleCache {
     double fields[7];
     int max_threads;
     int objective;
-    /// FNV-1a over the fields above, computed once when the key is made
-    /// (key_of, store preload), so a lookup hashes once for its stripe and
-    /// its map.
+    /// A fold of the ten 64-bit words above, computed once when the key is
+    /// made (key_of, store preload), so a lookup hashes once for the stored
+    /// table, its stripe and the stripe's map.  In memory only: nothing
+    /// persists it.
     std::size_t hash;
     bool operator==(const Key& o) const;
   };
@@ -116,7 +120,7 @@ class OracleCache {
   std::size_t flush();
 
   std::size_t size() const;
-  std::size_t lookups() const { return lookups_.load(); }
+  std::size_t lookups() const;
   /// Exhaustive sweeps actually performed: one per distinct cold key, so
   /// deterministic run-to-run even under coalescing.
   std::size_t searches() const { return searches_.load(); }
@@ -125,7 +129,7 @@ class OracleCache {
   /// benches never depends on thread timing.
   std::size_t hits() const { return lookups() - searches(); }
   /// Entries preloaded from the backing store at construction.
-  std::size_t store_loaded() const { return store_loaded_; }
+  std::size_t store_loaded() const { return stored_.size(); }
 
  private:
   /// A cold key's in-flight search: concurrent missers wait on `cv` while
@@ -143,16 +147,31 @@ class OracleCache {
     std::unordered_map<Key, std::shared_ptr<InFlight>, KeyHash> in_flight;
   };
   static constexpr std::size_t kNumStripes = 16;
+  /// One stripe's lookup count, alone on its cache line, so hits on keys of
+  /// different stripes never write a shared line.
+  struct alignas(64) LookupCount {
+    std::atomic<std::size_t> n{0};
+  };
 
   Stripe& stripe_of(const Key& key) const;
+  /// The preloaded entry for `key`, or null.  Reads only immutable state.
+  const Entry* find_stored(const Key& key) const;
   Entry lookup(const soc::BigLittlePlatform& plat, const soc::SnippetDescriptor& s, Objective obj);
+  /// A key not in the store: the stripe's memoized entry, another thread's
+  /// in-flight search, or a search of its own.
+  Entry search_or_wait(const Key& key, const soc::BigLittlePlatform& plat,
+                       const soc::SnippetDescriptor& s, Objective obj);
 
+  /// The preloaded entries, first occurrence of each key, in store order.
+  std::vector<std::pair<Key, Entry>> stored_;
+  /// Open-addressing index over stored_ (linear probing, power-of-two size,
+  /// at most half full): 0 marks an empty slot, i + 1 names stored_[i].
+  std::vector<std::uint32_t> stored_index_;
   mutable Stripe stripes_[kNumStripes];
+  LookupCount lookups_[kNumStripes];
   std::shared_ptr<ArtifactStore> store_;
   common::ThreadPool* search_pool_ = nullptr;
-  std::atomic<std::size_t> lookups_{0};
   std::atomic<std::size_t> searches_{0};
-  std::size_t store_loaded_ = 0;
 };
 
 /// Supervised IL dataset: policy states paired with Oracle configurations.

@@ -8,7 +8,13 @@
 // pass.  predicted_bisection fills the lanes with scales the sequential loop
 // would probe next and keeps only outcomes that loop would see, so it returns
 // the loop's bracket bit for bit, whatever the probe answers and whatever
-// the prediction is: neither has to be monotone, finite or right.
+// the prediction is: neither has to be monotone, finite or right.  The probe
+// only has to answer the same for the same scale.
+//
+// Once a midpoint equals lo or hi, the bracket has reached double resolution
+// and the step that probes it is the last that can move it: every later step
+// probes that same scale and sets the same end to it again (a non-violating
+// hi becomes lo and stays so).  The search stops after that step.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +45,8 @@ struct Bracket {
 /// and 2 the brackets it leaves when it violates and when it does not, and
 /// lane 3 repeats lane 0, so it never lengthens the pass.  A right
 /// prediction costs ceil(kIterations / 4) bisection passes, and a wrong one
-/// at most one pass more than the tree alone, ceil(kIterations / 2).
+/// at most one pass more than the tree alone, ceil(kIterations / 2); a
+/// bracket that reaches double resolution sooner ends the search with it.
 template <int kIterations, class Probe>
 Bracket predicted_bisection(const Probe& probe, double predicted) {
   constexpr std::size_t kLanes = common::kernels::kProbeLanes;
@@ -62,6 +69,13 @@ Bracket predicted_bisection(const Probe& probe, double predicted) {
 
   double lo = 0.0;
   int it = 0;
+  // Applies one step's outcome and returns the next step's count, or
+  // kIterations once the step's midpoint was lo or hi (see the top).
+  const auto settle = [&lo, &hi, &it](double mid, bool violates) {
+    const bool last = mid == lo || mid == hi;
+    (violates ? hi : lo) = mid;
+    return last ? kIterations : it + 1;
+  };
   for (bool on_path = true; on_path && it < kIterations;) {
     bool guess[kLanes];
     double path_lo = lo, path_hi = hi;
@@ -71,9 +85,9 @@ Bracket predicted_bisection(const Probe& probe, double predicted) {
       (guess[l] ? path_hi : path_lo) = scale[l];
     }
     const unsigned violated = probe(scale);
-    for (std::size_t l = 0; on_path && l < kLanes && it < kIterations; ++l, ++it) {
+    for (std::size_t l = 0; on_path && l < kLanes && it < kIterations; ++l) {
       const bool v = (violated >> l & 1u) != 0;
-      (v ? hi : lo) = scale[l];
+      it = settle(scale[l], v);
       on_path = v == guess[l];
     }
   }
@@ -85,11 +99,8 @@ Bracket predicted_bisection(const Probe& probe, double predicted) {
     scale[2] = 0.5 * (mid + hi);
     const unsigned violated = probe(scale);
     const std::size_t next = (violated & 1u) != 0 ? 1 : 2;
-    ((violated & 1u) != 0 ? hi : lo) = mid;
-    if (++it < kIterations) {
-      ((violated >> next & 1u) != 0 ? hi : lo) = scale[next];
-      ++it;
-    }
+    it = settle(mid, (violated & 1u) != 0);
+    if (it < kIterations) it = settle(scale[next], (violated >> next & 1u) != 0);
   }
   return {lo, hi};
 }

@@ -11,9 +11,12 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/thread_pool.h"
 #include "core/artifact_store.h"
 #include "core/il_policy.h"
@@ -113,6 +116,82 @@ TEST(ArtifactStoreBlob, RejectsChecksumCorruption) {
   EXPECT_NE(files[0].detail.find("checksum"), std::string::npos);
 }
 
+/// Writes a store file by hand: the 32-byte header (magic, version, `kind`,
+/// `count`, FNV-1a checksum of `payload`), then `payload`.
+void write_store_file(const fs::path& file, std::uint32_t kind, std::uint64_t count,
+                      const std::vector<unsigned char>& payload) {
+  std::uint64_t checksum = common::kFnvOffsetBasis;
+  for (unsigned char b : payload) {
+    checksum ^= b;
+    checksum *= 1099511628211ULL;
+  }
+  std::vector<unsigned char> bytes;
+  const auto put = [&bytes](std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) bytes.push_back(static_cast<unsigned char>(v >> (8 * i)));
+  };
+  put(ArtifactStore::kMagic, 8);
+  put(ArtifactStore::kVersion, 4);
+  put(kind, 4);
+  put(count, 8);
+  put(checksum, 8);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  std::ofstream(file, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ArtifactStoreFiles, ShortOrChangedSizeFileIsRejected) {
+  // A file is read whole with one sized read, then its size is held to the
+  // header's record count.  Cut mid-record, grown by a byte, or carrying a
+  // count whose byte size wraps to the payload's, it is rejected (and so
+  // recomputed), never decoded past its end.
+  const fs::path dir = fresh_dir("sizes");
+  soc::BigLittlePlatform plat;
+  const auto trace = test_trace("FFT", 2, 17);
+  {
+    OracleCache cache(std::make_shared<ArtifactStore>(dir.string()));
+    for (const auto& s : trace) (void)cache.config(plat, s, Objective::kEnergy);
+    ASSERT_EQ(cache.flush(), trace.size());
+  }
+  const fs::path bucket = only_file(dir);
+  const std::uintmax_t size = fs::file_size(bucket);
+  ASSERT_EQ(size, 32u + 96u * trace.size());
+  const auto expect_rejected = [&](const std::string& what) {
+    const ArtifactStore store(dir.string());
+    EXPECT_TRUE(store.load_oracle_entries().empty()) << what;
+    const auto files = store.inspect();
+    ASSERT_EQ(files.size(), 1u) << what;
+    EXPECT_FALSE(files[0].valid) << what;
+    EXPECT_NE(files[0].detail.find("size mismatch"), std::string::npos) << files[0].detail;
+    OracleCache cold(std::make_shared<ArtifactStore>(dir.string()));
+    EXPECT_EQ(cold.store_loaded(), 0u) << what;
+  };
+  const fs::path saved = dir.string() + ".bucket";
+  fs::copy_file(bucket, saved, fs::copy_options::overwrite_existing);
+
+  fs::resize_file(bucket, size - 40);  // cut inside the last record
+  expect_rejected("short by 40 bytes");
+  fs::copy_file(saved, bucket, fs::copy_options::overwrite_existing);
+  fs::resize_file(bucket, size + 1);  // one stray byte after the last record
+  expect_rejected("one byte longer");
+
+  // 2^59 records of 96 bytes wrap to 0 bytes: an empty payload with a valid
+  // checksum must not pass for 2^59 records.
+  fs::remove(bucket);
+  write_store_file(bucket, ArtifactStore::kKindOracle, 1ULL << 59, {});
+  expect_rejected("wrapping record count");
+  fs::remove(bucket);
+  fs::remove(saved);
+
+  // The same for a blob: 2^61 doubles wrap to 0 bytes.
+  ArtifactStore store(dir.string());
+  store.put_blob("w", 5, {1.0, 2.0});
+  write_store_file(only_file(dir), ArtifactStore::kKindBlob, 1ULL << 61, {});
+  EXPECT_FALSE(store.get_blob("w", 5).has_value());
+  const auto files = store.inspect();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_FALSE(files[0].valid);
+}
+
 /// Minimal stored artifact for the get_or_compute tests: one value, and an
 /// import that rejects negative values (leaving the artifact blank).
 struct OneValue {
@@ -206,6 +285,110 @@ TEST(OracleStore, CrossProcessWarmReuse) {
   }
   EXPECT_EQ(warm.searches(), 0u);
   EXPECT_EQ(warm.hits(), 2 * trace.size());
+}
+
+/// The bytes of every file in `dir`, by name.
+std::map<std::string, std::string> file_bytes(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    out[e.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(OracleStore, WarmCacheCountsAndValuesMatchCold) {
+  // Two platforms and two objectives: four bucket files.  A warm cache
+  // serves the stored half of the keys from its preloaded table, searches
+  // the other half, and counts exactly as a cold cache does: one lookup per
+  // call, one search per key not in the store, size() over both.  Every
+  // value is bitwise the cold cache's.
+  const fs::path dir = fresh_dir("warm-counts");
+  soc::PlatformParams heavy;
+  heavy.ceff_big_nf *= 3.0;
+  const soc::BigLittlePlatform plat_a, plat_b(heavy);
+  const soc::BigLittlePlatform* const plats[] = {&plat_a, &plat_b};
+  const Objective objs[] = {Objective::kEnergy, Objective::kPerfPerWatt};
+  const auto trace = test_trace("Kmeans", 6, 23);
+  const std::size_t stored = 2 * 2 * 3;  // the first 3 snippets per (platform, objective)
+  {
+    OracleCache fill(std::make_shared<ArtifactStore>(dir.string()));
+    for (const soc::BigLittlePlatform* p : plats)
+      for (Objective obj : objs)
+        for (std::size_t i = 0; i < 3; ++i) (void)fill.config(*p, trace[i], obj);
+    ASSERT_EQ(fill.flush(), stored);
+  }
+  ASSERT_EQ(file_bytes(dir).size(), 4u);
+
+  OracleCache cold;
+  OracleCache warm(std::make_shared<ArtifactStore>(dir.string()));
+  EXPECT_EQ(warm.store_loaded(), stored);
+  EXPECT_EQ(warm.size(), stored);
+  EXPECT_EQ(warm.lookups(), 0u);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const soc::BigLittlePlatform* p : plats)
+      for (Objective obj : objs)
+        for (const auto& s : trace) {
+          EXPECT_EQ(warm.config(*p, s, obj), cold.config(*p, s, obj));
+          EXPECT_TRUE(same_bits(warm.cost(*p, s, obj), cold.cost(*p, s, obj)));
+        }
+  }
+  const std::size_t calls = 2 * 2 * 2 * trace.size() * 2;
+  EXPECT_EQ(warm.lookups(), calls);
+  EXPECT_EQ(cold.lookups(), calls);
+  EXPECT_EQ(warm.searches(), 2 * 2 * trace.size() - stored);
+  EXPECT_EQ(cold.searches(), 2 * 2 * trace.size());
+  EXPECT_EQ(warm.hits(), calls - warm.searches());
+  EXPECT_EQ(warm.size(), cold.size());
+  EXPECT_EQ(warm.store_loaded(), stored);
+}
+
+TEST(OracleStore, DuplicateStoredKeyLoadsOnce) {
+  // The same bucket under a second valid name holds every key twice: the
+  // first copy loaded wins, and each key counts once.
+  const fs::path dir = fresh_dir("dup");
+  soc::BigLittlePlatform plat;
+  const auto trace = test_trace("SHA", 3, 29);
+  {
+    OracleCache fill(std::make_shared<ArtifactStore>(dir.string()));
+    for (const auto& s : trace) (void)fill.config(plat, s, Objective::kEnergy);
+  }
+  fs::copy_file(only_file(dir), dir / "oracle-0123456789abcdef.bin");
+  OracleCache warm(std::make_shared<ArtifactStore>(dir.string()));
+  EXPECT_EQ(warm.store_loaded(), trace.size());
+  EXPECT_EQ(warm.size(), trace.size());
+  for (const auto& s : trace)
+    EXPECT_EQ(warm.config(plat, s, Objective::kEnergy),
+              oracle_config(plat, s, Objective::kEnergy));
+  EXPECT_EQ(warm.searches(), 0u);
+}
+
+TEST(OracleStore, FlushAfterWarmLoadLeavesBucketsByteIdentical) {
+  const fs::path dir = fresh_dir("warm-flush");
+  soc::PlatformParams heavy;
+  heavy.ceff_big_nf *= 3.0;
+  const soc::BigLittlePlatform plat_a, plat_b(heavy);
+  const auto trace = test_trace("FFT", 4, 37);
+  {
+    OracleCache fill(std::make_shared<ArtifactStore>(dir.string()));
+    for (const auto& s : trace) {
+      (void)fill.config(plat_a, s, Objective::kEnergy);
+      (void)fill.config(plat_b, s, Objective::kEnergy);
+    }
+  }
+  const auto before = file_bytes(dir);
+  ASSERT_EQ(before.size(), 2u);
+  {
+    OracleCache warm(std::make_shared<ArtifactStore>(dir.string()));
+    for (const auto& s : trace) (void)warm.cost(plat_b, s, Objective::kEnergy);
+    EXPECT_EQ(warm.searches(), 0u);
+    EXPECT_EQ(warm.flush(), 0u);
+    // The destructor flushes once more.
+  }
+  EXPECT_EQ(file_bytes(dir), before);
 }
 
 TEST(OracleStore, CorruptBucketRecomputesWithoutCrash) {

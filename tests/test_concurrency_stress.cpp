@@ -3,7 +3,8 @@
 // -DOAL_SANITIZE=thread, where they give TSan real contention to chew on:
 //
 //  * OracleCache cold-miss coalescing: many threads miss the same key at
-//    once; exactly one exhaustive sweep may run.
+//    once; exactly one exhaustive sweep may run.  Warm hits on stored keys
+//    (read without a lock) mixed with cold misses keep exact counts.
 //  * Nested run_helping: pool workers re-enter the pool (the sharded Oracle
 //    search path) without deadlock and bitwise equal to serial.
 //  * run_any_streaming: the generator/sink (caller thread) overlaps shard
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -132,6 +134,54 @@ TEST(ConcurrencyStress, OracleCacheDistinctKeysUnderContention) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(cache.searches(), trace.size());
   EXPECT_EQ(cache.size(), trace.size());
+}
+
+TEST(ConcurrencyStress, OracleCacheWarmHitsAndColdMissesMixed) {
+  // Half the keys come from a store (the lock-free preloaded table), half
+  // are searched here (the striped maps and in-flight coalescing).  Eight
+  // threads resolve every key from staggered offsets: the counts are exact
+  // and every value is bitwise the serial cold run's.
+  const fs::path dir = fresh_dir("warm-mixed");
+  soc::BigLittlePlatform plat;
+  const auto trace = test_trace("Qsort", 12, 41);
+  const std::size_t stored = trace.size() / 2;
+  {
+    OracleCache fill(std::make_shared<ArtifactStore>(dir.string()));
+    for (std::size_t i = 0; i < stored; ++i) (void)fill.config(plat, trace[i], Objective::kEnergy);
+  }
+  std::vector<std::pair<soc::SocConfig, double>> serial;
+  for (const auto& s : trace) serial.push_back(oracle_search(plat, s, Objective::kEnergy));
+
+  OracleCache cache(std::make_shared<ArtifactStore>(dir.string()));
+  ASSERT_EQ(cache.store_loaded(), stored);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  StartGate gate(kThreads);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      gate.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round)
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+          const std::size_t j = (i + static_cast<std::size_t>(t)) % trace.size();
+          const soc::SocConfig c = cache.config(plat, trace[j], Objective::kEnergy);
+          const double cost = cache.cost(plat, trace[j], Objective::kEnergy);
+          if (!(c == serial[j].first) ||
+              std::memcmp(&cost, &serial[j].second, sizeof cost) != 0)
+            mismatches.fetch_add(1);
+        }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cache.lookups(), static_cast<std::size_t>(2 * kThreads * kRounds) * trace.size());
+  EXPECT_EQ(cache.searches(), trace.size() - stored);
+  EXPECT_EQ(cache.hits(), cache.lookups() - cache.searches());
+  EXPECT_EQ(cache.size(), trace.size());
+  EXPECT_EQ(cache.store_loaded(), stored);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,14 +17,18 @@
 
 #include <cmath>
 #include <deque>
+#include <filesystem>
+#include <memory>
 
 #include "alloc_guard.h"
 
+#include "core/artifact_store.h"
 #include "core/governors.h"
 #include "core/il_policy.h"
 #include "core/models.h"
 #include "core/nmpc.h"
 #include "core/online_il.h"
+#include "core/oracle.h"
 #include "core/rl_controller.h"
 #include "ml/mlp.h"
 #include "ml/qlearn.h"
@@ -467,6 +471,36 @@ TEST(HotPathAlloc, OnlineIlStepIsAllocFreeBetweenRetrains) {
     EXPECT_GT(steps, 30u);
     EXPECT_EQ(ctl.buffer_fill(), fill + steps);
   }
+}
+
+TEST(HotPathAlloc, OracleCacheWarmHitIsAllocFree) {
+  // A store-preloaded key is served from the cache's immutable table: the
+  // key hash, one probe and a counter add, with no lock and no allocation.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "oal-hot-path-warm-oracle";
+  std::filesystem::remove_all(dir);
+  soc::BigLittlePlatform plat;
+  common::Rng rng(43);
+  const auto trace =
+      workloads::CpuBenchmarks::trace(workloads::CpuBenchmarks::by_name("FFT"), 4, rng);
+  {
+    OracleCache fill(std::make_shared<ArtifactStore>(dir.string()));
+    for (const auto& s : trace) (void)fill.config(plat, s, Objective::kEnergy);
+  }
+  OracleCache warm(std::make_shared<ArtifactStore>(dir.string()));
+  ASSERT_EQ(warm.store_loaded(), trace.size());
+  double sum = 0.0;
+  AllocationProbe probe;
+  for (int round = 0; round < 64; ++round)
+    for (const auto& s : trace) {
+      sum += warm.cost(plat, s, Objective::kEnergy);
+      sum += warm.config(plat, s, Objective::kEnergy).num_big;
+    }
+  EXPECT_EQ(probe.delta(), 0u);
+  EXPECT_EQ(warm.searches(), 0u);
+  EXPECT_EQ(warm.lookups(), 2 * 64 * trace.size());
+  EXPECT_TRUE(std::isfinite(sum));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(HotPathAlloc, HashStateOverloadsAgree) {

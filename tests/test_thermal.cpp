@@ -525,18 +525,29 @@ TEST(PowerBudgeter, PreheatedH240RefreshTakesTwelvePasses) {
 // and the lanes see the same outcome for the same scale) against
 // predictions that are right, wrong, non-finite or random.
 
-/// The loop predicted_bisection reproduces, one scale at a time;
-/// `doubling_probes` receives how many scales the doubling phase tried.
+/// The loop predicted_bisection reproduces, one scale at a time, always run
+/// for all kIterations steps.  `doubling_probes` receives how many scales the
+/// doubling phase tried, and `live_steps` how many bisection steps ran up to
+/// and including the first whose midpoint equalled lo or hi (kIterations if
+/// none did): the steps predicted_bisection has to take.  `mid_was_hi`, when
+/// given, receives whether that midpoint equalled hi (else lo, or neither).
 template <int kIterations, class Violates>
-Bracket sequential_bisection(const Violates& violates, int* doubling_probes) {
+Bracket sequential_bisection(const Violates& violates, int* doubling_probes, int* live_steps,
+                             bool* mid_was_hi = nullptr) {
   double lo = 0.0, hi = 1.0;
   *doubling_probes = 1;
   while (!violates(hi) && hi < 1e4) {
     hi *= 2.0;
     ++*doubling_probes;
   }
+  *live_steps = kIterations;
+  if (mid_was_hi != nullptr) *mid_was_hi = false;
   for (int it = 0; it < kIterations; ++it) {
     const double mid = 0.5 * (lo + hi);
+    if ((mid == lo || mid == hi) && *live_steps == kIterations) {
+      *live_steps = it + 1;
+      if (mid_was_hi != nullptr) *mid_was_hi = mid == hi;
+    }
     (violates(mid) ? hi : lo) = mid;
   }
   return {lo, hi};
@@ -559,14 +570,15 @@ int lane_bisection(const Violates& violates, double predicted, Bracket* out) {
 }
 
 /// Holds predicted_bisection to the sequential loop's bracket for every
-/// prediction in `predictions`, and to its pass bounds: ceil(K / 4)
-/// bisection passes when `exact` predicts every outcome, at most one more
-/// than the 2-level tree's ceil(K / 2) otherwise.
+/// prediction in `predictions`, and to its pass bounds over the L live steps
+/// (sequential_bisection): ceil(L / 4) bisection passes when `exact`
+/// predicts every outcome, at most one more than the 2-level tree's
+/// ceil(L / 2) otherwise.
 template <int kIterations, class Violates>
 void expect_matches_sequential(const Violates& violates, const std::vector<double>& predictions,
                                double exact, const std::string& what) {
-  int doubling_probes = 0;
-  const Bracket want = sequential_bisection<kIterations>(violates, &doubling_probes);
+  int doubling_probes = 0, live = 0;
+  const Bracket want = sequential_bisection<kIterations>(violates, &doubling_probes, &live);
   const int doubling_passes = (doubling_probes + 3) / 4;
   for (double predicted : predictions) {
     Bracket got{};
@@ -574,13 +586,12 @@ void expect_matches_sequential(const Violates& violates, const std::vector<doubl
     EXPECT_TRUE(same_bits(got.lo, want.lo) && same_bits(got.hi, want.hi))
         << what << " K=" << kIterations << " predicted " << predicted << ": [" << got.lo << ", "
         << got.hi << "] vs [" << want.lo << ", " << want.hi << "]";
-    EXPECT_LE(passes, doubling_passes + (kIterations + 1) / 2 + 1)
+    EXPECT_LE(passes, doubling_passes + (live + 1) / 2 + 1)
         << what << " K=" << kIterations << " predicted " << predicted;
   }
   if (!std::isnan(exact)) {
     Bracket got{};
-    EXPECT_EQ(lane_bisection<kIterations>(violates, exact, &got),
-              doubling_passes + (kIterations + 3) / 4)
+    EXPECT_EQ(lane_bisection<kIterations>(violates, exact, &got), doubling_passes + (live + 3) / 4)
         << what << " K=" << kIterations << " exact prediction " << exact;
   }
 }
@@ -634,11 +645,50 @@ void expect_search_matches_sequential_loop() {
       x ^= x >> 29;
       return (x & 3u) < cut;
     };
-    int doubling = 0;
-    const double edge = sequential_bisection<kIterations>(hashed, &doubling).lo;
+    int doubling = 0, live = 0;
+    const double edge = sequential_bisection<kIterations>(hashed, &doubling, &live).lo;
     expect_matches_sequential<kIterations>(hashed, adversarial_predictions(edge, rng), nan,
                                            "hashed seed " + std::to_string(seed));
   }
+}
+
+/// Brackets that reach double resolution within kIterations steps, both
+/// ways: the last live midpoint equal to hi (a non-violating hi becomes lo,
+/// as under the doubling cap) and equal to lo.  Thresholds spread over the
+/// doubling range, plus the never-violating probe (hi capped at 16384).
+/// Holds each to the full-length loop and checks that both ways occur
+/// before kIterations, so the early stop is what the bitwise check covers.
+template <int kIterations>
+void expect_resolution_cases() {
+  common::Rng rng(7 * kIterations);
+  std::vector<double> thresholds{0.37, 0.75, 3.3, 1000.5, 9999.0};
+  for (int k = 0; k < 24; ++k) thresholds.push_back(std::exp(rng.uniform(-3.0, 9.0)));
+  int ends_at_lo = 0, ends_at_hi = 0;
+  const auto count = [&](const auto& violates) {
+    int doubling = 0, live = 0;
+    bool mid_was_hi = false;
+    sequential_bisection<kIterations>(violates, &doubling, &live, &mid_was_hi);
+    if (live < kIterations) ++(mid_was_hi ? ends_at_hi : ends_at_lo);
+    return live;
+  };
+  for (double t : thresholds) {
+    const auto above = [t](double s) { return s > t; };
+    const auto at_or_above = [t](double s) { return s >= t; };
+    count(above);
+    count(at_or_above);
+    expect_matches_sequential<kIterations>(above, adversarial_predictions(t, rng), t,
+                                           "resolution s > " + std::to_string(t));
+    expect_matches_sequential<kIterations>(at_or_above, adversarial_predictions(t, rng),
+                                           std::numeric_limits<double>::quiet_NaN(),
+                                           "resolution s >= " + std::to_string(t));
+  }
+  const auto never = [](double) { return false; };
+  EXPECT_LT(count(never), kIterations);
+  expect_matches_sequential<kIterations>(never, adversarial_predictions(1e4, rng),
+                                         std::numeric_limits<double>::quiet_NaN(),
+                                         "resolution never");
+  EXPECT_GT(ends_at_lo, 0) << "K=" << kIterations;
+  EXPECT_GT(ends_at_hi, 0) << "K=" << kIterations;
 }
 
 TEST(PredictedBisection, MatchesSequentialLoopBitwiseForAnyProbeAndPrediction) {
@@ -648,6 +698,12 @@ TEST(PredictedBisection, MatchesSequentialLoopBitwiseForAnyProbeAndPrediction) {
   expect_search_matches_sequential_loop<60>();
   expect_search_matches_sequential_loop<7>();
   expect_search_matches_sequential_loop<1>();
+  // Long enough to bisect down to the subnormals: an all-violating probe's
+  // bracket then collapses onto 0.
+  expect_search_matches_sequential_loop<1100>();
+  // The steady-state step count, on brackets that reach double resolution
+  // first: the search stops there.
+  expect_resolution_cases<60>();
 }
 
 TEST(PowerBudgeter, RejectsBadInputs) {
