@@ -11,13 +11,15 @@
 // scenarios, C and D are custom AnyScenario closures that own all their
 // state.  The online-IL arms share one MiBench offline dataset, collected
 // once on a platform of its own (core::offline_dataset, --store aware) and
-// only when a selected arm needs it; each arm trains its own policy copy on
-// the worker.  The default OnlineIlConfig is one arm, "ablate/default",
+// only when a selected arm needs it.  Each distinct IlPolicyConfig among the
+// selected arms (Adam, SGD, SGD + momentum) is trained once, in parallel, in
+// setup (core::offline_policy, --store aware); each arm adapts a copy of
+// its policy.  The default OnlineIlConfig is one arm, "ablate/default",
 // which supplies the paper-setting row of tables A (buffer 100), B (full
 // candidate set) and E (Adam).  One parallel batch executes whatever the
 // driver's prefixes select.
-#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -49,14 +51,16 @@ struct OnlineArmResult {
 struct SharedArtifacts {
   std::shared_ptr<OracleCache> cache;
   std::shared_ptr<const OfflineData> off;
+  /// Offline policies by il_policy_config_hash of the arm's policy_config().
+  std::map<std::uint64_t, std::shared_ptr<const IlPolicy>> policies;
 };
 
 /// The one arm every table shares: the default OnlineIlConfig.
 const std::string kDefaultArm = "ablate/default";
 
-/// Builds the online-IL arm scenario for one OnlineIlConfig: policy training
-/// on the shared offline dataset and model bootstrap run in the factory, on
-/// the worker.
+/// Builds the online-IL arm scenario for one OnlineIlConfig: the factory
+/// copies the arm's shared offline policy and bootstraps its models, on the
+/// worker.
 Scenario online_arm_scenario(const OnlineIlConfig& cfg, const SharedArtifacts& shared) {
   Scenario s;
   common::Rng seq_rng(99);
@@ -67,7 +71,8 @@ Scenario online_arm_scenario(const OnlineIlConfig& cfg, const SharedArtifacts& s
     apps.push_back(a);
   s.trace = workloads::CpuBenchmarks::sequence(apps, seq_rng);
   s.oracle_cache = shared.cache;
-  s.make_controller = online_il_factory(shared.off, /*train_seed=*/5, cfg);
+  s.make_controller = online_il_factory(
+      shared.policies.at(il_policy_config_hash(cfg.policy_config())), shared.off, cfg);
   s.extra_metrics = [](const DrmController& ctl, const RunResult&) {
     const auto& il = dynamic_cast<const OnlineIlController&>(ctl);
     return Metrics{{"train_time_s", il.policy_train_time_s()},
@@ -265,18 +270,32 @@ int main(int argc, char** argv) {
   // The engine outlives the cache that borrows its pool: cold Oracle
   // searches issued from inside arm workers shard across the same pool via
   // its helping-drain path, and --store makes them persistent.  The offline
-  // dataset is only collected (or restored) when an online-IL arm runs.
+  // dataset and policies are only made (or restored) for the online-IL arms
+  // that run.
   ExperimentEngine engine;
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
-  const auto selected = driver.selection(registry);
-  if (std::any_of(selected.begin(), selected.end(),
-                  [&](const std::string& name) { return configs.count(name) > 0; })) {
+  std::vector<IlPolicyConfig> policy_cfgs;  // distinct, in arm-id order
+  for (const std::string& name : driver.selection(registry)) {
+    const auto it = configs.find(name);
+    if (it == configs.end()) continue;
+    const IlPolicyConfig pc = it->second.policy_config();
+    if (shared->policies.emplace(il_policy_config_hash(pc), nullptr).second)
+      policy_cfgs.push_back(pc);
+  }
+  if (!policy_cfgs.empty()) {
     shared->off = offline_dataset(soc::PlatformParams{},
                                   workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench),
                                   Objective::kEnergy, /*snippets_per_app=*/40,
                                   /*configs_per_snippet=*/6, /*collect_seed=*/7,
                                   /*thermal_aware=*/false, shared->cache.get(),
                                   driver.store().get(), &engine.pool());
+    const auto trained =
+        engine.pool().parallel_map(policy_cfgs, [&](const IlPolicyConfig& pc, std::size_t) {
+          return offline_policy(*shared->off, soc::ConfigSpace(), pc, /*train_seed=*/5,
+                                driver.store().get());
+        });
+    for (const auto& policy : trained)
+      shared->policies[il_policy_config_hash(policy->config())] = policy;
   }
 
   const auto results = engine.run_any(driver.select(registry));

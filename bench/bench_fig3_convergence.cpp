@@ -8,13 +8,16 @@
 // OPP is within one 100 MHz step of the Oracle's.
 //
 // The IL and RL arms are ScenarioRegistry entries ("fig3/il", "fig3/rl")
-// sharing the same trace and offline dataset; each arm trains its own
-// policy copy and the RL arm pre-trains through the Scenario warmup trace.
+// sharing the same trace.  The IL arm adapts the offline policy trained on
+// the MiBench dataset, which its factory trains (or restores from --store)
+// on the worker, alongside the RL arm; the RL arm pre-trains through the
+// Scenario warmup trace.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <utility>
 
 #include "bench/driver.h"
 #include "common/table.h"
@@ -61,11 +64,17 @@ int main(int argc, char** argv) {
   auto il_updates = std::make_shared<std::size_t>(0);
 
   ScenarioRegistry registry;
-  registry.add("fig3/il", [shared, seq, il_updates] {
+  registry.add("fig3/il", [shared, seq, il_updates, store = driver.store()] {
     Scenario s;
     s.trace = seq;
     s.oracle_cache = shared->cache;
-    s.make_controller = online_il_factory(shared->off, /*train_seed=*/5);
+    // The one IL arm needs the one policy: making it here, not in setup,
+    // overlaps its training with the RL arm.
+    s.make_controller = [shared, store](ScenarioContext& ctx) {
+      auto policy = offline_policy(*shared->off, ctx.platform.space(), IlPolicyConfig{},
+                                   /*train_seed=*/5, store.get());
+      return online_il_factory(std::move(policy), shared->off, OnlineIlConfig{})(ctx);
+    };
     s.on_complete = [il_updates](DrmController& ctl, const RunResult&) {
       *il_updates = dynamic_cast<OnlineIlController&>(ctl).policy_updates();
     };
@@ -96,8 +105,9 @@ int main(int argc, char** argv) {
   // Both arms evaluate the same trace, so the exhaustive Oracle search runs
   // once per snippet instead of once per arm.  The engine's pool shards each
   // cold search and labels the collection trace in parallel; --store makes
-  // the searches and the offline dataset persistent across invocations.  The
-  // dataset is only collected (or restored) when the IL arm actually runs.
+  // the searches, the offline dataset and the offline policy persistent
+  // across invocations.  The dataset is only collected (or restored) when
+  // the IL arm actually runs.
   ExperimentEngine engine;
   const auto selected = driver.selection(registry);
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());

@@ -9,8 +9,9 @@
 //
 // All 20 arms (9 offline apps x {IL, RL} + 2 online sequences) are named
 // scenarios in a ScenarioRegistry selected through the shared bench driver
-// and executed as one parallel batch.  The offline dataset, the frozen IL
-// policy, and the pretrained RL table are shared read-only across arms and
+// and executed as one parallel batch.  The offline dataset, the IL policy
+// (frozen in the offline arms, copied and adapted by the online arm), and
+// the pretrained RL table are shared read-only across arms and
 // are computed (or restored from --store) only when at least one arm
 // actually runs (--list stays free), through a context the builders
 // dereference lazily.
@@ -100,7 +101,7 @@ int main(int argc, char** argv) {
     Scenario s;
     s.trace = seq;
     s.oracle_cache = shared->cache;
-    s.make_controller = online_il_factory(shared->off, /*train_seed=*/5);
+    s.make_controller = online_il_factory(shared->policy, shared->off, OnlineIlConfig{});
     // Training-cost telemetry for the JSONL record (regression-gated final
     // loss; wall-time is reported but never gated — it is machine-dependent).
     s.extra_metrics = [](const DrmController& ctl, const RunResult&) {
@@ -150,20 +151,12 @@ int main(int argc, char** argv) {
                                   /*collect_seed=*/7, /*thermal_aware=*/false,
                                   shared->cache.get(), driver.store().get(), &engine.pool());
 
-    // Frozen offline policy, shared read-only by every Offline-IL scenario.
-    // The artifact carries the training bookkeeping, so the record below is
-    // bitwise identical whether the policy was restored or trained.
-    std::uint64_t il_key = plat.fingerprint();
-    common::fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
-    for (std::uint64_t v : {std::uint64_t{40}, std::uint64_t{6}, std::uint64_t{7},
-                            std::uint64_t{5}})  // collect geometry + collect/train seeds
-      common::fnv1a_mix(il_key, v);
-    shared->policy = std::make_shared<const IlPolicy>(get_or_compute(
-        driver.store().get(), "fig4-il-policy", il_key, IlPolicy(plat.space()),
-        [&](IlPolicy& policy) {
-          common::Rng il_rng(5);
-          policy.train_offline(shared->off->policy, il_rng);
-        }));
+    // One offline policy: every Offline-IL scenario runs it frozen, and the
+    // online arm adapts a copy.  The artifact carries the final loss, so the
+    // record below is identical whether the policy was restored or trained
+    // (train_time_s is wall-clock, 0 after a restore).
+    shared->policy = offline_policy(*shared->off, plat.space(), IlPolicyConfig{}, /*train_seed=*/5,
+                                    driver.store().get());
     driver.json().write_metrics(driver.bench_name(), "fig4/offline_policy_training",
                                 {{"train_time_s", shared->policy->train_time_s()},
                                  {"final_loss", shared->policy->last_train_loss()}});

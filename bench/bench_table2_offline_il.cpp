@@ -84,14 +84,16 @@ int main(int argc, char** argv) {
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   const auto mibench = workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench);
   // Content address of the trained policy: platform + objective + collect
-  // geometry/seed.  Training continues the collect rng, so the collect seed
-  // pins the training stream too.
+  // geometry/seed + policy config.  Training continues the collect rng, so
+  // the collect seed pins the training stream too.
+  const IlPolicyConfig policy_cfg;
   std::uint64_t il_key = plat.fingerprint();
   common::fnv1a_mix(il_key, static_cast<std::uint64_t>(Objective::kEnergy));
   for (std::uint64_t v : {std::uint64_t{40}, std::uint64_t{6}, std::uint64_t{7}})
     common::fnv1a_mix(il_key, v);
+  common::fnv1a_mix(il_key, il_policy_config_hash(policy_cfg));
   shared->policy = std::make_shared<const IlPolicy>(get_or_compute(
-      driver.store().get(), "table2-il-policy", il_key, IlPolicy(plat.space()),
+      driver.store().get(), "table2-il-policy", il_key, IlPolicy(plat.space(), policy_cfg),
       [&](IlPolicy& policy) {
         common::Rng rng(7);
         const auto off =

@@ -206,19 +206,24 @@ int main(int argc, char** argv) {
   tight.ambient_c = 40.0;
   tight.horizon_s = 0.0;
 
-  // Online-IL trains on SHA + FFT offline data, collected once per feature
-  // space (blind, thermal-aware) after the --list fast path, and only when a
-  // selected arm needs it.
-  struct IlDatasets {
-    std::shared_ptr<const OfflineData> blind, aware;
+  // Online-IL starts from SHA + FFT offline data: one dataset and one
+  // offline policy per feature space (blind, thermal-aware), made after the
+  // --list fast path and only when a selected arm needs them.  Every arm of
+  // a feature space adapts its own copy of that space's policy.
+  struct IlArtifacts {
+    std::shared_ptr<const OfflineData> off;
+    std::shared_ptr<const IlPolicy> policy;
   };
-  auto datasets = std::make_shared<IlDatasets>();
-  const auto il_factory = [datasets](bool aware) -> ControllerFactory {
+  auto il = std::make_shared<std::array<IlArtifacts, 2>>();  // [blind, aware]
+  const auto il_config = [](bool aware) {
     OnlineIlConfig cfg;
     cfg.thermal_aware = aware;
-    return [datasets, cfg](ScenarioContext& ctx) {
-      return online_il_factory(cfg.thermal_aware ? datasets->aware : datasets->blind,
-                               /*train_seed=*/5, cfg)(ctx);
+    return cfg;
+  };
+  const auto il_factory = [il, il_config](bool aware) -> ControllerFactory {
+    return [il, cfg = il_config(aware)](ScenarioContext& ctx) {
+      const IlArtifacts& a = (*il)[cfg.thermal_aware ? 1 : 0];
+      return online_il_factory(a.policy, a.off, cfg)(ctx);
     };
   };
   const std::map<std::string, ControllerFactory> controllers{
@@ -304,8 +309,16 @@ int main(int argc, char** argv) {
                            /*configs_per_snippet=*/4, /*collect_seed=*/7, aware, cache.get(),
                            driver.store().get(), &engine.pool());
   };
-  if (need_blind) datasets->blind = collect(false);
-  if (need_aware) datasets->aware = collect(true);
+  std::vector<int> spaces;  // feature spaces to make: 0 blind, 1 aware
+  if (need_blind) spaces.push_back(0);
+  if (need_aware) spaces.push_back(1);
+  for (int aware : spaces) (*il)[aware].off = collect(aware != 0);
+  const auto policies = engine.pool().parallel_map(spaces, [&](int aware, std::size_t) {
+    return offline_policy(*(*il)[aware].off, soc::ConfigSpace(),
+                          il_config(aware != 0).policy_config(), /*train_seed=*/5,
+                          driver.store().get());
+  });
+  for (std::size_t i = 0; i < spaces.size(); ++i) (*il)[spaces[i]].policy = policies[i];
 
   const auto results = engine.run_any(driver.select(registry));
   driver.json().write(driver.bench_name(), results);

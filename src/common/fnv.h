@@ -20,14 +20,17 @@ inline void fnv1a_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
+/// Folds the bit pattern of one double into the running hash h.
+inline void fnv1a_mix_double(std::uint64_t& h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  fnv1a_mix(h, bits);
+}
+
 /// FNV-1a over the bit patterns of `values`, in order.
 inline std::uint64_t fnv1a_doubles(std::initializer_list<double> values) {
   std::uint64_t h = kFnvOffsetBasis;
-  for (double v : values) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fnv1a_mix(h, bits);
-  }
+  for (double v : values) fnv1a_mix_double(h, v);
   return h;
 }
 

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/fnv.h"
+#include "core/artifact_store.h"
+
 namespace oal::core {
 
 namespace {
@@ -76,36 +79,75 @@ std::vector<double> IlPolicy::export_artifact() const {
   std::vector<double> out;
   out.push_back(kTrainingMathRevision);
   out.push_back(trained_ ? 1.0 : 0.0);
-  out.push_back(train_time_s_);
   out.push_back(last_train_loss_);
   scaler_.export_state(out);
   net_.export_params(out);
+  net_.export_optimizer_state(out);
   return out;
 }
 
 bool IlPolicy::import_artifact(const std::vector<double>& in) {
-  if (in.size() < 4) return false;
-  // Header: training-math revision, trained flag, train_time_s,
-  // last_train_loss.
+  // Header: training-math revision, trained flag, last_train_loss.
+  if (in.size() < 3) return false;
   if (in[0] != kTrainingMathRevision) return false;
-  if ((in[1] != 0.0 && in[1] != 1.0) || !std::isfinite(in[2]) || in[2] < 0.0 ||
-      !std::isfinite(in[3]))
-    return false;
+  if ((in[1] != 0.0 && in[1] != 1.0) || !std::isfinite(in[2])) return false;
   // Stage into copies so a truncated/mismatched artifact leaves *this intact.
   ml::StandardScaler scaler = scaler_;
   ml::MultiHeadClassifier net = net_;
-  std::size_t pos = 4;
+  std::size_t pos = 3;
   if (!scaler.import_state(in, pos)) return false;
   if (!net.import_params(in, pos)) return false;
+  if (!net.import_optimizer_state(in, pos)) return false;
   if (pos != in.size()) return false;  // trailing garbage: not our artifact
   // A trained policy scales exactly the network's input features.
   if (in[1] != 0.0 && scaler.dim() != net.input_dim()) return false;
   trained_ = in[1] != 0.0;
-  train_time_s_ = in[2];
-  last_train_loss_ = in[3];
+  train_time_s_ = 0.0;
+  last_train_loss_ = in[2];
   scaler_ = std::move(scaler);
   net_ = std::move(net);
   return true;
+}
+
+std::uint64_t il_policy_config_hash(const IlPolicyConfig& cfg) {
+  std::uint64_t h = common::kFnvOffsetBasis;
+  common::fnv1a_mix(h, cfg.hidden.size());
+  for (std::size_t width : cfg.hidden) common::fnv1a_mix(h, width);
+  common::fnv1a_mix_double(h, cfg.learning_rate);
+  common::fnv1a_mix_double(h, cfg.l2);
+  common::fnv1a_mix(h, cfg.offline_epochs);
+  common::fnv1a_mix(h, cfg.batch_size);
+  common::fnv1a_mix(h, cfg.seed);
+  common::fnv1a_mix(h, cfg.thermal_aware ? 1 : 0);
+  common::fnv1a_mix(h, static_cast<std::uint64_t>(cfg.optimizer.kind));
+  common::fnv1a_mix_double(h, cfg.optimizer.momentum);
+  common::fnv1a_mix_double(h, cfg.optimizer.beta1);
+  common::fnv1a_mix_double(h, cfg.optimizer.beta2);
+  common::fnv1a_mix_double(h, cfg.optimizer.epsilon);
+  return h;
+}
+
+std::uint64_t offline_policy_key(const OfflineData& off, const IlPolicyConfig& cfg,
+                                 std::uint64_t train_seed) {
+  std::uint64_t key = common::kFnvOffsetBasis;
+  for (double v : off.export_artifact()) common::fnv1a_mix_double(key, v);
+  common::fnv1a_mix(key, il_policy_config_hash(cfg));
+  common::fnv1a_mix(key, train_seed);
+  common::fnv1a_mix_double(key, IlPolicy::kTrainingMathRevision);
+  return key;
+}
+
+std::shared_ptr<const IlPolicy> offline_policy(const OfflineData& off,
+                                               const soc::ConfigSpace& space,
+                                               const IlPolicyConfig& cfg, std::uint64_t train_seed,
+                                               ArtifactStore* store) {
+  // Hashing the dataset costs a pass over it: only a store reads the key.
+  const std::uint64_t key = store ? offline_policy_key(off, cfg, train_seed) : 0;
+  return std::make_shared<const IlPolicy>(
+      get_or_compute(store, "il-policy", key, IlPolicy(space, cfg), [&](IlPolicy& policy) {
+        common::Rng rng(train_seed);
+        policy.train_offline(off.policy, rng);
+      }));
 }
 
 }  // namespace oal::core

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/matrix.h"
@@ -20,6 +21,10 @@
 
 namespace oal::core {
 
+class ArtifactStore;
+
+/// Every field shapes the trained weights, so il_policy_config_hash folds
+/// each one: a new field must join it.
 struct IlPolicyConfig {
   std::vector<std::size_t> hidden{24, 24};
   /// One optimizer step per minibatch: the policy takes batch_size-x fewer
@@ -73,33 +78,40 @@ class IlPolicy {
   soc::SocConfig decide(const common::Vec& state, Scratch& scratch) const;
 
   bool trained() const { return trained_; }
+  const IlPolicyConfig& config() const { return cfg_; }
   std::size_t num_params() const { return net_.num_params(); }
   std::size_t storage_bytes() const { return net_.storage_bytes(); }
 
-  /// Cumulative wall-time spent in train_offline/train_incremental (seconds).
+  /// Wall-time this object (and the policy it was copied from) spent in
+  /// train_offline/train_incremental (seconds).  Not part of the artifact:
+  /// a restored policy starts at 0.
   double train_time_s() const { return train_time_s_; }
   /// Mean cross-entropy of the most recent training call's final epoch.
   double last_train_loss() const { return last_train_loss_; }
 
   /// Revision of the training arithmetic (activations, softmax, optimizer)
-  /// that produced an artifact's weights, stored first in every artifact.
-  /// Bump it whenever a change alters trained bits: the store keys hash only
-  /// the platform, objective and collect geometry, so without it a warm
-  /// store would restore weights the current code would not train.
+  /// and of the artifact layout, stored first in every artifact and hashed
+  /// into offline_policy_key.  Bump it whenever a change alters trained
+  /// bits, or a warm store would restore weights the current code would not
+  /// train.
   /// Revision 2: the common::kernels tanh/exp/log rows and Adam without pow.
+  /// Revision 3: no wall-clock train_time_s in the header; optimizer state
+  /// appended, so a restored policy adapts online bit for bit.
   /// Revision-1 blobs start with the trained flag (0 or 1) instead.
-  static constexpr double kTrainingMathRevision = 2.0;
+  static constexpr double kTrainingMathRevision = 3.0;
 
   /// Flattens everything a warm process needs to skip train_offline: the
-  /// training-math revision, scaler state, network weights, and the training
-  /// bookkeeping (train_time_s, last_train_loss — preserved so JSONL records
-  /// emitted from a restored policy bitwise-match the cold run that stored
-  /// it).
+  /// training-math revision, the trained flag, last_train_loss (so JSONL
+  /// records emitted from a restored policy bitwise-match the cold run that
+  /// stored it), scaler state, network weights, and the optimizer state
+  /// train_incremental continues from.  A pure function of the training
+  /// inputs: two trainings of the same data, config and seed export the
+  /// same bytes.
   std::vector<double> export_artifact() const;
   /// Restores what export_artifact produced into an identically-configured
   /// policy; false (policy unchanged) on another training-math revision,
   /// shape mismatch, truncation, trailing data, a malformed header, or any
-  /// non-finite parameter.
+  /// non-finite parameter.  train_time_s() reads 0 after a restore.
   bool import_artifact(const std::vector<double>& in);
 
  private:
@@ -112,5 +124,27 @@ class IlPolicy {
   double train_time_s_ = 0.0;
   double last_train_loss_ = 0.0;
 };
+
+/// FNV-1a over every IlPolicyConfig field (hidden widths, learning rate,
+/// l2, epochs, batch size, init seed, feature space, and every optimizer
+/// field).  Each store key of a trained policy mixes it in.
+std::uint64_t il_policy_config_hash(const IlPolicyConfig& cfg);
+
+/// Content address of the "il-policy" blob: FNV-1a over the dataset's own
+/// export_artifact() doubles, il_policy_config_hash(cfg), the train seed
+/// and IlPolicy::kTrainingMathRevision — everything offline_policy's
+/// training reads, so the key cannot drift from what was trained.
+std::uint64_t offline_policy_key(const OfflineData& off, const IlPolicyConfig& cfg,
+                                 std::uint64_t train_seed);
+
+/// The one path to an offline-trained IL policy: an IlPolicy(space, cfg)
+/// trained by train_offline on `off.policy` with Rng(train_seed).  With a
+/// `store`, it is restored from, or computed into, the "il-policy" blob at
+/// offline_policy_key.  The result is shared read-only: frozen arms use it
+/// as is, online arms copy it (online_il_factory).
+std::shared_ptr<const IlPolicy> offline_policy(const OfflineData& off,
+                                               const soc::ConfigSpace& space,
+                                               const IlPolicyConfig& cfg, std::uint64_t train_seed,
+                                               ArtifactStore* store);
 
 }  // namespace oal::core

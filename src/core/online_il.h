@@ -55,10 +55,17 @@ struct OnlineIlConfig {
   /// teach the policy the same behavior.  Off (default): bitwise-identical
   /// to the blind controller, telemetry ignored.
   bool thermal_aware = false;
-  /// Network/training configuration for arms whose scenario factory builds
-  /// the policy (optimizer, learning rate, batch size — swappable per arm).
-  /// thermal_aware above wins over policy.thermal_aware.
+  /// Network/training configuration of the arm's offline policy (optimizer,
+  /// learning rate, batch size — swappable per arm).  thermal_aware above
+  /// wins over policy.thermal_aware: see policy_config().
   IlPolicyConfig policy{};
+
+  /// The IlPolicyConfig this arm's offline policy is trained with.
+  IlPolicyConfig policy_config() const {
+    IlPolicyConfig p = policy;
+    p.thermal_aware = thermal_aware;
+    return p;
+  }
 };
 
 class OnlineIlController : public DrmController {

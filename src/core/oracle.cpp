@@ -263,7 +263,6 @@ std::size_t OracleCache::flush() {
     e.cost = entry.cost;
     out.push_back(e);
   };
-  for (const auto& [key, entry] : stored_) spill(key, entry);
   for (const Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mutex);
     // Hash order is fine here: merge_oracle_entries dedups by full key and

@@ -68,9 +68,9 @@ double oracle_cost(const soc::BigLittlePlatform& plat, const soc::SnippetDescrip
 ///
 /// Persistence: constructed with an ArtifactStore, the cache preloads every
 /// stored entry for this store (so a warm process performs zero searches
-/// for previously-seen snippets) and flush() spills the in-memory entries
-/// back.  Cached values come from execute_ideal (pure), so store round
-/// trips preserve determinism bit for bit.  The platform fingerprint in
+/// for previously-seen snippets) and flush() spills the entries searched in
+/// this process back.  Cached values come from execute_ideal (pure), so
+/// store round trips preserve determinism bit for bit.  The platform fingerprint in
 /// the key makes sharing one cache across differently-parameterized
 /// platforms safe (entries never alias).
 class OracleCache {
@@ -115,8 +115,10 @@ class OracleCache {
   /// Memoized oracle_cost.
   double cost(const soc::BigLittlePlatform& plat, const soc::SnippetDescriptor& s, Objective obj);
 
-  /// Spills every in-memory entry to the backing store (no-op without one).
-  /// Returns the number of entries newly persisted.
+  /// Merges the entries searched in this process into their store buckets
+  /// (no-op without a store).  Preloaded entries came from the store, so
+  /// they are not written back: with nothing searched, flush touches no
+  /// file.  Returns the number of entries newly persisted.
   std::size_t flush();
 
   std::size_t size() const;

@@ -12,22 +12,9 @@ namespace {
 struct OnlineIlDeps {
   IlPolicy policy;
   OnlineSocModels models;
-  OnlineIlDeps(const soc::ConfigSpace& space, IlPolicyConfig policy_cfg)
-      : policy(space, policy_cfg), models(space) {}
+  OnlineIlDeps(const IlPolicy& trained, const soc::ConfigSpace& space)
+      : policy(trained), models(space) {}
 };
-
-ControllerInstance make_online_il(ScenarioContext& ctx, const OfflineData& off,
-                                  std::uint64_t train_seed, const OnlineIlConfig& cfg) {
-  IlPolicyConfig policy_cfg = cfg.policy;
-  policy_cfg.thermal_aware = cfg.thermal_aware;
-  auto deps = std::make_shared<OnlineIlDeps>(ctx.platform.space(), policy_cfg);
-  common::Rng train_rng(train_seed);
-  deps->policy.train_offline(off.policy, train_rng);
-  deps->models.bootstrap(off.model_samples);
-  auto ctl = std::make_unique<OnlineIlController>(ctx.platform.space(), deps->policy,
-                                                  deps->models, cfg);
-  return ControllerInstance{std::move(ctl), deps};
-}
 
 }  // namespace
 
@@ -65,10 +52,25 @@ ControllerFactory offline_il_factory(std::shared_ptr<const IlPolicy> policy) {
   };
 }
 
+ControllerFactory online_il_factory(std::shared_ptr<const IlPolicy> policy,
+                                    std::shared_ptr<const OfflineData> off, OnlineIlConfig cfg) {
+  if (il_policy_config_hash(policy->config()) != il_policy_config_hash(cfg.policy_config()))
+    throw std::invalid_argument("online_il_factory: policy trained with another IlPolicyConfig");
+  return [policy, off, cfg](ScenarioContext& ctx) {
+    auto deps = std::make_shared<OnlineIlDeps>(*policy, ctx.platform.space());
+    deps->models.bootstrap(off->model_samples);
+    auto ctl = std::make_unique<OnlineIlController>(ctx.platform.space(), deps->policy,
+                                                    deps->models, cfg);
+    return ControllerInstance{std::move(ctl), deps};
+  };
+}
+
 ControllerFactory online_il_factory(std::shared_ptr<const OfflineData> off,
                                     std::uint64_t train_seed, OnlineIlConfig cfg) {
   return [off, train_seed, cfg](ScenarioContext& ctx) {
-    return make_online_il(ctx, *off, train_seed, cfg);
+    auto policy = offline_policy(*off, ctx.platform.space(), cfg.policy_config(), train_seed,
+                                 /*store=*/nullptr);
+    return online_il_factory(std::move(policy), off, cfg)(ctx);
   };
 }
 

@@ -4,9 +4,10 @@
 // offline-IL policy, adaptive online-IL with per-scenario artifact copies,
 // NMPC/ENMPC over per-scenario bootstrapped GPU models); keeping them here
 // means a change to the setup protocol lands everywhere at once instead of
-// in hand-synced lambdas.  The offline dataset the online-IL arms start
-// from is not collected here: each bench collects it once, on a platform of
-// its own, through core::offline_dataset (core/oracle.h).
+// in hand-synced lambdas.  The offline artifacts the IL arms start from are
+// not made here: each bench collects its dataset once, on a platform of its
+// own, through core::offline_dataset (core/oracle.h), and trains each
+// distinct policy once through core::offline_policy (core/il_policy.h).
 #pragma once
 
 #include <cstdint>
@@ -28,12 +29,19 @@ ControllerFactory governor_factory(const std::string& name);
 /// (OfflineIlController never mutates it).
 ControllerFactory offline_il_factory(std::shared_ptr<const IlPolicy> policy);
 
-/// Adaptive online-IL from a shared offline dataset: each scenario trains
-/// its own policy copy (seeded by train_seed) and bootstraps its own models
-/// — the controller mutates both in place.  With cfg.thermal_aware the
-/// dataset must have been collected in the thermal-aware feature space
-/// (offline_dataset's thermal_aware flag), or the policy input
-/// dimensions will not match.
+/// Adaptive online-IL from a shared offline policy and dataset: each
+/// scenario copies the policy and bootstraps its own models from the
+/// dataset's samples — the controller mutates both in place.  `policy` must
+/// have been trained with cfg.policy_config() (std::invalid_argument
+/// otherwise); with cfg.thermal_aware, on a dataset collected in the
+/// thermal-aware feature space (offline_dataset's thermal_aware flag).
+ControllerFactory online_il_factory(std::shared_ptr<const IlPolicy> policy,
+                                    std::shared_ptr<const OfflineData> off, OnlineIlConfig cfg);
+
+/// The same, training the policy inside every scenario, on the worker:
+/// offline_policy(*off, space, cfg.policy_config(), train_seed, nullptr),
+/// then the factory above.  For callers whose per-scenario cost includes
+/// that training; benches train each distinct policy once in setup instead.
 ControllerFactory online_il_factory(std::shared_ptr<const OfflineData> off,
                                     std::uint64_t train_seed, OnlineIlConfig cfg = {});
 

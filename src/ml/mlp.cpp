@@ -583,4 +583,17 @@ bool MultiHeadClassifier::import_params(const std::vector<double>& in, std::size
   return true;
 }
 
+void MultiHeadClassifier::export_optimizer_state(std::vector<double>& out) const {
+  for (const auto& l : trunk_) l.append_optimizer_state(out);
+  for (const auto& h : heads_) h.append_optimizer_state(out);
+}
+
+bool MultiHeadClassifier::import_optimizer_state(const std::vector<double>& in, std::size_t& pos) {
+  for (auto& l : trunk_)
+    if (!l.read_optimizer_state(in, pos)) return false;
+  for (auto& h : heads_)
+    if (!h.read_optimizer_state(in, pos)) return false;
+  return true;
+}
+
 }  // namespace oal::ml

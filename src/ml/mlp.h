@@ -60,12 +60,19 @@ class DenseLayer {
   const common::Vec& bias() const { return b_; }
 
   /// Appends w (row-major) then b to `out` — the artifact-store wire format.
-  /// Optimizer state is deliberately excluded: a restored layer serves
-  /// inference / fresh training, not mid-stream optimizer resumption.
+  /// Optimizer state is written separately (append_optimizer_state).
   void append_params(std::vector<double>& out) const;
   /// Reads back what append_params wrote (layer shape must already match);
   /// false, with the layer unchanged, on underrun or a non-finite value.
   bool read_params(const std::vector<double>& in, std::size_t& pos);
+  /// The optimizer's accumulated state (Optimizer::export_state), so a
+  /// restored layer resumes training bit for bit.
+  void append_optimizer_state(std::vector<double>& out) const { opt_->export_state(out); }
+  /// Reads back what append_optimizer_state wrote; false, with the layer
+  /// unchanged, on a malformed state.
+  bool read_optimizer_state(const std::vector<double>& in, std::size_t& pos) {
+    return opt_->import_state(in, pos, w_, b_);
+  }
 
  private:
   common::Mat w_;  // out x in
@@ -190,6 +197,12 @@ class MultiHeadClassifier {
   void export_params(std::vector<double>& out) const;
   /// Restores into an identically-shaped classifier; false on underrun.
   bool import_params(const std::vector<double>& in, std::size_t& pos);
+  /// Appends every layer's optimizer state, trunk then heads: with the
+  /// parameters, everything train() continues from.
+  void export_optimizer_state(std::vector<double>& out) const;
+  /// Inverse of export_optimizer_state; false on a malformed state (layers
+  /// before the bad one are already restored, so stage into a copy).
+  bool import_optimizer_state(const std::vector<double>& in, std::size_t& pos);
   /// Storage footprint in bytes assuming 4-byte fixed-point parameters (the
   /// paper stores the policy in <20 KB of firmware memory).
   std::size_t storage_bytes() const { return num_params() * 4; }

@@ -1,10 +1,38 @@
 #include "ml/optimizer.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/kernels.h"
 
 namespace oal::ml {
+
+namespace {
+
+/// Reads the 0/1 "buffers allocated" flag at in[pos].
+bool read_flag(const std::vector<double>& in, std::size_t& pos, bool& flag) {
+  if (pos >= in.size() || (in[pos] != 0.0 && in[pos] != 1.0)) return false;
+  flag = in[pos++] != 0.0;
+  return true;
+}
+
+/// Copies the next `n` doubles of `in` into `dst`; false on underrun,
+/// a non-finite value, or a negative one when `nonneg` (second moments).
+bool read_buffer(const std::vector<double>& in, std::size_t& pos, double* dst, std::size_t n,
+                 bool nonneg = false) {
+  if (pos > in.size() || n > in.size() - pos) return false;
+  const auto first = in.begin() + static_cast<std::ptrdiff_t>(pos);
+  const auto last = first + static_cast<std::ptrdiff_t>(n);
+  if (!std::all_of(first, last,
+                   [nonneg](double v) { return std::isfinite(v) && (!nonneg || v >= 0.0); }))
+    return false;
+  std::copy(first, last, dst);
+  pos += n;
+  return true;
+}
+
+}  // namespace
 
 // ---- Sgd -------------------------------------------------------------------
 
@@ -40,6 +68,34 @@ void Sgd::apply(common::Mat& w, common::Vec& b, const double* gw, const double* 
 
 std::unique_ptr<Optimizer> Sgd::clone() const { return std::make_unique<Sgd>(*this); }
 
+void Sgd::export_state(std::vector<double>& out) const {
+  out.push_back(vw_.empty() ? 0.0 : 1.0);
+  if (vw_.empty()) return;
+  out.insert(out.end(), vw_.data().begin(), vw_.data().end());
+  out.insert(out.end(), vb_.begin(), vb_.end());
+}
+
+bool Sgd::import_state(const std::vector<double>& in, std::size_t& pos, const common::Mat& w,
+                       const common::Vec& b) {
+  std::size_t p = pos;
+  bool allocated = false;
+  if (!read_flag(in, p, allocated)) return false;
+  common::Mat vw;
+  common::Vec vb;
+  if (allocated) {
+    if (momentum_ == 0.0) return false;  // plain SGD never allocates buffers
+    vw = common::Mat(w.rows(), w.cols());
+    vb.assign(b.size(), 0.0);
+    if (!read_buffer(in, p, vw.raw(), w.rows() * w.cols()) ||
+        !read_buffer(in, p, vb.data(), b.size()))
+      return false;
+  }
+  vw_ = std::move(vw);
+  vb_ = std::move(vb);
+  pos = p;
+  return true;
+}
+
 // ---- Adam ------------------------------------------------------------------
 
 Adam::Adam(double learning_rate, double l2, double beta1, double beta2, double epsilon)
@@ -68,6 +124,50 @@ void Adam::apply(common::Mat& w, common::Vec& b, const double* gw, const double*
 }
 
 std::unique_ptr<Optimizer> Adam::clone() const { return std::make_unique<Adam>(*this); }
+
+void Adam::export_state(std::vector<double>& out) const {
+  out.push_back(beta1_t_);
+  out.push_back(beta2_t_);
+  out.push_back(mw_.empty() ? 0.0 : 1.0);
+  if (mw_.empty()) return;
+  out.insert(out.end(), mw_.data().begin(), mw_.data().end());
+  out.insert(out.end(), vw_.data().begin(), vw_.data().end());
+  out.insert(out.end(), mb_.begin(), mb_.end());
+  out.insert(out.end(), vb_.begin(), vb_.end());
+}
+
+bool Adam::import_state(const std::vector<double>& in, std::size_t& pos, const common::Mat& w,
+                        const common::Vec& b) {
+  std::size_t p = pos;
+  if (p > in.size() || in.size() - p < 2) return false;
+  const double beta1_t = in[p], beta2_t = in[p + 1];
+  // Running products of betas, so in [0, 1]; the negated form rejects NaN.
+  if (!(beta1_t >= 0.0 && beta1_t <= 1.0) || !(beta2_t >= 0.0 && beta2_t <= 1.0)) return false;
+  p += 2;
+  bool allocated = false;
+  if (!read_flag(in, p, allocated)) return false;
+  common::Mat mw, vw;
+  common::Vec mb, vb;
+  if (allocated) {
+    const std::size_t n = w.rows() * w.cols();
+    mw = common::Mat(w.rows(), w.cols());
+    vw = common::Mat(w.rows(), w.cols());
+    mb.assign(b.size(), 0.0);
+    vb.assign(b.size(), 0.0);
+    if (!read_buffer(in, p, mw.raw(), n) || !read_buffer(in, p, vw.raw(), n, true) ||
+        !read_buffer(in, p, mb.data(), b.size()) ||
+        !read_buffer(in, p, vb.data(), b.size(), true))
+      return false;
+  }
+  beta1_t_ = beta1_t;
+  beta2_t_ = beta2_t;
+  mw_ = std::move(mw);
+  vw_ = std::move(vw);
+  mb_ = std::move(mb);
+  vb_ = std::move(vb);
+  pos = p;
+  return true;
+}
 
 std::unique_ptr<Optimizer> make_optimizer(const OptimizerConfig& cfg, double learning_rate,
                                           double l2) {

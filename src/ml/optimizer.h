@@ -13,7 +13,9 @@
 // row-major order so training stays bitwise reproducible.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "common/matrix.h"
 
@@ -34,6 +36,16 @@ class Optimizer {
 
   /// Deep copy including accumulated state (moments, bias-correction products).
   virtual std::unique_ptr<Optimizer> clone() const = 0;
+
+  /// Appends the accumulated state to `out` (the artifact wire format), so a
+  /// network restored from it resumes training bit for bit where this one
+  /// stopped.  Buffers that were never allocated are written as a 0 flag.
+  virtual void export_state(std::vector<double>& out) const = 0;
+  /// Reads back what export_state wrote for the layer parameters `w`/`b`
+  /// (only their shapes are used); false, with the optimizer unchanged, on
+  /// underrun or a malformed or non-finite value.
+  virtual bool import_state(const std::vector<double>& in, std::size_t& pos, const common::Mat& w,
+                            const common::Vec& b) = 0;
 };
 
 /// Optimizer selection carried by MlpConfig/DqnConfig (copyable config, the
@@ -60,6 +72,10 @@ class Sgd : public Optimizer {
 
   void apply(common::Mat& w, common::Vec& b, const double* gw, const double* gb) override;
   std::unique_ptr<Optimizer> clone() const override;
+  /// {allocated flag, then vw, vb when allocated}.
+  void export_state(std::vector<double>& out) const override;
+  bool import_state(const std::vector<double>& in, std::size_t& pos, const common::Mat& w,
+                    const common::Vec& b) override;
 
  private:
   double lr_;
@@ -80,6 +96,10 @@ class Adam : public Optimizer {
 
   void apply(common::Mat& w, common::Vec& b, const double* gw, const double* gb) override;
   std::unique_ptr<Optimizer> clone() const override;
+  /// {beta1^t, beta2^t, allocated flag, then mw, vw, mb, vb when allocated}.
+  void export_state(std::vector<double>& out) const override;
+  bool import_state(const std::vector<double>& in, std::size_t& pos, const common::Mat& w,
+                    const common::Vec& b) override;
 
  private:
   double lr_;

@@ -6,14 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fnv.h"
@@ -391,6 +394,30 @@ TEST(OracleStore, FlushAfterWarmLoadLeavesBucketsByteIdentical) {
   EXPECT_EQ(file_bytes(dir), before);
 }
 
+TEST(OracleStore, WarmFlushWithNothingSearchedWritesNoFile) {
+  // Preloaded entries came from the store, so flush writes back only what
+  // this process searched.  With the bucket deleted after the preload, a
+  // flush that re-spilled the preloaded entries would recreate it.
+  const fs::path dir = fresh_dir("warm-flush-nothing-new");
+  soc::BigLittlePlatform plat;
+  const auto trace = test_trace("FFT", 4, 41);
+  {
+    OracleCache fill(std::make_shared<ArtifactStore>(dir.string()));
+    for (const auto& s : trace) (void)fill.config(plat, s, Objective::kEnergy);
+  }
+  {
+    OracleCache warm(std::make_shared<ArtifactStore>(dir.string()));
+    ASSERT_EQ(warm.store_loaded(), trace.size());
+    fs::remove(only_file(dir));
+    for (const auto& s : trace) (void)warm.cost(plat, s, Objective::kEnergy);
+    EXPECT_EQ(warm.searches(), 0u);
+    EXPECT_EQ(warm.flush(), 0u);
+    EXPECT_TRUE(fs::is_empty(dir));
+    // The destructor flushes once more.
+  }
+  EXPECT_TRUE(fs::is_empty(dir));
+}
+
 TEST(OracleStore, CorruptBucketRecomputesWithoutCrash) {
   const fs::path dir = fresh_dir("corrupt-bucket");
   soc::BigLittlePlatform plat;
@@ -595,8 +622,9 @@ TEST(IlPolicy, ArtifactRoundTripsDecisionsAndBookkeeping) {
   IlPolicy restored(plat.space());
   ASSERT_TRUE(restored.import_artifact(trained.export_artifact()));
   for (const auto& s : off.policy.states) EXPECT_EQ(restored.decide(s), trained.decide(s));
-  EXPECT_EQ(restored.train_time_s(), trained.train_time_s());
-  EXPECT_EQ(restored.last_train_loss(), trained.last_train_loss());
+  EXPECT_GT(trained.train_time_s(), 0.0);
+  EXPECT_EQ(restored.train_time_s(), 0.0);  // wall-clock: not in the artifact
+  EXPECT_TRUE(same_bits(restored.last_train_loss(), trained.last_train_loss()));
   EXPECT_EQ(restored.export_artifact(), trained.export_artifact());
 
   // Garbage in -> false out, restored policy untouched.
@@ -641,11 +669,14 @@ TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
   const std::vector<double> before = target.export_artifact();
   ASSERT_NE(before, good);
 
-  // Layout: [revision, trained, train_time_s, last_loss, dim, count,
-  // mean[dim], m2[dim], network params...].
-  const std::size_t kDim = 4, kCount = 5, kMean = 6;
+  // Layout: [revision, trained, last_loss, dim, count, mean[dim], m2[dim],
+  // network params..., optimizer state...].  Adam's state per layer, trunk
+  // then heads: [beta1^t, beta2^t, allocated, mw, vw, mb, vb].
+  const std::size_t kDim = 3, kCount = 4, kMean = 5;
   const std::size_t dim = static_cast<std::size_t>(good[kDim]);
   const std::size_t kM2 = kMean + dim, kNet = kM2 + dim;
+  const std::size_t kOpt = kNet + source.num_params();
+  const std::size_t kFirstMw = kOpt + 3, kFirstVw = kFirstMw + dim * cfg.hidden[0];
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const Corruption cases[] = {
@@ -654,8 +685,7 @@ TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
       {"revision-1 blob", 0, 1.0},
       {"NaN revision", 0, nan},
       {"trained flag not 0/1", 1, 0.5},
-      {"NaN train time", 2, nan},
-      {"infinite loss", 3, inf},
+      {"infinite loss", 2, inf},
       {"NaN dim", kDim, nan},
       {"infinite dim", kDim, inf},
       {"non-integral dim", kDim, static_cast<double>(dim) + 0.5},
@@ -666,9 +696,16 @@ TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
       {"NaN mean", kMean, nan},
       {"infinite m2", kM2 + 1, -inf},
       {"NaN weight", kNet, nan},
-      {"infinite bias", good.size() - 1, inf},
+      {"infinite bias", kOpt - 1, inf},
+      {"NaN beta1^t", kOpt, nan},
+      {"beta2^t above 1", kOpt + 1, 2.0},
+      {"allocated flag not 0/1", kOpt + 2, 0.5},
+      {"infinite first moment", kFirstMw, inf},
+      {"negative second moment", kFirstVw, -1.0},
+      {"NaN last second moment", good.size() - 1, nan},
   };
   for (const Corruption& c : cases) {
+    ASSERT_LT(c.index, good.size()) << c.what;  // the layout above must match the artifact
     std::vector<double> bad = good;
     bad[c.index] = c.value;
     EXPECT_FALSE(target.import_artifact(bad)) << c.what;
@@ -700,6 +737,124 @@ TEST(IlPolicy, ImportRejectsMalformedArtifactsAndLeavesPolicyUnchanged) {
   // The untouched artifact still imports.
   EXPECT_TRUE(target.import_artifact(good));
   EXPECT_EQ(target.export_artifact(), good);
+}
+
+/// A small Oracle-labelled MiBench dataset for the policy tests.
+OfflineData small_offline_data() {
+  soc::BigLittlePlatform plat;
+  common::Rng rng(7);
+  OracleCache cache;
+  return collect_offline_data(plat, workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench),
+                              Objective::kEnergy, 4, 2, rng, &cache);
+}
+
+TEST(IlPolicy, IndependentTrainingsExportEqualBytes) {
+  // No wall-clock field: two writers of one store key write the same bytes.
+  const OfflineData off = small_offline_data();
+  const soc::ConfigSpace space;
+  const auto train = [&] {
+    IlPolicy policy(space);
+    common::Rng rng(5);
+    policy.train_offline(off.policy, rng);
+    return policy.export_artifact();
+  };
+  EXPECT_TRUE(same_bits(train(), train()));
+}
+
+TEST(IlPolicy, RestoredPolicyContinuesTrainingBitwise) {
+  // Online arms keep training the offline policy, so the artifact carries
+  // the optimizer state: a restored policy's train_incremental must match
+  // the trained original's bit for bit, for every update rule.
+  const OfflineData off = small_offline_data();
+  const soc::ConfigSpace space;
+  ml::OptimizerConfig sgd;
+  sgd.kind = ml::OptimizerConfig::Kind::kSgd;
+  ml::OptimizerConfig momentum = sgd;
+  momentum.momentum = 0.9;
+  for (const ml::OptimizerConfig& opt : {ml::OptimizerConfig{}, sgd, momentum}) {
+    IlPolicyConfig cfg;
+    cfg.optimizer = opt;
+    cfg.offline_epochs = 3;
+    IlPolicy trained(space, cfg);
+    common::Rng rng(5);
+    trained.train_offline(off.policy, rng);
+    IlPolicy restored(space, cfg);
+    ASSERT_TRUE(restored.import_artifact(trained.export_artifact()));
+    common::Rng rng_a(9), rng_b(9);
+    EXPECT_TRUE(same_bits(trained.train_incremental(off.policy, 2, rng_a),
+                          restored.train_incremental(off.policy, 2, rng_b)));
+    EXPECT_TRUE(same_bits(restored.export_artifact(), trained.export_artifact()));
+  }
+}
+
+TEST(OfflinePolicy, SharedCopyMatchesInScenarioTrainingBitwise) {
+  // What an online arm adapts (a copy of the shared policy) is bit for bit
+  // what each scenario used to train for itself.
+  const OfflineData off = small_offline_data();
+  const soc::ConfigSpace space;
+  const IlPolicyConfig cfg;
+  const IlPolicy copy = *offline_policy(off, space, cfg, /*train_seed=*/5, nullptr);
+  IlPolicy own(space, cfg);
+  common::Rng rng(5);
+  own.train_offline(off.policy, rng);
+  EXPECT_TRUE(same_bits(copy.export_artifact(), own.export_artifact()));
+}
+
+TEST(OfflinePolicy, StoreRestoreMatchesCompute) {
+  const OfflineData off = small_offline_data();
+  const soc::ConfigSpace space;
+  const IlPolicyConfig cfg;
+  const auto cold = offline_policy(off, space, cfg, 5, nullptr);
+  ArtifactStore store(fresh_dir("offline-policy").string());
+  const auto filled = offline_policy(off, space, cfg, 5, &store);  // miss: trains, then puts
+  const auto warm = offline_policy(off, space, cfg, 5, &store);    // hit: restores
+  EXPECT_GT(filled->train_time_s(), 0.0);
+  EXPECT_EQ(warm->train_time_s(), 0.0);  // restored, not trained
+  EXPECT_TRUE(same_bits(filled->export_artifact(), cold->export_artifact()));
+  EXPECT_TRUE(same_bits(warm->export_artifact(), cold->export_artifact()));
+  const auto blob = store.get_blob("il-policy", offline_policy_key(off, cfg, 5));
+  ASSERT_TRUE(blob.has_value());
+  EXPECT_TRUE(same_bits(*blob, cold->export_artifact()));
+}
+
+TEST(OfflinePolicy, KeyChangesWithEveryTrainingInput) {
+  using Kind = ml::OptimizerConfig::Kind;
+  const OfflineData off = small_offline_data();
+  const IlPolicyConfig base;
+  const std::uint64_t key = offline_policy_key(off, base, 5);
+  EXPECT_EQ(offline_policy_key(off, base, 5), key);
+  const std::pair<const char*, std::function<void(IlPolicyConfig&)>> edits[] = {
+      {"hidden width", [](IlPolicyConfig& c) { c.hidden[1] = 16; }},
+      {"hidden depth", [](IlPolicyConfig& c) { c.hidden.push_back(8); }},
+      {"learning_rate", [](IlPolicyConfig& c) { c.learning_rate *= 2.0; }},
+      {"l2", [](IlPolicyConfig& c) { c.l2 = 0.0; }},
+      {"offline_epochs", [](IlPolicyConfig& c) { c.offline_epochs += 1; }},
+      {"batch_size", [](IlPolicyConfig& c) { c.batch_size = 8; }},
+      {"seed", [](IlPolicyConfig& c) { c.seed += 1; }},
+      {"thermal_aware", [](IlPolicyConfig& c) { c.thermal_aware = true; }},
+      {"optimizer.kind", [](IlPolicyConfig& c) { c.optimizer.kind = Kind::kSgd; }},
+      {"optimizer.momentum", [](IlPolicyConfig& c) { c.optimizer.momentum = 0.9; }},
+      {"optimizer.beta1", [](IlPolicyConfig& c) { c.optimizer.beta1 = 0.8; }},
+      {"optimizer.beta2", [](IlPolicyConfig& c) { c.optimizer.beta2 = 0.99; }},
+      {"optimizer.epsilon", [](IlPolicyConfig& c) { c.optimizer.epsilon = 1e-7; }},
+  };
+  for (const auto& [field, edit] : edits) {
+    IlPolicyConfig cfg = base;
+    edit(cfg);
+    EXPECT_NE(il_policy_config_hash(cfg), il_policy_config_hash(base)) << field;
+    EXPECT_NE(offline_policy_key(off, cfg, 5), key) << field;
+  }
+  EXPECT_NE(offline_policy_key(off, base, 6), key) << "train seed";
+  // One double of the dataset: a state feature, a label knob, a model sample.
+  OfflineData edited = off;
+  edited.policy.states[3][2] = std::nextafter(edited.policy.states[3][2], 1e9);
+  EXPECT_NE(offline_policy_key(edited, base, 5), key) << "state";
+  edited = off;
+  edited.policy.labels.back().big_freq_idx ^= 1;
+  EXPECT_NE(offline_policy_key(edited, base, 5), key) << "label";
+  edited = off;
+  edited.model_samples.front().power_w *= 2.0;
+  EXPECT_NE(offline_policy_key(edited, base, 5), key) << "model sample";
 }
 
 TEST(TabularQ, StateRoundTripContinuesIdentically) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "common/thread_pool.h"
+#include "core/artifact_store.h"
 #include "core/domain.h"
 #include "core/experiment.h"
 #include "core/governors.h"
@@ -591,6 +593,65 @@ TEST(Experiment, StreamingHoldsAtMostOneShardOfResults) {
   // construction on: one shard in flight (+ small slack); far below the
   // population.
   EXPECT_LE(Live::high().load(), static_cast<int>(kShard) + 2);
+}
+
+TEST(Experiment, SharedOfflinePolicyArmsMatchPerScenarioTrainingBitwise) {
+  // online_il_factory(policy, off, cfg) gives each scenario a copy of one
+  // offline policy — here restored from a store blob — and must run every
+  // arm exactly as the form that trains inside each scenario.  A small
+  // buffer makes the controllers retrain, so the restored optimizer state
+  // is exercised too.
+  const auto off = small_offline_data(/*thermal_aware=*/false);
+  OnlineIlConfig cfg;
+  cfg.buffer_capacity = 8;
+  const std::string dir = ::testing::TempDir() + "oal-store-shared-policy";
+  std::filesystem::remove_all(dir);
+  ArtifactStore store(dir);
+  (void)offline_policy(*off, soc::ConfigSpace(), cfg.policy_config(), 5, &store);
+  const auto restored = offline_policy(*off, soc::ConfigSpace(), cfg.policy_config(), 5, &store);
+  ASSERT_EQ(restored->train_time_s(), 0.0);  // restored, not trained
+
+  const auto batch = [&](const ControllerFactory& factory) {
+    std::vector<AnyScenario> out;
+    for (int i = 0; i < 3; ++i) {
+      Scenario s;
+      s.id = "il/" + std::to_string(i);
+      common::Rng trace_rng(700 + i);
+      s.trace = workloads::CpuBenchmarks::trace(workloads::CpuBenchmarks::by_name("Kmeans"), 30,
+                                                trace_rng);
+      s.make_controller = factory;
+      s.extra_metrics = [](const DrmController& ctl, const RunResult&) {
+        const auto& il = dynamic_cast<const OnlineIlController&>(ctl);
+        return Metrics{{"final_loss", il.policy_train_loss()}};
+      };
+      out.emplace_back(std::move(s));
+    }
+    return out;
+  };
+  ExperimentEngine engine(ExperimentOptions{4});
+  const auto trained = engine.run_any(batch(online_il_factory(off, /*train_seed=*/5, cfg)));
+  const auto shared = engine.run_any(batch(online_il_factory(restored, off, cfg)));
+  ASSERT_EQ(trained.size(), shared.size());
+  for (std::size_t i = 0; i < trained.size(); ++i) {
+    // The final loss is the last retrain's: it reads the optimizer state.
+    EXPECT_EQ(trained[i].metric("final_loss"), shared[i].metric("final_loss"));
+    const RunResult& t = trained[i].as<RunResult>();
+    const RunResult& s = shared[i].as<RunResult>();
+    EXPECT_EQ(t.total_energy_j(), s.total_energy_j());
+    ASSERT_EQ(t.records.size(), s.records.size());
+    for (std::size_t k = 0; k < t.records.size(); ++k) {
+      EXPECT_EQ(t.records[k].energy_j, s.records[k].energy_j);
+      EXPECT_EQ(t.records[k].applied, s.records[k].applied);
+    }
+  }
+
+  // A policy trained with another config is refused, not silently adapted.
+  OnlineIlConfig other = cfg;
+  other.policy.learning_rate *= 2.0;
+  EXPECT_THROW((void)online_il_factory(restored, off, other), std::invalid_argument);
+  other = cfg;
+  other.thermal_aware = true;
+  EXPECT_THROW((void)online_il_factory(restored, off, other), std::invalid_argument);
 }
 
 TEST(Experiment, ThermalAwareMixedDomainParallelMatchesSerialBitwise) {
