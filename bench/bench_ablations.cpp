@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
   // its helping-drain path, and --store makes them persistent.  The offline
   // dataset and policies are only made (or restored) for the online-IL arms
   // that run.
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   std::vector<IlPolicyConfig> policy_cfgs;  // distinct, in arm-id order
   for (const std::string& name : driver.selection(registry)) {

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   });
   if (driver.listing()) return driver.list(registry);
 
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   const auto results = engine.run_any(driver.select(registry));
   const auto& actual_ms = harvest->actual_ms;
   const auto& predicted_ms = harvest->predicted_ms;

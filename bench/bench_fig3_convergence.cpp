@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   // the searches, the offline dataset and the offline policy persistent
   // across invocations.  The dataset is only collected (or restored) when
   // the IL arm actually runs.
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   const auto selected = driver.selection(registry);
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   for (const std::string& name : selected) {

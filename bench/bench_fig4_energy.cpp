@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     need_il |= name.size() >= 3 && name.compare(name.size() - 3, 3, "/il") == 0;
     need_rl |= name.size() >= 3 && name.compare(name.size() - 3, 3, "/rl") == 0;
   }
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   // Blob keys: each artifact below is a pure function of the platform, the
   // objective, and its generation seeds/geometry, so that is exactly what

@@ -56,14 +56,12 @@ int main(int argc, char** argv) {
   bench::BenchDriver driver("fleet_population");
   std::size_t devices = 200;
   std::size_t shard_size = 64;
-  std::size_t threads = 0;
   driver.add_size_option("--devices", &devices, "simulated devices in the population");
   driver.add_size_option("--shard-size", &shard_size,
                          "scenarios materialized per streaming shard");
-  driver.add_size_option("--threads", &threads, "engine worker threads");
   if (!driver.parse(argc, argv)) return driver.exit_code();
 
-  core::ExperimentEngine engine(core::ExperimentOptions{threads});
+  core::ExperimentEngine engine(driver.engine_options());
   auto cache = std::make_shared<core::OracleCache>(driver.store(), &engine.pool());
 
   fleet::PopulationConfig cfg;

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "common/thread_pool.h"
 #include "core/artifact_store.h"
 #include "core/decision_timer.h"
+#include "core/domain.h"
+#include "core/experiment.h"
 #include "core/governors.h"
 #include "core/nmpc.h"
 #include "core/online_il.h"
@@ -187,6 +190,40 @@ static void BM_OracleCacheWarmHitContended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleCacheWarmHitContended)->Threads(4)->UseRealTime()->Unit(benchmark::kNanosecond);
+
+// ---- Scheduler: what the engine pays around the work ----------------------
+// A fork-join round trip over one no-op index per worker (dispatch, wake-up,
+// completion, join), and a streaming sweep of no-op scenarios in fleet-shaped
+// shards of 64 (generation, dispatch, shard barriers, id-ordered delivery),
+// reported per scenario.  Both are wall time: the caller mostly waits.
+
+static void BM_ForkJoinRoundTrip(benchmark::State& state) {
+  static common::ThreadPool pool;  // default size, shared across iterations
+  for (auto _ : state) pool.run_indexed(pool.size(), [](std::size_t) {});
+}
+BENCHMARK(BM_ForkJoinRoundTrip)->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+static void BM_StreamingOverheadPerScenario(benchmark::State& state) {
+  constexpr std::size_t kScenarios = 4096;
+  static ExperimentEngine engine;
+  std::vector<std::string> ids;
+  for (std::size_t i = 0; i < kScenarios; ++i) ids.push_back("noop/" + std::to_string(i));
+  for (auto _ : state) {
+    std::size_t next = 0;
+    const std::size_t ran = engine.run_any_streaming(
+        [&]() -> std::optional<AnyScenario> {
+          if (next == kScenarios) return std::nullopt;
+          const std::string& id = ids[next++];
+          return AnyScenario(id, [&id] { return AnyResult(id, 0, Metrics{}); });
+        },
+        [](AnyResult&& r) { benchmark::DoNotOptimize(r); }, StreamOptions{64});
+    benchmark::DoNotOptimize(ran);
+  }
+  state.counters["per_scenario"] = benchmark::Counter(
+      static_cast<double>(kScenarios),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StreamingOverheadPerScenario)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // The scratch decide the controllers run.
 static void BM_IlPolicyDecision(benchmark::State& state) {

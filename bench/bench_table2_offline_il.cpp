@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   // engine pool shards the cold Oracle searches; --store persists them (and
   // the trained policy) so a warm invocation recomputes neither.
   soc::BigLittlePlatform plat;
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   shared->cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   const auto mibench = workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench);
   // Content address of the trained policy: platform + objective + collect

@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   // clamping every decision).  One OracleCache serves every DRM arm; the
   // engine pool (declared before the cache that borrows it) shards its cold
   // searches, and --store keeps them across invocations.
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   auto cache = std::make_shared<OracleCache>(driver.store(), &engine.pool());
   std::vector<soc::SnippetDescriptor> trace;
   {

@@ -23,7 +23,11 @@ bool ResultIndex::has_all(const std::vector<std::string>& ids) const {
   return true;
 }
 
-BenchDriver::BenchDriver(std::string bench_name) : bench_name_(std::move(bench_name)) {}
+BenchDriver::BenchDriver(std::string bench_name) : bench_name_(std::move(bench_name)) {
+  add_size_option("--threads", &threads_,
+                  "engine worker threads, identical outputs at any count (0: one per CPU the "
+                  "process may run on)");
+}
 
 void BenchDriver::add_size_option(const std::string& flag, std::size_t* value,
                                   const std::string& help) {

@@ -10,6 +10,9 @@
 //   bench_x --list [prefix...]      print the selected arm names and exit
 //   bench_x --json <path>           append one JSONL record per arm (shared
 //                                   paths accumulate across benches)
+//   bench_x --threads 1             run the engine on N workers (default:
+//                                   one per CPU in the affinity mask); every
+//                                   output is identical at any N
 //   bench_x --frames 300            bench-registered scale-down option
 //
 // Unknown flags, malformed values, and prefixes that select nothing all
@@ -91,6 +94,11 @@ class BenchDriver {
   /// and use its blobs for pretrained weights.
   const std::shared_ptr<core::ArtifactStore>& store() const { return store_; }
 
+  /// Engine options from --threads (0 = the pool's default size when the
+  /// flag is absent).  Results never depend on it: the engine guarantees
+  /// parallel == serial, which CI checks at bench scale with --threads 1.
+  core::ExperimentOptions engine_options() const { return core::ExperimentOptions{threads_}; }
+
   const std::string& bench_name() const { return bench_name_; }
   const std::vector<std::string>& prefixes() const { return prefixes_; }
 
@@ -113,6 +121,7 @@ class BenchDriver {
   std::vector<std::string> prefixes_;
   std::string json_path_;
   std::string store_dir_;
+  std::size_t threads_ = 0;
   bool list_ = false;
   int exit_code_ = 0;
   std::unique_ptr<core::JsonlWriter> json_;

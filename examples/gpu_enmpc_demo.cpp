@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   add_arm("gpu_enmpc/3-enmpc", gpu_enmpc_factory(cfg, law_samples));
   if (driver.listing()) return driver.list(registry);
 
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   const auto results = engine.run_any(driver.select(registry));
   driver.json().write(driver.bench_name(), results);
 

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   if (driver.listing()) return driver.list(registry);
   std::printf("Workload: FFT -> Kmeans -> Blkschls-4T, %zu snippets\n\n", seq.size());
 
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   for (const std::string& id : driver.selection(registry)) {
     if (id != "governors/5-online-il") continue;
     OracleCache cache(driver.store(), &engine.pool());

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   });
   if (driver.listing()) return driver.list(registry);
 
-  ExperimentEngine engine;
+  ExperimentEngine engine(driver.engine_options());
   const auto results = engine.run_any(driver.select(registry));
   driver.json().write(driver.bench_name(), results);
 

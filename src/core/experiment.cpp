@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_set>
@@ -79,13 +80,11 @@ std::size_t ExperimentEngine::run_any_streaming(const AnyGenerator& generator, c
     throw std::invalid_argument("ExperimentEngine: shard_size must be > 0");
 
   std::unordered_set<std::string> ids;
-  std::vector<AnyScenario> shard;
-  shard.reserve(stream.shard_size);
-  std::size_t total = 0;
   bool exhausted = false;
-  while (!exhausted) {
-    shard.clear();
-    while (shard.size() < stream.shard_size) {
+  // Pulls up to one shard from the generator, validating as it goes; never
+  // calls the generator again once it has returned std::nullopt.
+  const auto fill = [&](std::vector<AnyScenario>& shard) {
+    while (!exhausted && shard.size() < stream.shard_size) {
       std::optional<AnyScenario> s = generator();
       if (!s.has_value()) {
         exhausted = true;
@@ -94,13 +93,36 @@ std::size_t ExperimentEngine::run_any_streaming(const AnyGenerator& generator, c
       validate_any(*s, ids);
       shard.push_back(std::move(*s));
     }
-    if (shard.empty()) break;
+  };
+  std::vector<AnyScenario> shard, next;
+  shard.reserve(stream.shard_size);
+  next.reserve(stream.shard_size);
+  fill(shard);
+  std::size_t total = 0;
+  while (!shard.empty()) {
     // Each index is independent; run_indexed rethrows the lowest-index
-    // exception after the shard drains.  Delivery order is a pure function
-    // of the shard's ids — independent of thread count and scheduling — so a
-    // stateful sink aggregates the identical stream serial vs parallel.
+    // exception after the shard drains.  Meanwhile this thread generates
+    // the next shard (one shard of lookahead, scenarios only).  A generator
+    // or validation error there is held until this shard is delivered, and
+    // nothing of the next shard runs.
     std::vector<AnyResult> results(shard.size());
-    pool_.run_indexed(shard.size(), [&](std::size_t i) { results[i] = shard[i].run(); });
+    std::exception_ptr generate_error;
+    pool_.run_indexed(
+        shard.size(), [&](std::size_t i) { results[i] = shard[i].run(); },
+        [&] {
+          try {
+            fill(next);
+          } catch (...) {
+            generate_error = std::current_exception();
+            next.clear();
+          }
+          return !next.empty();
+        });
+    // Delivery order is a pure function of the shard's ids — independent
+    // of thread count and scheduling — so a stateful sink aggregates the
+    // identical stream serial vs parallel.  The shard is delivered and its
+    // results dropped before the next one starts: peak result memory stays
+    // one shard.
     std::vector<std::size_t> order(results.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -108,6 +130,9 @@ std::size_t ExperimentEngine::run_any_streaming(const AnyGenerator& generator, c
     });
     for (std::size_t i : order) sink(std::move(results[i]));
     total += shard.size();
+    if (generate_error) std::rethrow_exception(generate_error);
+    shard.swap(next);
+    next.clear();
   }
   return total;
 }

@@ -29,7 +29,9 @@
 // aggregator sees the identical result stream regardless of thread count.
 // Peak result memory is one shard, not the population, which is what lets
 // fleet-scale sweeps (thousands of device arms) run through the same engine
-// and keep the parallel==serial bitwise contract per shard.  The vector
+// and keep the parallel==serial bitwise contract per shard.  While a shard
+// runs, the calling thread generates the next one, so workers do not idle
+// at shard boundaries.  The vector
 // run_any() is that path with the whole batch as one shard.
 #pragma once
 
@@ -110,19 +112,23 @@ struct ScenarioResult {
 };
 
 struct ExperimentOptions {
-  /// Worker count: 0 = hardware concurrency, 1 = serial execution (the
-  /// reference order the determinism tests compare against).
+  /// Worker count: 0 = one per CPU in the calling thread's affinity mask,
+  /// 1 = scenarios run one at a time (the reference the determinism tests
+  /// and CI's --threads 1 runs compare against).
   std::size_t num_threads = 0;
 };
 
 /// Geometry of a streaming sweep (run_any_streaming).
 struct StreamOptions {
-  /// Scenarios materialized and in flight at once.  Peak result memory of a
-  /// streaming sweep is one shard — never the population — and the
-  /// parallel==serial bitwise contract holds per shard (delivery order is a
-  /// pure function of the shard's ids).  Changing the shard size regroups
-  /// the sweep but never changes any per-scenario result; it reorders
-  /// delivery only across shard boundaries.
+  /// Scenarios in flight at once.  Peak result memory of a streaming sweep
+  /// is one shard — never the population — and the parallel==serial
+  /// bitwise contract holds per shard (delivery order is a pure function of
+  /// the shard's ids).  While a shard runs, the calling thread generates
+  /// the next one, so at most two shards of *scenarios* exist at once (one
+  /// running, one generated); a shard's results are delivered and dropped
+  /// before the next shard starts.  Changing the shard size regroups the
+  /// sweep but never changes any per-scenario result; it reorders delivery
+  /// only across shard boundaries.
   std::size_t shard_size = 256;
 };
 
@@ -138,7 +144,9 @@ class ExperimentEngine {
   /// Lazy scenario source for run_any_streaming: one scenario per call,
   /// std::nullopt when the population is exhausted.  Called on the engine's
   /// calling thread only (never concurrently), so a generator may hold
-  /// mutable iteration state without synchronization.
+  /// mutable iteration state without synchronization.  It runs while the
+  /// previous shard's scenarios run on the workers, so state it shares with
+  /// scenarios it already yielded must be thread-safe (e.g. an OracleCache).
   using AnyGenerator = std::function<std::optional<AnyScenario>()>;
 
   explicit ExperimentEngine(Options opts = Options());
@@ -156,8 +164,13 @@ class ExperimentEngine {
   /// the pool (parallel bitwise == serial, lowest-index exception rethrown
   /// after the shard drains), delivers its results to `sink` in id order,
   /// drops the shard, and repeats until the generator is exhausted — peak
-  /// result memory is one shard, not the population.  Ids must be unique
-  /// across the whole stream (std::invalid_argument otherwise, as in
+  /// result memory is one shard, not the population.  The generator is
+  /// pulled for shard k+1 while shard k runs (never again once it returned
+  /// std::nullopt); an exception it throws there, or a validation error,
+  /// propagates after shard k is delivered in full, and nothing of shard
+  /// k+1 runs.  The pool's workers and this thread spin briefly at shard
+  /// boundaries instead of parking (common/thread_pool.h).  Ids must be
+  /// unique across the whole stream (std::invalid_argument otherwise, as in
   /// run_any).  Returns the number of scenarios executed.
   std::size_t run_any_streaming(const AnyGenerator& generator, const AnySink& sink,
                                 const StreamOptions& stream = {});

@@ -286,6 +286,8 @@ JsonlCompareResult compare_jsonl(const std::vector<JsonlRecord>& baseline,
   for (const auto& [name, tol] : opts.abs_tol_for) check_tol("--metric-abs-tol " + name + "=", tol);
 
   const auto selected = [&](const std::string& name) {
+    for (const std::string& selector : opts.exclude)
+      if (metric_selector_matches(selector, name)) return false;
     if (opts.metrics.empty()) return true;
     for (const std::string& selector : opts.metrics)
       if (metric_selector_matches(selector, name)) return true;

@@ -54,6 +54,11 @@ struct JsonlCompareOptions {
   /// anywhere in the baseline is an error: a typo would otherwise silently
   /// gate nothing.
   std::vector<std::string> metrics;
+  /// Metrics matched by these elements (same syntax as `metrics`) are never
+  /// gated, even when `metrics` selects them — e.g. the wall-clock fields
+  /// of a whole-record comparison.  An element that matches nothing is not
+  /// an error: excluding an absent metric cannot loosen the gate.
+  std::vector<std::string> exclude;
   /// Per-metric-name tolerance overrides; keys are exact metric names (no
   /// '*' prefixes) and must be present in the baseline — unknown keys are
   /// errors so a typo cannot silently loosen nothing.

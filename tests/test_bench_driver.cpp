@@ -216,6 +216,29 @@ TEST(BenchDriver, SelectedBatchRunsOnEngine) {
   EXPECT_EQ(results[0].metric("value"), 1.0);
 }
 
+TEST(BenchDriver, ThreadsFlagSizesTheEngine) {
+  {
+    BenchDriver driver("bench_test");
+    Args args({});
+    ASSERT_TRUE(driver.parse(args.argc(), args.argv()));
+    EXPECT_EQ(driver.engine_options().num_threads, 0u);  // the pool's default size
+  }
+  {
+    BenchDriver driver("bench_test");
+    Args args({"--threads", "3", "fam"});
+    ASSERT_TRUE(driver.parse(args.argc(), args.argv()));
+    core::ExperimentEngine engine(driver.engine_options());
+    EXPECT_EQ(engine.pool().size(), 3u);
+    EXPECT_EQ(engine.run_any(driver.select(tiny_registry())).size(), 2u);
+  }
+  for (const char* bad : {"0", "-1", "x"}) {
+    BenchDriver driver("bench_test");
+    Args args({"--threads", bad});
+    EXPECT_FALSE(driver.parse(args.argc(), args.argv())) << bad;
+    EXPECT_EQ(driver.exit_code(), 2);
+  }
+}
+
 TEST(ResultIndex, FindsByIdAndToleratesSubsets) {
   std::vector<AnyResult> results;
   results.emplace_back("a/0", 0, Metrics{{"m", 1.0}});

@@ -5,12 +5,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "common/thread_pool.h"
 #include "core/artifact_store.h"
@@ -171,6 +177,94 @@ TEST(ThreadPool, ZeroTasksIsANoOp) {
   common::ThreadPool pool(2);
   pool.run_indexed(0, [](std::size_t) { FAIL(); });
 }
+
+TEST(ThreadPool, DispatchesHighestIndexFirst) {
+  // One worker drains the cursor alone, so it sees the dispatch order.
+  common::ThreadPool pool(1);
+  std::vector<std::size_t> order;
+  pool.run_indexed(5, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{4, 3, 2, 1, 0}));
+}
+
+TEST(ThreadPool, OverlapHookRunsOnCallerWhileBatchRuns) {
+  common::ThreadPool pool(4);
+  for (const bool next_batch : {true, false}) {
+    std::vector<int> hits(64, 0);
+    std::thread::id hook_thread;
+    pool.run_indexed(
+        hits.size(), [&](std::size_t i) { hits[i] = static_cast<int>(i) + 1; },
+        [&] {
+          hook_thread = std::this_thread::get_id();
+          return next_batch;
+        });
+    EXPECT_EQ(hook_thread, std::this_thread::get_id());
+    for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], static_cast<int>(i) + 1);
+  }
+}
+
+TEST(ThreadPool, OverlapHookExceptionWaitsForEveryStartedTask) {
+  common::ThreadPool pool(4);
+  constexpr std::size_t kTasks = 24;
+  std::atomic<std::size_t> finished{0};
+  const auto slow = [&](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ++finished;
+  };
+  try {
+    pool.run_indexed(kTasks, slow, []() -> bool { throw std::runtime_error("hook"); });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "hook");
+    EXPECT_EQ(finished.load(), kTasks);  // nothing still running on the caller's frame
+  }
+
+  // A task exception wins over the hook's, lowest index first.
+  finished = 0;
+  try {
+    pool.run_indexed(
+        kTasks,
+        [&](std::size_t i) {
+          slow(i);
+          if (i == 5 || i == 17) throw std::runtime_error("task " + std::to_string(i));
+        },
+        []() -> bool { throw std::runtime_error("hook"); });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 5");
+    EXPECT_EQ(finished.load(), kTasks);
+  }
+  // The pool is intact afterwards.
+  std::vector<int> hits(8, 0);
+  pool.run_indexed(hits.size(), [&](std::size_t i) { hits[i] = 1; });
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 8);
+}
+
+#ifdef __linux__
+TEST(ThreadPool, DefaultSizeFollowsAffinityMask) {
+  // A pool built on a thread restricted to one CPU gets one worker: the
+  // default size counts the CPUs the process may run on, not the machine's.
+  std::size_t size = 0;
+  int rc = -1;
+  std::thread pinned([&] {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &mask)) ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    rc = sched_setaffinity(0, sizeof(one), &one);
+    if (rc != 0) return;
+    common::ThreadPool pool(0);
+    size = pool.size();
+    pool.run_indexed(4, [](std::size_t) {});
+  });
+  pinned.join();
+  ASSERT_EQ(rc, 0);
+  EXPECT_EQ(size, 1u);
+}
+#endif
 
 TEST(Experiment, EmptyBatchYieldsEmptyResults) {
   ExperimentEngine engine(ExperimentOptions{2});
@@ -593,6 +687,78 @@ TEST(Experiment, StreamingHoldsAtMostOneShardOfResults) {
   // construction on: one shard in flight (+ small slack); far below the
   // population.
   EXPECT_LE(Live::high().load(), static_cast<int>(kShard) + 2);
+}
+
+TEST(Experiment, StreamingGeneratorErrorDuringOverlapDeliversCurrentShard) {
+  // The next shard is generated while the current one runs.  A generator
+  // that throws — or yields a duplicate id — there must still let the
+  // running shard finish and reach the sink in full; nothing of the shard
+  // being generated runs or is delivered; the error then propagates.
+  constexpr std::size_t kShard = 3;
+  constexpr std::size_t kGood = 7;  // shards {0,1,2} {3,4,5}; the error lands in {6,7,8}
+  for (const bool duplicate : {false, true}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "duplicate " << duplicate << ", threads " << threads);
+      ExperimentEngine engine(ExperimentOptions{threads});
+      std::atomic<std::size_t> ran{0};
+      std::size_t cursor = 0;
+      std::vector<std::string> delivered;
+      const auto generator = [&]() -> std::optional<AnyScenario> {
+        const std::size_t i = cursor++;
+        if (i == kGood) {
+          if (!duplicate) throw std::runtime_error("generator failed");
+          return cheap_scenario("g/0");  // already ran in shard 0
+        }
+        const std::string id = "g/" + std::to_string(i);
+        return AnyScenario(id, [id, &ran] {
+          ++ran;
+          return AnyResult(id, 0, Metrics{});
+        });
+      };
+      const auto sink = [&](AnyResult&& r) { delivered.push_back(r.id()); };
+      if (duplicate) {
+        EXPECT_THROW(engine.run_any_streaming(generator, sink, StreamOptions{kShard}),
+                     std::invalid_argument);
+      } else {
+        EXPECT_THROW(engine.run_any_streaming(generator, sink, StreamOptions{kShard}),
+                     std::runtime_error);
+      }
+      EXPECT_EQ(cursor, kGood + 1);  // the generator stopped at the error
+      EXPECT_EQ(ran.load(), 2 * kShard);
+      EXPECT_EQ(delivered,
+                (std::vector<std::string>{"g/0", "g/1", "g/2", "g/3", "g/4", "g/5"}));
+    }
+  }
+}
+
+TEST(Experiment, StreamingOneWorkerEngineCrossesManyShards) {
+  // One worker runs every scenario while the caller generates the next
+  // shard: the streamed results must equal the 4-worker stream bitwise,
+  // across six shard boundaries and a short last shard.
+  std::vector<AnyScenario> batch;
+  for (int i = 0; i < 20; ++i) batch.push_back(cheap_scenario("one/" + std::to_string(i)));
+  const auto stream_with = [&](std::size_t threads) {
+    ExperimentEngine engine(ExperimentOptions{threads});
+    std::size_t cursor = 0;
+    std::vector<std::pair<std::string, double>> out;
+    const std::size_t ran = engine.run_any_streaming(
+        [&]() -> std::optional<AnyScenario> {
+          if (cursor >= batch.size()) return std::nullopt;
+          return batch[cursor++];
+        },
+        [&](AnyResult&& r) { out.emplace_back(r.id(), r.metric("acc")); }, StreamOptions{3});
+    EXPECT_EQ(ran, batch.size());
+    EXPECT_EQ(cursor, batch.size());
+    return out;
+  };
+  const auto serial = stream_with(1);
+  ASSERT_EQ(serial.size(), batch.size());
+  EXPECT_EQ(stream_with(4), serial);
+  ExperimentEngine engine(ExperimentOptions{1});
+  const auto whole = engine.run_any(batch);
+  std::map<std::string, double> by_id;
+  for (const auto& [id, acc] : serial) by_id[id] = acc;
+  for (const AnyResult& r : whole) EXPECT_EQ(by_id.at(r.id()), r.metric("acc"));
 }
 
 TEST(Experiment, SharedOfflinePolicyArmsMatchPerScenarioTrainingBitwise) {

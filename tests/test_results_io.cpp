@@ -221,6 +221,29 @@ TEST(JsonlCompare, NonFiniteOrNegativeTolerancesAreRejected) {
   EXPECT_TRUE(compare_jsonl(base, base, exact).ok());
 }
 
+TEST(JsonlCompare, ExcludedMetricsAreNeverGated) {
+  JsonlRecord base = make_record("a", 1.0);
+  base.metrics.emplace_back("wall_time_s", 0.5);
+  base.metrics.emplace_back("p50_ns", 800.0);
+  JsonlRecord cur = base;
+  cur.metrics[1].second = 0.9;  // wall clock moved
+  cur.metrics[2].second = 900.0;
+  JsonlCompareOptions opts;
+  opts.rel_tol = 0.0;
+  opts.abs_tol = 0.0;
+  EXPECT_FALSE(compare_jsonl({base}, {cur}, opts).ok());
+  opts.exclude = {"wall_time_s", "p*", "absent_metric"};  // absent: not an error
+  auto res = compare_jsonl({base}, {cur}, opts);
+  EXPECT_TRUE(res.ok());
+  EXPECT_EQ(res.metrics_compared, 1u);
+  // Exclusion wins over --metrics, and never hides drift in what is left.
+  opts.metrics = {"metric", "wall_time_s"};
+  cur.metrics[0].second = 1.5;
+  res = compare_jsonl({base}, {cur}, opts);
+  ASSERT_EQ(res.issues.size(), 1u);
+  EXPECT_NE(res.issues[0].find("metric drifted"), std::string::npos);
+}
+
 TEST(JsonlCompare, MissingRecordsAndMetricsAreFailures) {
   const std::vector<JsonlRecord> base{make_record("a", 1.0), make_record("gone", 1.0)};
   {

@@ -2,7 +2,7 @@
 """Alternating parent/change perfbench runs folded into one BENCH_<n>.json.
 
     python3 tools/bench_trajectory.py --parent <rev> --out BENCH_<n>.json \\
-        [--pairs 10] [--workdir <dir>]
+        [--pairs 10] [--seed S]... [--workdir <dir>]
 
 Run from anywhere inside the repository.  The change is the working tree;
 the parent revision is exported with `git archive` into a new directory
@@ -11,8 +11,10 @@ collides with an earlier export.  For each of the three BENCHMARK.json
 workloads, pair i runs
 `perfbench/run.py --workload W --seed i --seconds <run_seconds> --trace 0`
 once in each tree, parent first on even pairs and change first on odd ones,
-so slow drift in host load hits both sides alike.  Each tree builds its own
-perfbench once (the first run of each tree pays the build).
+so slow drift in host load hits both sides alike.  With `--seed S`
+(repeatable) every pair runs seed S instead, `--pairs` pairs per seed,
+and the entries are keyed `<workload>/seed<S>`.  Each tree builds its
+own perfbench once (the first run of each tree pays the build).
 
 The output records, per workload and side, every end-to-end metric's
 per-run values, median, quartiles and IQR; how many pairs the change won
@@ -105,6 +107,8 @@ def main():
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--out", required=True, help="output JSON path")
     ap.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
+    ap.add_argument("--seed", type=int, action="append",
+                    help="run every pair at this seed (repeatable; default: pair i runs seed i)")
     ap.add_argument("--workdir", help="where the parent export goes (default: the temp dir)")
     args = ap.parse_args()
     if args.pairs < 1:
@@ -127,10 +131,13 @@ def main():
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {},
     }
-    for workload in workloads:
+    if args.seed:
+        groups = [(f"/seed{s}", [s] * args.pairs) for s in args.seed]
+    else:
+        groups = [("", list(range(args.pairs)))]
+    for workload, (suffix, seeds) in ((w, g) for w in workloads for g in groups):
         runs = {"parent": [], "change": []}
         loads = {"parent": [], "change": []}
-        seeds = list(range(args.pairs))
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -156,7 +163,7 @@ def main():
                 won += (cv < pv) if better == "lower" else (cv > pv)
             wins[name] = won
         entry["change_better_pairs"] = wins
-        report["workloads"][workload] = entry
+        report["workloads"][workload + suffix] = entry
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)

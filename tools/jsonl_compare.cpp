@@ -5,13 +5,16 @@
 // Usage: jsonl_compare <baseline.jsonl> <current.jsonl>
 //                      [--rel-tol <frac>] [--abs-tol <v>]
 //                      [--metrics <name[,name|prefix*...]>]
+//                      [--exclude-metrics <name[,name|prefix*...]>]
 //                      [--metric-rel-tol <name>=<frac>]...
 //                      [--metric-abs-tol <name>=<v>]...
 //
 // --metrics gates only the named metrics (a trailing '*' matches by prefix),
 // so benches with chaotic metrics can check in baselines for their stable
-// subset; the per-metric tolerance flags loosen (or tighten) single metrics
-// without widening the whole gate.  Unknown metric names are errors.
+// subset; --exclude-metrics drops names from the gate (e.g. wall-clock
+// fields when two runs are compared exactly); the per-metric tolerance flags
+// loosen (or tighten) single metrics without widening the whole gate.
+// Unknown metric names are errors, except in --exclude-metrics.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -24,6 +27,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: jsonl_compare <baseline.jsonl> <current.jsonl> "
     "[--rel-tol <frac>] [--abs-tol <v>] [--metrics <name[,name|prefix*...]>] "
+    "[--exclude-metrics <name[,name|prefix*...]>] "
     "[--metric-rel-tol <name>=<frac>]... [--metric-abs-tol <name>=<v>]...";
 
 /// Parses a tolerance; exits 2 on non-numeric input (atof would silently
@@ -68,20 +72,22 @@ int main(int argc, char** argv) {
       opts.rel_tol = tolerance_value(arg, value());
     } else if (arg == "--abs-tol") {
       opts.abs_tol = tolerance_value(arg, value());
-    } else if (arg == "--metrics") {
+    } else if (arg == "--metrics" || arg == "--exclude-metrics") {
       // Comma-separated names/prefixes, accumulated across repeats.
+      std::vector<std::string>& into = arg == "--metrics" ? opts.metrics : opts.exclude;
       std::string list = value();
       std::size_t start = 0;
       while (start <= list.size()) {
         const std::size_t comma = list.find(',', start);
         const std::string elem =
             list.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-        if (!elem.empty()) opts.metrics.push_back(elem);
+        if (!elem.empty()) into.push_back(elem);
         if (comma == std::string::npos) break;
         start = comma + 1;
       }
-      if (opts.metrics.empty()) {
-        std::fprintf(stderr, "jsonl_compare: --metrics requires at least one metric name\n");
+      if (into.empty()) {
+        std::fprintf(stderr, "jsonl_compare: %s requires at least one metric name\n",
+                     arg.c_str());
         return 2;
       }
     } else if (arg == "--metric-rel-tol") {
